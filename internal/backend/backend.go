@@ -68,8 +68,7 @@ type Instrumented interface {
 // EvaluateBatch must be equivalent to calling Evaluate once per vector
 // in batch order: identical values, identical accounting. The accounting
 // machines satisfy this trivially (their evaluations are inherently
-// serial events on one machine timeline); simulator-only backends may
-// share a fused-gate plan and scratch arena across the batch.
+// serial events on one machine timeline).
 type Batcher interface {
 	EvaluateBatch(sets [][]float64, out []float64) error
 }
@@ -92,41 +91,32 @@ func MetricsOf(b Backend) *metrics.Registry {
 	return nil
 }
 
-// Optimize dispatches eval to the selected algorithm. Unknown values
-// fall back to GD, matching the historical front-door behaviour.
-func Optimize(alg Algorithm, eval opt.Evaluator, initial []float64, o opt.Options) (opt.Result, error) {
-	switch alg {
-	case SPSA:
-		return opt.SPSA(eval, initial, o)
-	case Adam:
-		return opt.Adam(eval, initial, o)
-	default:
-		return opt.GradientDescent(eval, initial, o)
-	}
-}
-
 // RunOn drives one full optimization over an existing backend and
 // returns its accounting. History and Evaluations come from the
 // optimizer, which is authoritative for the run (the backend may have
 // been evaluated before, e.g. by a warm-up; a fresh instance agrees with
 // its own counts).
 //
-// GD-shaped runs on a Batcher backend route through the batched
-// parameter-shift path (one EvaluateBatch per gradient), but only on the
-// serial default: Parallelism > 1 explicitly requests concurrent
-// Evaluate calls, which a single batch call does not provide. Both paths
-// produce identical results by the Batcher contract.
+// GD and Adam issue each gradient's 2P shifted points as one batch: a
+// Batcher backend takes it in one EvaluateBatch call, any other backend
+// through opt.Batch, one Evaluate per point in batch order — identical
+// results by the Batcher contract.
 func RunOn(b Backend, initial []float64, alg Algorithm, o opt.Options) (report.RunResult, error) {
+	batch := BatchOf(b)
+	if batch == nil {
+		batch = opt.Batch(b.Evaluate)
+	}
 	var res opt.Result
 	var err error
-	if batch := BatchOf(b); batch != nil && o.Parallelism <= 1 && (alg == GD || alg == Adam) {
-		if alg == Adam {
-			res, err = opt.AdamBatch(batch, initial, o)
-		} else {
-			res, err = opt.GradientDescentBatch(batch, initial, o)
-		}
-	} else {
-		res, err = Optimize(alg, b.Evaluate, initial, o)
+	switch alg {
+	case SPSA:
+		res, err = opt.SPSA(b.Evaluate, initial, o)
+	case Adam:
+		res, err = opt.AdamBatch(batch, initial, o)
+	default:
+		// Unknown values fall back to GD, the historical front-door
+		// behaviour.
+		res, err = opt.GradientDescentBatch(batch, initial, o)
 	}
 	if err != nil {
 		return report.RunResult{}, err

@@ -73,34 +73,6 @@ func TestBatchedRunMatchesSerialRun(t *testing.T) {
 	}
 }
 
-// Parallelism > 1 requests concurrent evaluations, which one batch call
-// cannot provide; RunOn must then take the serial-optimizer path yet
-// still produce the same result for these deterministic machines.
-func TestParallelRequestBypassesBatch(t *testing.T) {
-	w := goldenWorkload(t)
-	o := goldenOptions()
-	f := system.Factory{Cfg: system.DefaultConfig(host.BoomL())}
-	b1, err := f.New(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := backend.RunOn(b1, w.InitialParams, backend.GD, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2 := o
-	o2.Parallelism = 2
-	b2, err := f.New(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := backend.RunOn(b2, w.InitialParams, backend.GD, o2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareRunResults(t, par, def)
-}
-
 func compareRunResults(t *testing.T, got, want report.RunResult) {
 	t.Helper()
 	if got.Breakdown != want.Breakdown {

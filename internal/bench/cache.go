@@ -41,7 +41,9 @@ type cacheEntry struct {
 
 // do returns the cached result for key, executing run (exactly once per
 // key, even under concurrency) on first request. The returned result's
-// History is a fresh copy, so callers may mutate it freely.
+// History is a fresh copy, so callers may mutate it freely. A panic in
+// run is re-raised for the first caller and recorded as the key's error
+// for every later one, so the key never serves a zero result.
 func (c *runCache) do(key string, run func() (report.RunResult, error)) (report.RunResult, error) {
 	c.mu.Lock()
 	if c.entries == nil {
@@ -54,18 +56,27 @@ func (c *runCache) do(key string, run func() (report.RunResult, error)) (report.
 	}
 	c.mu.Unlock()
 	first := false
+	var panicked any
 	// A duplicate caller waits behind the first run of a batch experiment
 	// generator, not a serving request; the run is finite by construction
 	// and there is no cancellation story for half-computed RunResults.
 	//lint:ignore ctxflow memoized batch experiment — the guarded run is finite and offline, not on a serving path (DESIGN.md §15.4)
 	e.once.Do(func() {
 		first = true
+		defer func() {
+			if panicked = recover(); panicked != nil {
+				e.err = fmt.Errorf("bench: run %s panicked: %v", key, panicked)
+			}
+		}()
 		e.res, e.err = run()
 	})
 	if first {
 		c.misses.Add(1)
 	} else {
 		c.hits.Add(1)
+	}
+	if panicked != nil {
+		panic(panicked)
 	}
 	res := e.res
 	res.History = append([]float64(nil), e.res.History...)

@@ -66,6 +66,28 @@ func TestRunCacheHistoryIsolated(t *testing.T) {
 	}
 }
 
+// TestRunCachePanicRecordedAsError checks a panicking run cannot poison
+// its key: the first caller sees the panic re-raised, and a later caller
+// gets an error instead of a zero RunResult.
+func TestRunCachePanicRecordedAsError(t *testing.T) {
+	var c runCache
+	func() {
+		defer func() {
+			if r := recover(); r != "run exploded" {
+				t.Fatalf("first caller recovered %v, want the run's panic", r)
+			}
+		}()
+		c.do("k", func() (report.RunResult, error) { panic("run exploded") })
+	}()
+	res, err := c.do("k", func() (report.RunResult, error) {
+		t.Error("run executed twice for one key")
+		return report.RunResult{}, nil
+	})
+	if err == nil {
+		t.Fatalf("second caller got %+v with a nil error after the run panicked", res)
+	}
+}
+
 // TestRunCacheKeysDiscriminate checks that every knob that changes a
 // run's behaviour lands in the key: same-looking configurations must
 // share, different ones must not.

@@ -50,7 +50,7 @@ func runBitExact(pass *Pass) error {
 				if pkg, name, ok := pass.PkgFunc(n); ok && pkg == "math" && name == "FMA" {
 					pass.Reportf(n.Pos(), "math.FMA fuses the multiply-add rounding step; kernels must round like the dense reference (DESIGN.md §14.2)")
 				}
-				if name, ok := parExecutorCall(pass, n); ok && (name == "For" || name == "Do" || name == "DoScratch") {
+				if name, ok := parExecutorCall(pass, n); ok && (name == "For" || name == "Do") {
 					for _, arg := range n.Args {
 						if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 							be.checkClosureAccum(lit, "par."+name)

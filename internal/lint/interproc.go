@@ -241,7 +241,6 @@ func (s *FuncSummary) ResultDomain() Domain {
 var inertFuncs = map[string]bool{
 	"qtenon/internal/par.For":        true,
 	"qtenon/internal/par.Do":         true,
-	"qtenon/internal/par.DoScratch":  true,
 	"qtenon/internal/par.SumFloat64": true,
 	"qtenon/internal/par.SumComplex": true,
 }

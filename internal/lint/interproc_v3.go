@@ -59,7 +59,6 @@ var allocFreePkgs = map[string]bool{
 var allocFreeFuncs = map[string]bool{
 	"qtenon/internal/par.For":        true,
 	"qtenon/internal/par.Do":         true,
-	"qtenon/internal/par.DoScratch":  true,
 	"qtenon/internal/par.SumFloat64": true,
 	"qtenon/internal/par.SumComplex": true,
 	"qtenon/internal/par.Workers":    true,

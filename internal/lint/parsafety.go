@@ -9,10 +9,9 @@ const parPkgPath = "qtenon/internal/par"
 
 // parExecutors are the internal/par entry points that run their closure
 // argument concurrently. Their closures receive index-partition
-// parameters: Do(n, func(i)), For/Sum*(n, func(lo, hi)),
-// DoScratch(n, w, func(slot, i)).
+// parameters: Do(n, func(i)), For/Sum*(n, func(lo, hi)).
 var parExecutors = map[string]bool{
-	"For": true, "Do": true, "DoScratch": true,
+	"For": true, "Do": true,
 	"SumFloat64": true, "SumComplex": true,
 }
 

@@ -34,16 +34,6 @@ func derivedIndex(out []float64) {
 	})
 }
 
-// DoScratch's slot parameter partitions the scratch table; rebinding a
-// slot's buffer to a closure-local and writing through it is the
-// documented scratch idiom.
-func slotScratch(scratch [][]float64, vals []float64) {
-	par.DoScratch(len(vals), len(scratch), func(slot, i int) {
-		buf := scratch[slot]
-		buf[0] += vals[i]
-	})
-}
-
 func fill(dst []float64, v float64) {
 	for i := range dst {
 		dst[i] = v

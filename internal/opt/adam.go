@@ -8,6 +8,12 @@ import "math"
 // evaluation pattern matches GD (2P+1 per iteration), so its
 // architecture traffic is GD-shaped; only the host-side update differs.
 func Adam(eval Evaluator, initial []float64, o Options) (Result, error) {
+	return AdamBatch(Batch(eval), initial, o)
+}
+
+// AdamBatch is Adam driven through a BatchEvaluator, with the same
+// batch shape as GradientDescentBatch.
+func AdamBatch(eval BatchEvaluator, initial []float64, o Options) (Result, error) {
 	if err := o.validate(len(initial)); err != nil {
 		return Result{}, err
 	}
@@ -21,9 +27,9 @@ func Adam(eval Evaluator, initial []float64, o Options) (Result, error) {
 	v := make([]float64, len(params))
 	grad := make([]float64, len(params))
 	var res Result
-	var scr gradScratch
+	var scr batchScratch
 	for iter := 1; iter <= o.Iterations; iter++ {
-		n, err := shiftGradient(eval, params, o.ShiftScale, o.Parallelism, grad, &scr)
+		n, err := shiftGradientBatch(eval, params, o.ShiftScale, grad, &scr)
 		res.Evaluations += n
 		if err != nil {
 			return res, err
@@ -37,12 +43,12 @@ func Adam(eval Evaluator, initial []float64, o Options) (Result, error) {
 			vh := v[i] / b2t
 			params[i] -= o.LearningRate * mh / (math.Sqrt(vh) + eps)
 		}
-		cost, err := eval(params)
-		if err != nil {
+		copy(scr.oneData, params)
+		if err := eval(scr.oneSet, scr.oneVal); err != nil {
 			return res, err
 		}
 		res.Evaluations++
-		res.History = append(res.History, cost)
+		res.History = append(res.History, scr.oneVal[0])
 	}
 	res.Params = params
 	return res, nil

@@ -1,18 +1,10 @@
 package opt
 
-import (
-	"fmt"
-	"math"
-)
-
 // BatchEvaluator estimates the cost at every parameter vector in sets,
-// writing out[k] for sets[k]. Implementations may share work across the
-// batch — one fused-gate plan, one scratch arena, one statevector for
-// all 2·P shifted circuits of a parameter-shift gradient — but must
-// evaluate the points with the same numerics and, for stateful
-// accounting evaluators, the same per-call sequence a serial Evaluator
-// would use: optimizers driven through a batch evaluator are required to
-// produce identical histories to their serial counterparts.
+// writing out[k] for sets[k]. Implementations must evaluate the points
+// with the same numerics and, for stateful accounting evaluators, the
+// same per-call sequence as Batch over their serial Evaluator, so a run
+// is identical whichever form drives it.
 //
 // len(out) == len(sets) is the caller's responsibility; the vectors in
 // sets may alias the evaluator's own scratch between calls but are
@@ -68,10 +60,10 @@ func (s *batchScratch) ensure(p int) {
 }
 
 // shiftGradientBatch fills grad with the parameter-shift estimate at
-// params using one BatchEvaluator call for all 2P shifted points. The
-// batch is ordered [+0, −0, +1, −1, …] — exactly the sequence the serial
-// shiftGradient evaluates — so a Batch-adapted Evaluator reproduces the
-// serial path's evaluation order and results bit for bit.
+// params, grad[i] = (E(θ+s·e_i) − E(θ−s·e_i)) / 2, using one
+// BatchEvaluator call for all 2P shifted points ordered
+// [+0, −0, +1, −1, …]; a Batch-adapted Evaluator sees exactly that
+// serial sequence.
 //
 //qtenon:hotpath
 func shiftGradientBatch(eval BatchEvaluator, params []float64, shift float64, grad []float64, scr *batchScratch) (int, error) {
@@ -96,10 +88,7 @@ func shiftGradientBatch(eval BatchEvaluator, params []float64, shift float64, gr
 // GradientDescentBatch is GradientDescent driven through a
 // BatchEvaluator: each iteration issues one batch of the 2P shifted
 // points followed by one single-point batch for the post-update cost.
-// The evaluation points, order and counts are identical to
-// GradientDescent's serial path, so GradientDescentBatch(Batch(eval), …)
-// returns bit-identical results to GradientDescent(eval, …) with
-// Parallelism ≤ 1.
+// GradientDescent is this loop over Batch(eval).
 func GradientDescentBatch(eval BatchEvaluator, initial []float64, o Options) (Result, error) {
 	if err := o.validate(len(initial)); err != nil {
 		return Result{}, err
@@ -126,60 +115,4 @@ func GradientDescentBatch(eval BatchEvaluator, initial []float64, o Options) (Re
 	}
 	res.Params = params
 	return res, nil
-}
-
-// AdamBatch is Adam driven through a BatchEvaluator, with the same
-// equivalence contract as GradientDescentBatch.
-func AdamBatch(eval BatchEvaluator, initial []float64, o Options) (Result, error) {
-	if err := o.validate(len(initial)); err != nil {
-		return Result{}, err
-	}
-	const (
-		beta1 = 0.9
-		beta2 = 0.999
-		eps   = 1e-8
-	)
-	params := append([]float64(nil), initial...)
-	m := make([]float64, len(params))
-	v := make([]float64, len(params))
-	grad := make([]float64, len(params))
-	var res Result
-	var scr batchScratch
-	for iter := 1; iter <= o.Iterations; iter++ {
-		n, err := shiftGradientBatch(eval, params, o.ShiftScale, grad, &scr)
-		res.Evaluations += n
-		if err != nil {
-			return res, err
-		}
-		b1t := 1 - math.Pow(beta1, float64(iter))
-		b2t := 1 - math.Pow(beta2, float64(iter))
-		for i := range params {
-			m[i] = beta1*m[i] + (1-beta1)*grad[i]
-			v[i] = beta2*v[i] + (1-beta2)*grad[i]*grad[i]
-			mh := m[i] / b1t
-			vh := v[i] / b2t
-			params[i] -= o.LearningRate * mh / (math.Sqrt(vh) + eps)
-		}
-		copy(scr.oneData, params)
-		if err := eval(scr.oneSet, scr.oneVal); err != nil {
-			return res, err
-		}
-		res.Evaluations++
-		res.History = append(res.History, scr.oneVal[0])
-	}
-	res.Params = params
-	return res, nil
-}
-
-// GradientDescentEvaluator exists so callers can pass either form
-// without two code paths: it routes to GradientDescentBatch when batch
-// is non-nil and otherwise to GradientDescent.
-func GradientDescentEvaluator(eval Evaluator, batch BatchEvaluator, initial []float64, o Options) (Result, error) {
-	if batch != nil {
-		return GradientDescentBatch(batch, initial, o)
-	}
-	if eval == nil {
-		return Result{}, fmt.Errorf("opt: no evaluator provided")
-	}
-	return GradientDescent(eval, initial, o)
 }

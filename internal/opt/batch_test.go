@@ -27,61 +27,10 @@ func batchTestOptions(iters int) Options {
 	return o
 }
 
-// The batched gradient-descent driver over the serial reference adapter
-// must be bit-identical to the serial driver: same history, same final
-// parameters, same evaluation count.
-func TestGradientDescentBatchMatchesSerial(t *testing.T) {
-	initial := []float64{0.4, -1.2, 2.0, 0.05}
-	o := batchTestOptions(8)
-	want, err := GradientDescent(batchTestCost, initial, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := GradientDescentBatch(Batch(batchTestCost), initial, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, got, want)
-}
-
-// Same contract for Adam.
-func TestAdamBatchMatchesSerial(t *testing.T) {
-	initial := []float64{0.4, -1.2, 2.0, 0.05, 1.7}
-	o := batchTestOptions(8)
-	want, err := Adam(batchTestCost, initial, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AdamBatch(Batch(batchTestCost), initial, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, got, want)
-}
-
-func compareResults(t *testing.T, got, want Result) {
-	t.Helper()
-	if got.Evaluations != want.Evaluations {
-		t.Errorf("evaluations = %d, want %d", got.Evaluations, want.Evaluations)
-	}
-	if len(got.History) != len(want.History) {
-		t.Fatalf("history length = %d, want %d", len(got.History), len(want.History))
-	}
-	for i := range want.History {
-		if got.History[i] != want.History[i] {
-			t.Errorf("history[%d] = %.17g, want %.17g", i, got.History[i], want.History[i])
-		}
-	}
-	for i := range want.Params {
-		if got.Params[i] != want.Params[i] {
-			t.Errorf("params[%d] = %.17g, want %.17g", i, got.Params[i], want.Params[i])
-		}
-	}
-}
-
 // The batch a BatchEvaluator sees per iteration is [+0, −0, +1, −1, …]
 // followed by one single-point batch at the updated parameters — the
-// serial shiftGradient's exact evaluation sequence (DESIGN.md §11.4).
+// sequence GradientDescent's Batch adapter hands an Evaluator one point
+// at a time (DESIGN.md §11.4).
 func TestBatchOrderIsSerialShiftOrder(t *testing.T) {
 	initial := []float64{1.0, 2.0}
 	o := batchTestOptions(1)
@@ -132,28 +81,5 @@ func TestBatchErrorPropagation(t *testing.T) {
 	}
 	if _, err := AdamBatch(eval, []float64{1}, batchTestOptions(2)); err != boom {
 		t.Errorf("AdamBatch error = %v, want boom", err)
-	}
-}
-
-// The convenience router prefers the batch path and falls back serially.
-func TestGradientDescentEvaluatorRouting(t *testing.T) {
-	initial := []float64{0.3, -0.7}
-	o := batchTestOptions(3)
-	want, err := GradientDescent(batchTestCost, initial, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBatch, err := GradientDescentEvaluator(nil, Batch(batchTestCost), initial, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, viaBatch, want)
-	viaSerial, err := GradientDescentEvaluator(batchTestCost, nil, initial, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, viaSerial, want)
-	if _, err := GradientDescentEvaluator(nil, nil, initial, o); err == nil {
-		t.Error("router accepted two nil evaluators")
 	}
 }

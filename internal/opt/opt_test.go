@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -179,5 +180,30 @@ func TestHistoryLength(t *testing.T) {
 	}
 	if len(res.History) != 7 {
 		t.Errorf("history = %d entries, want 7", len(res.History))
+	}
+}
+
+// An evaluator error stops every optimizer and surfaces unchanged.
+func TestErrorPropagation(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		run  func(Evaluator, []float64, Options) (Result, error)
+	}{{"GD", GradientDescent}, {"SPSA", SPSA}, {"Adam", Adam}} {
+		calls := 0
+		eval := func(p []float64) (float64, error) {
+			if calls++; calls == 3 {
+				return 0, boom
+			}
+			return quadratic([]float64{0.3, 0.6, 0.9})(p)
+		}
+		o := DefaultOptions()
+		o.Iterations = 2
+		if _, err := tc.run(eval, []float64{1, 2, 3}, o); !errors.Is(err, boom) {
+			t.Errorf("%s error = %v, want %v", tc.name, err, boom)
+		}
+		if calls != 3 {
+			t.Errorf("%s made %d evaluations, want it to stop at the failing third", tc.name, calls)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package par is the repository's shared parallel-execution engine: a
 // persistent worker pool with chunked parallel-for and deterministic
-// reductions, used by the statevector kernels (internal/qsim), the
-// optimizer gradient evaluation (internal/opt), and the benchmark sweep
-// generators (internal/bench).
+// reductions, used by the statevector kernels (internal/qsim and
+// internal/qsim/shard) and the benchmark sweep generators
+// (internal/bench).
 //
 // Design constraints, in order:
 //
@@ -13,9 +13,12 @@
 //     deterministic.
 //  2. No regression on small inputs. Loops shorter than SerialThreshold
 //     run inline on the calling goroutine with zero synchronization.
-//  3. No deadlocks under composition. The caller always participates in
-//     its own job, so a job completes even when every pool worker is
-//     busy; workers never block on anything but the job queue.
+//  3. No deadlocks under composition. One job owns the pool at a time;
+//     a par call made while another job is in flight — from inside a
+//     par body, or from a second top-level caller — runs its chunks
+//     inline on its own goroutine. No help request is ever queued behind
+//     a worker that is itself waiting, and the owner always participates
+//     in its own job, so every job completes.
 //
 // The pool is lazily spawned and persists for the life of the process.
 // Workers pull jobs from a shared queue; a job is a bag of chunks drained
@@ -47,6 +50,9 @@ var maxWorkers atomic.Int32
 
 // spawned counts pool goroutines already started.
 var spawned atomic.Int32
+
+// owned is set while a dispatched job owns the pool.
+var owned atomic.Bool
 
 // work is the shared job queue. Sends are non-blocking: if the queue is
 // full the caller simply gets less help and runs more chunks itself.
@@ -93,6 +99,15 @@ func (j *job) run() {
 			hi = j.n
 		}
 		j.fn(lo, hi)
+	}
+}
+
+// reraise re-raises the body's first panic on the dispatching goroutine,
+// after every participant has stopped touching the job — the same
+// contract as a serial loop, minus the chunks cancelled by the abort.
+func (j *job) reraise() {
+	if p := j.panicked.Load(); p != nil {
+		panic(*p)
 	}
 }
 
@@ -149,8 +164,15 @@ func Shutdown() {
 }
 
 // dispatch runs the job with up to helpers pool workers assisting the
-// calling goroutine, and returns when every chunk has completed.
+// calling goroutine, and returns when every chunk has completed. When
+// another job already owns the pool, the calling goroutine runs every
+// chunk itself.
 func dispatch(j *job, helpers int) {
+	if !owned.CompareAndSwap(false, true) {
+		j.run()
+		j.reraise()
+		return
+	}
 	if max := (j.n - 1) / j.chunk; helpers > max {
 		helpers = max // no point recruiting more workers than extra chunks
 	}
@@ -165,25 +187,21 @@ func dispatch(j *job, helpers int) {
 		}
 	}
 	j.run()
-	// The join is structurally bounded: every worker holding a wg slot is
-	// running chunks of this same finite job (or skipping them after an
-	// abort), so Wait cannot outlive the job — the caller participates
-	// rather than parks, which is the sanctioned fan-out shape.
-	//lint:ignore ctxflow bounded join — helpers finish their claimed chunks of a finite job and Done unconditionally (DESIGN.md §15.4)
+	// The join is structurally bounded: this job owns the pool, so every
+	// worker holding a wg slot is running chunks of this same finite job
+	// (or skipping them after an abort), and any par call its bodies make
+	// runs inline rather than waiting on the pool.
+	//lint:ignore ctxflow bounded join — the job owns the pool, so its helpers only run its finite chunks, nested par calls run inline, and every helper Dones unconditionally (DESIGN.md §15.4)
 	j.wg.Wait()
-	if p := j.panicked.Load(); p != nil {
-		// Re-raise the body's panic on the calling goroutine, after every
-		// participant has stopped touching the job — the same contract as a
-		// serial loop, minus the chunks cancelled by the abort.
-		panic(*p)
-	}
+	owned.Store(false)
+	j.reraise()
 }
 
 // For executes body over a partition of [0, n): body(lo, hi) is called
 // with disjoint ranges covering [0, n) exactly once. Ranges run
-// concurrently when n ≥ SerialThreshold and more than one worker is
-// available; body must therefore be safe for disjoint-range concurrency
-// (pure elementwise updates are).
+// concurrently when n ≥ SerialThreshold, more than one worker is
+// available and no other job owns the pool; body must therefore be safe
+// for disjoint-range concurrency (pure elementwise updates are).
 func For(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -222,54 +240,6 @@ func Do(n int, body func(i int)) {
 		chunk: 1,
 	}
 	dispatch(j, w-1)
-}
-
-// DoScratch executes body(slot, i) for every i in [0, n) with at most
-// `width` concurrent participants (capped by the pool width). slot
-// identifies the participant: 0 ≤ slot < width, and no two concurrent
-// calls ever share a slot, so callers can thread per-worker scratch
-// buffers through it — the allocation-free alternative to a fresh
-// buffer per item. Items are claimed dynamically, so the slot→item
-// assignment is nondeterministic; like Do, callers must assemble
-// results by index for determinism.
-func DoScratch(n, width int, body func(slot, i int)) {
-	if n <= 0 {
-		return
-	}
-	if w := Workers(); width > w {
-		width = w
-	}
-	if width > n {
-		width = n
-	}
-	if n == 1 || width <= 1 {
-		for i := 0; i < n; i++ {
-			body(0, i)
-		}
-		return
-	}
-	// Each of the job's `width` unit chunks is one participant slot; the
-	// slot's loop drains items through a shared counter. A participant
-	// that picks up several slots (e.g. the caller, when the queue is
-	// full) runs them sequentially, which keeps the no-shared-slot
-	// guarantee.
-	var next atomic.Int64
-	j := &job{
-		fn: func(lo, hi int) {
-			for slot := lo; slot < hi; slot++ {
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						break
-					}
-					body(slot, i)
-				}
-			}
-		},
-		n:     width,
-		chunk: 1,
-	}
-	dispatch(j, width-1)
 }
 
 // reduce partitions [0, n) into fixed chunkSize ranges, evaluates chunk

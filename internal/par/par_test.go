@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // covers asserts body visits every index in [0, n) exactly once.
@@ -97,9 +98,9 @@ func TestSumComplexDeterministic(t *testing.T) {
 	}
 }
 
-// Concurrent For calls from independent goroutines must not interfere —
-// this is the shape the optimizer produces (parallel evaluations, each
-// running parallel kernels).
+// Concurrent top-level calls from independent goroutines must not
+// interfere: one job owns the pool and the others run inline on their
+// callers, and every result stays exact.
 func TestConcurrentJobs(t *testing.T) {
 	SetWorkers(4)
 	defer SetWorkers(0)
@@ -220,4 +221,63 @@ func TestForPanicAborts(t *testing.T) {
 	if got := touched.Load(); got > int64(8*chunkSize) {
 		t.Fatalf("touched %d indices after a first-chunk panic, want early abort (≤ %d)", got, 8*chunkSize)
 	}
+}
+
+// Par calls made from inside par bodies compose: a nested call runs
+// inline instead of queueing help behind workers that are themselves
+// waiting on the pool, so this completes at every pool width.
+func TestNestedCallsComplete(t *testing.T) {
+	defer SetWorkers(0)
+	const n = 2 * SerialThreshold
+	for w := 2; w <= 8; w++ {
+		SetWorkers(w)
+		for round := 0; round < 500; round++ {
+			var items, covered atomic.Int64
+			var sums [4]float64
+			Do(4, func(i int) {
+				Do(3, func(int) { items.Add(1) })
+				For(n, func(lo, hi int) { covered.Add(int64(hi - lo)) })
+				sums[i] = SumFloat64(n, func(lo, hi int) float64 { return float64(hi - lo) })
+			})
+			if items.Load() != 12 || covered.Load() != 4*n {
+				t.Fatalf("workers %d round %d: %d nested items, %d indices covered; want 12 and %d", w, round, items.Load(), covered.Load(), 4*n)
+			}
+			for i, s := range sums {
+				if s != n {
+					t.Fatalf("workers %d round %d: nested sum %d = %v, want %d", w, round, i, s, n)
+				}
+			}
+		}
+	}
+}
+
+// A re-raised panic, from the pool's owner or from a nested call run
+// inline, must hand the pool back: a later top-level Do(2) still runs
+// its two bodies concurrently. They rendezvous with a timeout, so a pool
+// left owned fails here instead of hanging.
+func TestPanicReleasesPool(t *testing.T) {
+	SetWorkers(2)
+	defer SetWorkers(0)
+	for _, body := range []func(int){
+		func(int) { panic("owner poison") },
+		func(int) { Do(2, func(int) { panic("nested poison") }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("panic did not propagate out of Do")
+				}
+			}()
+			Do(2, body)
+		}()
+	}
+	arrived := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	Do(2, func(i int) {
+		close(arrived[i])
+		select {
+		case <-arrived[1-i]:
+		case <-time.After(10 * time.Second):
+			t.Errorf("body %d waited 10s for its sibling: the pool is still owned", i)
+		}
+	})
 }

@@ -88,20 +88,12 @@ type fuser struct {
 	// (value + valid flag, so latching a matrix never allocates).
 	pendM [][4]complex128
 	pendV []bool
-	// pendDiagK tracks whether the pending run is diagonal by gate kind
-	// (Z/S/T/RZ/I chains). Numerically it implies isDiagonal of the
-	// folded matrix; the recording mode (plan.go) uses it because kind
-	// is binding-independent where the numeric test is not.
-	pendDiagK []bool
 	// batch indexes the open diagonal batch in ops, -1 when none.
 	batch int
 	// batchQ marks qubits the open batch acts on; batchBlocked marks
 	// qubits touched by operations emitted after the batch. A new term
 	// on a blocked qubit cannot execute at the batch's position.
 	batchQ, batchBlocked uint32
-	// rec, when non-nil, records binding provenance for every emitted op
-	// (plan compilation); nil for plain bound-circuit fusion.
-	rec *planRecorder
 }
 
 // reset prepares the fuser for a circuit over nq qubits, keeping storage.
@@ -110,17 +102,14 @@ func (f *fuser) reset(nq int) {
 	if cap(f.pendM) < nq {
 		f.pendM = make([][4]complex128, nq)
 		f.pendV = make([]bool, nq)
-		f.pendDiagK = make([]bool, nq)
 	}
 	f.pendM = f.pendM[:nq]
 	f.pendV = f.pendV[:nq]
-	f.pendDiagK = f.pendDiagK[:nq]
 	for i := range f.pendV {
 		f.pendV[i] = false
 	}
 	f.batch = -1
 	f.batchQ, f.batchBlocked = 0, 0
-	f.rec = nil
 }
 
 // appendOp appends a term-free op (op1Q, opCX, or a placeholder),
@@ -153,31 +142,13 @@ func matMul(a, b [4]complex128) [4]complex128 {
 func isDiagonal(m [4]complex128) bool { return m[1] == 0 && m[2] == 0 }
 
 // merge1Q folds a single-qubit matrix into the qubit's pending run.
-// diagK reports whether the gate's kind guarantees a diagonal matrix;
-// the flag survives only if every gate in the run has it.
-func (f *fuser) merge1Q(q int, m [4]complex128, diagK bool) {
+func (f *fuser) merge1Q(q int, m [4]complex128) {
 	if f.pendV[q] {
 		f.pendM[q] = matMul(m, f.pendM[q])
-		f.pendDiagK[q] = f.pendDiagK[q] && diagK
 		return
 	}
 	f.pendM[q] = m
 	f.pendV[q] = true
-	f.pendDiagK[q] = diagK
-}
-
-// pendIsDiag decides whether qubit q's pending run takes the diagonal
-// path. Plain fusion uses the numeric test (catches e.g. RY(θ) folds
-// that happen to cancel); recording mode uses the kind-based flag, which
-// is binding-independent — a plan's op structure must not change when
-// the same plan executes under different parameter values (DESIGN.md
-// §11.4). Kind-diagonality implies numeric diagonality, so the recorded
-// structure is valid for every binding.
-func (f *fuser) pendIsDiag(q int) bool {
-	if f.rec != nil {
-		return f.pendDiagK[q]
-	}
-	return isDiagonal(f.pendM[q])
 }
 
 // flush emits qubit q's pending matrix, if any. Placement rules, each
@@ -198,16 +169,14 @@ func (f *fuser) flush(q int) {
 	p := f.pendM[q]
 	f.pendV[q] = false
 	bit := uint32(1) << q
-	if f.pendIsDiag(q) {
+	if isDiagonal(p) {
 		t := diagTerm{sA: q, sB: q, f: [4]complex128{p[0], p[3], p[0], p[3]}}
 		if f.batch >= 0 && f.batchBlocked&bit == 0 {
 			f.ops[f.batch].terms = append(f.ops[f.batch].terms, t)
 			f.batchQ |= bit
-			f.rec.noteDiagTerm(q, f.batch, len(f.ops[f.batch].terms)-1)
 			return
 		}
 		f.openBatch(t, bit)
-		f.rec.noteDiagTerm(q, f.batch, 0)
 		return
 	}
 	op := fusedOp{kind: op1Q, q: q, u: p}
@@ -216,14 +185,12 @@ func (f *fuser) flush(q int) {
 		copy(f.ops[f.batch+1:], f.ops[f.batch:])
 		f.ops[f.batch] = op
 		f.batch++
-		f.rec.note1QInserted(q, f.batch-1)
 		return
 	}
 	f.appendOp(op)
 	if f.batch >= 0 {
 		f.batchBlocked |= bit
 	}
-	f.rec.note1QAppended(q, len(f.ops)-1)
 }
 
 // openBatch appends a fresh diagonal batch holding t. When the ops
@@ -244,19 +211,17 @@ func (f *fuser) openBatch(t diagTerm, qbits uint32) {
 }
 
 // addDiag routes a two-qubit diagonal gate into the open batch when its
-// qubits are unblocked, else starts a new batch. It reports the (op,
-// term) slot the term landed in, for the recorder.
-func (f *fuser) addDiag(t diagTerm, a, b int) (opIdx, termIdx int) {
+// qubits are unblocked, else starts a new batch.
+func (f *fuser) addDiag(t diagTerm, a, b int) {
 	f.flush(a)
 	f.flush(b)
 	bits := uint32(1)<<a | uint32(1)<<b
 	if f.batch >= 0 && f.batchBlocked&bits == 0 {
 		f.ops[f.batch].terms = append(f.ops[f.batch].terms, t)
 		f.batchQ |= bits
-		return f.batch, len(f.ops[f.batch].terms) - 1
+		return
 	}
 	f.openBatch(t, bits)
-	return f.batch, 0
 }
 
 // fuse compiles a bound gate list into fused operations. Measure and
@@ -265,15 +230,6 @@ func (f *fuser) addDiag(t diagTerm, a, b int) (opIdx, termIdx int) {
 // one-shot fuse); the returned slice aliases its storage and is valid
 // until the next fuse through the same scratch.
 func fuse(gates []circuit.Gate, f *fuser) []fusedOp {
-	return fuseRec(gates, f, nil)
-}
-
-// fuseRec is fuse with an optional provenance recorder (plan
-// compilation). With rec non-nil, gates may carry unbound parameter
-// references; the emitted numeric matrices are placeholders that
-// Plan.refill recomputes per binding, while the op *structure* is exact
-// for every binding (kind-based diagonality — see pendIsDiag).
-func fuseRec(gates []circuit.Gate, f *fuser, rec *planRecorder) []fusedOp {
 	maxQ := 0
 	for _, g := range gates {
 		if g.Qubit > maxQ {
@@ -287,25 +243,22 @@ func fuseRec(gates []circuit.Gate, f *fuser, rec *planRecorder) []fusedOp {
 		f = &fuser{}
 	}
 	f.reset(maxQ + 1)
-	f.rec = rec
 	for _, g := range gates {
 		switch g.Kind {
 		case circuit.I, circuit.Measure:
 		case circuit.CZ:
 			lo, hi := minMax(g.Qubit, g.Qubit2)
-			opIdx, termIdx := f.addDiag(diagTerm{
+			f.addDiag(diagTerm{
 				sA: lo, sB: hi,
 				f: [4]complex128{1, 1, 1, -1},
 			}, g.Qubit, g.Qubit2)
-			f.rec.noteTwoQTerm(g, opIdx, termIdx)
 		case circuit.RZZ:
 			e0, e1 := expI(-g.Theta/2), expI(g.Theta/2)
 			lo, hi := minMax(g.Qubit, g.Qubit2)
-			opIdx, termIdx := f.addDiag(diagTerm{
+			f.addDiag(diagTerm{
 				sA: lo, sB: hi,
 				f: [4]complex128{e0, e1, e1, e0},
 			}, g.Qubit, g.Qubit2)
-			f.rec.noteTwoQTerm(g, opIdx, termIdx)
 		case circuit.CX:
 			f.flush(g.Qubit)
 			f.flush(g.Qubit2)
@@ -319,25 +272,13 @@ func fuseRec(gates []circuit.Gate, f *fuser, rec *planRecorder) []fusedOp {
 				// Mirror Apply's behaviour for unknown kinds.
 				panicUnsupported(g)
 			}
-			f.rec.noteMerge(g, !f.pendV[g.Qubit])
-			f.merge1Q(g.Qubit, m, kindIsDiag(g.Kind))
+			f.merge1Q(g.Qubit, m)
 		}
 	}
 	for q := range f.pendV {
 		f.flush(q)
 	}
-	f.rec = nil
 	return f.ops
-}
-
-// kindIsDiag reports single-qubit kinds whose matrix is diagonal for
-// every angle.
-func kindIsDiag(k circuit.Kind) bool {
-	switch k {
-	case circuit.I, circuit.Z, circuit.S, circuit.T, circuit.RZ:
-		return true
-	}
-	return false
 }
 
 func minMax(a, b int) (int, int) {
@@ -588,8 +529,8 @@ func applySignTermsRange(re, im []float64, terms []signTerm, lo, hi int) {
 		sA, sB := t.sA, t.sB
 		lut := t.lut
 		if lut == 0 {
-			// No negative patterns — an all-ones factor table (e.g. a
-			// plan's RZZ rebound to θ=0) is a no-op.
+			// No negative patterns — an all-ones factor table (e.g. an
+			// RZZ bound to θ=0) is a no-op.
 			continue
 		}
 		if sA == sB {

@@ -8,9 +8,8 @@
 // experiments measure (shot counts and parameter counts, not
 // entanglement fidelity). The substitution is documented in DESIGN.md.
 //
-// The package was promoted from quantum.ProductState so it can implement
-// qsim/engine.Simulator alongside the dense statevector and the Clifford
-// tableau; quantum keeps a type alias for compatibility.
+// It implements qsim/engine.Simulator alongside the dense statevector
+// and the Clifford tableau.
 package product
 
 import (

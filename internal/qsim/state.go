@@ -399,15 +399,8 @@ func (s *State) applyRZZ(a, b int, theta float64) {
 // {u00, u01, u10, u11}; ok is false for kinds that are not one-qubit
 // unitaries.
 func gateMatrix1Q(g circuit.Gate) (m [4]complex128, ok bool) {
-	return gateMatrix1QTheta(g.Kind, g.Theta)
-}
-
-// gateMatrix1QTheta is gateMatrix1Q over an explicit angle — the form
-// plan binding uses, where the angle comes from the parameter vector
-// rather than the gate.
-func gateMatrix1QTheta(k circuit.Kind, theta float64) (m [4]complex128, ok bool) {
 	invSqrt2 := complex(1/math.Sqrt2, 0)
-	switch k {
+	switch g.Kind {
 	case circuit.I:
 		return [4]complex128{1, 0, 0, 1}, true
 	case circuit.X:
@@ -423,13 +416,13 @@ func gateMatrix1QTheta(k circuit.Kind, theta float64) (m [4]complex128, ok bool)
 	case circuit.T:
 		return [4]complex128{1, 0, 0, cmplx.Exp(complex(0, math.Pi/4))}, true
 	case circuit.RX:
-		c, sn := math.Cos(theta/2), math.Sin(theta/2)
+		c, sn := math.Cos(g.Theta/2), math.Sin(g.Theta/2)
 		return [4]complex128{complex(c, 0), complex(0, -sn), complex(0, -sn), complex(c, 0)}, true
 	case circuit.RY:
-		c, sn := math.Cos(theta/2), math.Sin(theta/2)
+		c, sn := math.Cos(g.Theta/2), math.Sin(g.Theta/2)
 		return [4]complex128{complex(c, 0), complex(-sn, 0), complex(sn, 0), complex(c, 0)}, true
 	case circuit.RZ:
-		return [4]complex128{cmplx.Exp(complex(0, -theta/2)), 0, 0, cmplx.Exp(complex(0, theta/2))}, true
+		return [4]complex128{cmplx.Exp(complex(0, -g.Theta/2)), 0, 0, cmplx.Exp(complex(0, g.Theta/2))}, true
 	default:
 		return m, false
 	}

@@ -27,7 +27,6 @@ import (
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/qsim/engine"
-	"qtenon/internal/qsim/product"
 	"qtenon/internal/rng"
 	"qtenon/internal/route"
 	"qtenon/internal/sim"
@@ -53,14 +52,6 @@ type Execution struct {
 
 // TotalTime is shots × per-shot duration.
 func (e Execution) TotalTime() sim.Time { return sim.Time(len(e.Outcomes)) * e.ShotTime }
-
-// ProductState is the mean-field surrogate, promoted to
-// internal/qsim/product; the alias keeps the original API importable
-// from quantum.
-type ProductState = product.State
-
-// NewProductState returns |0…0⟩ — see product.New.
-func NewProductState(n int) *ProductState { return product.New(n) }
 
 // Chip executes bound circuits and samples measurements. Each Execute
 // routes its circuit to a simulation method; the per-method simulator

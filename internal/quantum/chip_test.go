@@ -7,6 +7,7 @@ import (
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/qsim"
+	"qtenon/internal/qsim/product"
 	"qtenon/internal/route"
 	"qtenon/internal/sim"
 )
@@ -146,7 +147,7 @@ func TestSurrogateMatchesExactFor1QCircuits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps := NewProductState(4)
+		ps := product.New(4)
 		for _, g := range c.Gates {
 			ps.Apply(g)
 		}
@@ -164,7 +165,7 @@ func TestSurrogateParameterSensitivity(t *testing.T) {
 	// surrogate (mean-field coupling), otherwise large-scale optimizer
 	// sweeps would see a flat landscape.
 	cost := func(gamma float64) float64 {
-		ps := NewProductState(2)
+		ps := product.New(2)
 		ps.Apply(circuit.Gate{Kind: circuit.H, Qubit: 0, Param: circuit.NoParam})
 		ps.Apply(circuit.Gate{Kind: circuit.RY, Qubit: 1, Theta: 0.7, Param: circuit.NoParam})
 		ps.Apply(circuit.Gate{Kind: circuit.RZZ, Qubit: 0, Qubit2: 1, Theta: gamma, Param: circuit.NoParam})
@@ -178,13 +179,13 @@ func TestSurrogateParameterSensitivity(t *testing.T) {
 }
 
 func TestSurrogateCXMixesTarget(t *testing.T) {
-	ps := NewProductState(2)
+	ps := product.New(2)
 	ps.Apply(circuit.Gate{Kind: circuit.X, Qubit: 0, Param: circuit.NoParam}) // control = |1⟩
 	ps.Apply(circuit.Gate{Kind: circuit.CX, Qubit: 0, Qubit2: 1, Param: circuit.NoParam})
 	if math.Abs(ps.P1(1)-1) > 1e-9 {
 		t.Errorf("CX with control=1: target P1 = %v, want 1", ps.P1(1))
 	}
-	ps2 := NewProductState(2)
+	ps2 := product.New(2)
 	ps2.Apply(circuit.Gate{Kind: circuit.CX, Qubit: 0, Qubit2: 1, Param: circuit.NoParam})
 	if ps2.P1(1) > 1e-9 {
 		t.Errorf("CX with control=0 flipped target: %v", ps2.P1(1))
@@ -192,7 +193,7 @@ func TestSurrogateCXMixesTarget(t *testing.T) {
 }
 
 func TestSurrogateSampleDistribution(t *testing.T) {
-	ps := NewProductState(1)
+	ps := product.New(1)
 	ps.Apply(circuit.Gate{Kind: circuit.RY, Qubit: 0, Theta: math.Pi / 3, Param: circuit.NoParam})
 	// P1 = sin²(π/6) = 0.25.
 	rng := rand.New(rand.NewSource(5))

@@ -1,8 +1,6 @@
 package vqa
 
 import (
-	"fmt"
-
 	"qtenon/internal/circuit"
 	"qtenon/internal/pauli"
 	"qtenon/internal/qsim"
@@ -39,48 +37,4 @@ func exactClifford(c *circuit.Circuit, h *pauli.Hamiltonian) (float64, bool, err
 	}
 	v, err := h.ExpectationTableau(tb)
 	return v, true, err
-}
-
-// BatchEvaluator mirrors opt.BatchEvaluator structurally (vqa cannot
-// import opt); values of this type assign to opt.BatchEvaluator
-// directly.
-type BatchEvaluator = func(sets [][]float64, out []float64) error
-
-// BatchExact returns a BatchEvaluator computing the workload's exact
-// diagonal cost (the same objective as ExactCost) with the work shared
-// across the batch: the ansatz is compiled into one qsim.Plan up front,
-// and every evaluation in every batch rebinds that plan and reuses one
-// statevector arena — all 2·P shifted circuits of a parameter-shift
-// gradient pay fusion and statevector allocation exactly once
-// (DESIGN.md §11.4).
-//
-// The returned evaluator owns its arena and must not be called from
-// multiple goroutines; create one evaluator per goroutine instead.
-// Values match ExactCost to fusion tolerance (~1e-12): the plan's
-// binding-independent op structure can route degenerate bindings (e.g.
-// RY(0)) through a general kernel where per-binding fusion would pick
-// the diagonal one.
-func (w *Workload) BatchExact() (BatchEvaluator, error) {
-	if w.Hamiltonian == nil {
-		return nil, fmt.Errorf("vqa: %s has no diagonal Hamiltonian", w.Name)
-	}
-	if w.NQubits() > qsim.MaxQubits {
-		return nil, fmt.Errorf("vqa: %s exceeds exact-simulation limit %d", w.Name, qsim.MaxQubits)
-	}
-	plan, err := qsim.CompilePlan(w.Circuit)
-	if err != nil {
-		return nil, err
-	}
-	var st *qsim.State
-	return func(sets [][]float64, out []float64) error {
-		for k, p := range sets {
-			var err error
-			st, err = plan.Execute(st, p)
-			if err != nil {
-				return err
-			}
-			out[k] = w.Hamiltonian.Expectation(st)
-		}
-		return nil
-	}, nil
 }
