@@ -7,10 +7,13 @@
 //	         when all PGUs are busy; S4 is decoupled by ready/valid)
 //	Stage 4  arbitrate PGU completions and write pulses to the pulse cache
 //
-// The model executes one cycle per step with real data flowing through:
-// program entries are read from and written back to the quantum
-// controller cache, SLT lookups hit the slt.Bank, and completed PGUs
-// store genuine synthesized pulse entries.
+// The model is cycle-exact with real data flowing through: program
+// entries are read from and written back to the quantum controller cache,
+// SLT lookups hit the slt.Bank, and completed PGUs store genuine
+// synthesized pulse entries. Run steps cycle by cycle while any stage can
+// act and jumps over quiet stretches, where the only changes are PGU
+// countdowns and the cycle and stall counters, in one step; host cost
+// therefore follows pipeline events, not simulated cycles.
 package pipeline
 
 import (
@@ -65,10 +68,12 @@ type Pipeline struct {
 	bank  *slt.Bank
 	pgu   *pulse.PGU
 
-	// Per-run scratch (PGU states and the stage-3/4 request vectors),
-	// recycled across Run calls so the per-cycle loop does not allocate.
-	pguScratch  []pguState
-	boolScratch []bool
+	// Per-run scratch (PGU states, the stage-3/4 request vectors and the
+	// packed pulse of a write-back), recycled across Run calls so the
+	// per-cycle loop does not allocate.
+	pguScratch   []pguState
+	boolScratch  []bool
+	pulseScratch []pulse.Entry
 
 	cProcessed, cGenerated, cSkipped *metrics.Counter
 	cStall, cQSpaceStall, cCycles    *metrics.Counter
@@ -96,6 +101,9 @@ func (p *Pipeline) Instrument(reg *metrics.Registry) {
 func New(cfg Config, cache *qcc.Cache, bank *slt.Bank) (*Pipeline, error) {
 	if cfg.PGUs <= 0 || cfg.PGULatency <= 0 {
 		return nil, fmt.Errorf("pipeline: non-positive PGU geometry %+v", cfg)
+	}
+	if cfg.QSpaceLatency < 0 {
+		return nil, fmt.Errorf("pipeline: negative QSpace latency %d", cfg.QSpaceLatency)
 	}
 	if cache.Config().NQubits != bank.NQubits() {
 		return nil, fmt.Errorf("pipeline: cache has %d qubits, SLT bank %d", cache.Config().NQubits, bank.NQubits())
@@ -125,6 +133,18 @@ type pguState struct {
 // results. It mutates the cache: program entries get their QAddr/Status
 // fields updated and generated pulses land in the .pulse segment.
 func (p *Pipeline) Run(items []WorkItem) (Result, error) {
+	return p.run(items, p.cycleLimit(len(items)))
+}
+
+// cycleLimit bounds a run over n items; a run past it is reported as a
+// livelock. Each item costs at most two PGU latencies and one QSpace
+// stall.
+func (p *Pipeline) cycleLimit(n int) int64 {
+	return int64(n)*(p.cfg.PGULatency*2+p.cfg.QSpaceLatency) + 10000
+}
+
+// run is Run with an explicit livelock limit.
+func (p *Pipeline) run(items []WorkItem, limit int64) (Result, error) {
 	var res Result
 	if len(items) == 0 {
 		return res, nil
@@ -168,8 +188,50 @@ func (p *Pipeline) Run(items []WorkItem) (Result, error) {
 
 	var cycles int64
 	for next < len(items) || inflight() {
+		// Fast-forward: h is how many of the coming cycles are quiet. In a
+		// quiet cycle no PGU is done (stage 4 has nothing to grant, and an
+		// arbiter without requests does not rotate), no busy PGU finishes,
+		// and stages 1–3 cannot act: s3 is stalled with every PGU busy, or
+		// nothing is left to fetch or decode. Stepping through such cycles
+		// would only count them and tick the PGU countdowns, so they are
+		// applied at once. h stops at the livelock limit, so the guard
+		// trips at the same cycle. QSpace stalls are stepped cycle by
+		// cycle: the system model runs with no QSpace latency, so skipping
+		// them would speed up nothing measured.
+		h := limit - cycles
+		switch {
+		case s2stall > 0:
+			h = 0
+		case s3v:
+			// Stalled unless a PGU is free; checked with the PGUs.
+		case s2v || next < len(items):
+			h = 0
+		}
+		for i := range pgus {
+			switch {
+			case pgus[i].done:
+				h = 0
+			case pgus[i].busy:
+				h = min(h, pgus[i].remain-1)
+			case s3v:
+				h = 0 // a free PGU takes the s3 job
+			}
+		}
+		if h > 0 {
+			cycles += h
+			if s3v {
+				res.StallCycles += h
+			}
+			for i := range pgus {
+				if pgus[i].busy {
+					pgus[i].remain -= h
+				}
+			}
+			continue
+		}
+
 		cycles++
-		if cycles > int64(len(items))*p.cfg.PGULatency*2+10000 {
+		if cycles > limit {
 			return res, fmt.Errorf("pipeline: livelock after %d cycles", cycles)
 		}
 
@@ -320,13 +382,13 @@ func (p *Pipeline) decode(it WorkItem) (job, bool, int64, error) {
 	return j, false, extra, nil
 }
 
-// writePulse synthesizes the job's pulse and stores its first entry at
-// the allocated slot.
+// writePulse synthesizes the job's pulse and stores its entries from the
+// allocated slot on.
 func (p *Pipeline) writePulse(j job) error {
 	durNs := p.cfg.Timing.GateDuration(j.kind).Nanoseconds()
-	entries := p.pgu.Generate(j.kind, qcc.DequantizeAngle(j.data), durNs)
+	p.pulseScratch = p.pgu.AppendGenerate(p.pulseScratch[:0], j.kind, qcc.DequantizeAngle(j.data), durNs)
 	cfg := p.cache.Config()
-	for i, e := range entries {
+	for i, e := range p.pulseScratch {
 		idx := (int(j.qaddr) + i) % cfg.PulseEntries
 		if err := p.cache.WritePulse(j.qubit, idx, e, qcc.HardwareAccess); err != nil {
 			return err

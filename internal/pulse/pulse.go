@@ -70,28 +70,61 @@ func DefaultParams() Params {
 // marker entry so downstream accounting sees one pulse per gate, matching
 // the paper's pulse-count model.
 func Synthesize(kind circuit.Kind, theta float64, durationNs float64, p Params) Waveform {
-	n := int(durationNs * p.SampleRateHz / 1e9)
-	if n <= 0 {
-		n = 1
+	env := newEnvelope(sampleCount(durationNs, p), drivePhase(kind), p)
+	scale := angleScale(theta, p)
+	wf := make(Waveform, len(env))
+	for i, s := range env {
+		wf[i] = s.scaled(scale)
 	}
-	wf := make(Waveform, n)
-	scale := p.Amplitude * normalizedAngle(theta) / math.Pi
+	return wf
+}
+
+// envSample is one sample of the angle-free drive: the Gaussian envelope
+// and its DRAG derivative rotated onto the drive axis. Every
+// transcendental call of synthesis happens here; the rotation angle only
+// scales the result.
+type envSample struct{ i, q float64 }
+
+// scaled applies the angle scale and quantizes. Synthesis computes
+// scale·(rotated envelope), so scaling a stored envelope sample yields
+// the same bits as computing the product in one expression.
+func (s envSample) scaled(scale float64) IQ {
+	return IQ{I: quantize(scale * s.i), Q: quantize(scale * s.q)}
+}
+
+// newEnvelope synthesizes the angle-free envelope of an n-sample pulse
+// on the drive axis at the given IQ phase.
+func newEnvelope(n int, phase float64, p Params) []envSample {
+	env := make([]envSample, n)
 	center := float64(n-1) / 2
 	sigmaSamples := p.Sigma * p.SampleRateHz
 	if sigmaSamples <= 0 {
 		sigmaSamples = float64(n) / 4
 	}
-	phase := drivePhase(kind)
-	for i := range wf {
+	cos, sin := math.Cos(phase), math.Sin(phase)
+	for i := range env {
 		t := (float64(i) - center) / sigmaSamples
-		env := math.Exp(-t * t / 2)
-		denv := -t / sigmaSamples * env * p.DRAGLambda
-		// Rotate (env, denv) by the drive phase to select X vs Y axis.
-		iVal := scale * (env*math.Cos(phase) - denv*math.Sin(phase))
-		qVal := scale * (env*math.Sin(phase) + denv*math.Cos(phase))
-		wf[i] = IQ{I: quantize(iVal), Q: quantize(qVal)}
+		g := math.Exp(-t * t / 2)
+		dg := -t / sigmaSamples * g * p.DRAGLambda
+		// Rotate (g, dg) by the drive phase to select X vs Y axis.
+		env[i] = envSample{i: g*cos - dg*sin, q: g*sin + dg*cos}
 	}
-	return wf
+	return env
+}
+
+// sampleCount is the number of DAC samples in a pulse lasting
+// durationNs, at least one.
+func sampleCount(durationNs float64, p Params) int {
+	n := int(durationNs * p.SampleRateHz / 1e9)
+	if n <= 0 {
+		n = 1
+	}
+	return n
+}
+
+// angleScale is the drive amplitude for a rotation by theta.
+func angleScale(theta float64, p Params) float64 {
+	return p.Amplitude * normalizedAngle(theta) / math.Pi
 }
 
 // normalizedAngle folds an angle into (-π, π] so that physically
@@ -139,18 +172,26 @@ type Entry [WordsPerEntry]uint64
 // PackEntries packs a waveform into consecutive 640-bit entries, zero
 // padding the tail.
 func PackEntries(wf Waveform) []Entry {
-	n := (len(wf) + SamplesPerEntry - 1) / SamplesPerEntry
-	if n == 0 {
-		n = 1
-	}
-	out := make([]Entry, n)
+	out := make([]Entry, entryCount(len(wf)))
 	for i, s := range wf {
-		word := (i % SamplesPerEntry) / SamplesPerWord
-		slot := i % SamplesPerWord
-		packed := uint64(uint16(s.I)) | uint64(uint16(s.Q))<<16
-		out[i/SamplesPerEntry][word] |= packed << (32 * slot)
+		packSample(out, i, s)
 	}
 	return out
+}
+
+// entryCount is the number of entries an n-sample waveform packs into; an
+// empty waveform still occupies one.
+func entryCount(n int) int {
+	return max((n+SamplesPerEntry-1)/SamplesPerEntry, 1)
+}
+
+// packSample ORs sample i of a waveform into its slot of the zeroed
+// entries out.
+func packSample(out []Entry, i int, s IQ) {
+	word := (i % SamplesPerEntry) / SamplesPerWord
+	slot := i % SamplesPerWord
+	packed := uint64(uint16(s.I)) | uint64(uint16(s.Q))<<16
+	out[i/SamplesPerEntry][word] |= packed << (32 * slot)
 }
 
 // UnpackEntries reverses PackEntries; n is the original sample count.
@@ -201,10 +242,31 @@ func (s SerDes) Serialize(entries []Entry) []uint64 {
 
 // PGU is a pulse generation unit: a fixed-function synthesizer with the
 // paper's enforced 1000-cycle latency. Busy tracking belongs to the
-// pipeline model; PGU itself is purely functional plus a latency constant.
+// pipeline model. A PGU caches the angle-free envelopes it has
+// synthesized, so it is not safe for concurrent use.
 type PGU struct {
 	Params       Params
 	LatencyCycle int64
+
+	envs []cachedEnvelope
+}
+
+// maxEnvelopes bounds a PGU's envelope cache. A gate-timing model has a
+// handful of pulse lengths and there are three drive axes; a caller
+// cycling through more starts the cache afresh.
+const maxEnvelopes = 16
+
+// envKey names an envelope by everything that determines it: sample
+// count, drive phase and the envelope-shaping Params, with floats
+// compared by bit pattern.
+type envKey struct {
+	n                        int
+	phase, rate, sigma, drag uint64
+}
+
+type cachedEnvelope struct {
+	key     envKey
+	samples []envSample
 }
 
 // NewPGU returns a PGU with default synthesis parameters and the paper's
@@ -214,5 +276,43 @@ func NewPGU() *PGU { return &PGU{Params: DefaultParams(), LatencyCycle: 1000} }
 // Generate synthesizes and packs the pulse for one gate instance.
 // durationNs follows the gate-timing model (20 ns 1q / 40 ns 2q).
 func (p *PGU) Generate(kind circuit.Kind, theta float64, durationNs float64) []Entry {
-	return PackEntries(Synthesize(kind, theta, durationNs, p.Params))
+	return p.AppendGenerate(nil, kind, theta, durationNs)
+}
+
+// AppendGenerate appends the packed pulse Generate returns to dst and
+// returns the extended slice. The entries are bit-identical to
+// PackEntries(Synthesize(kind, theta, durationNs, p.Params)).
+func (p *PGU) AppendGenerate(dst []Entry, kind circuit.Kind, theta float64, durationNs float64) []Entry {
+	env := p.envelope(sampleCount(durationNs, p.Params), drivePhase(kind))
+	scale := angleScale(theta, p.Params)
+	base := len(dst)
+	dst = append(dst, make([]Entry, entryCount(len(env)))...)
+	out := dst[base:]
+	for i, s := range env {
+		packSample(out, i, s.scaled(scale))
+	}
+	return dst
+}
+
+// envelope returns the cached envelope for n samples at the given drive
+// phase under the current Params, synthesizing it on first use.
+func (p *PGU) envelope(n int, phase float64) []envSample {
+	key := envKey{
+		n:     n,
+		phase: math.Float64bits(phase),
+		rate:  math.Float64bits(p.Params.SampleRateHz),
+		sigma: math.Float64bits(p.Params.Sigma),
+		drag:  math.Float64bits(p.Params.DRAGLambda),
+	}
+	for _, c := range p.envs {
+		if c.key == key {
+			return c.samples
+		}
+	}
+	if len(p.envs) == maxEnvelopes {
+		p.envs = p.envs[:0]
+	}
+	env := newEnvelope(n, phase, p.Params)
+	p.envs = append(p.envs, cachedEnvelope{key: key, samples: env})
+	return env
 }
