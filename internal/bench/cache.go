@@ -60,7 +60,6 @@ func (c *runCache) do(key string, run func() (report.RunResult, error)) (report.
 	// A duplicate caller waits behind the first run of a batch experiment
 	// generator, not a serving request; the run is finite by construction
 	// and there is no cancellation story for half-computed RunResults.
-	//lint:ignore ctxflow memoized batch experiment — the guarded run is finite and offline, not on a serving path (DESIGN.md §15.4)
 	e.once.Do(func() {
 		first = true
 		defer func() {

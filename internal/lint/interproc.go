@@ -53,24 +53,6 @@ type Program struct {
 	// paths) bridges the two identities so summaries resolve
 	// cross-package.
 	byName map[string]*types.Func
-
-	// v4 whole-program liveness facts (DESIGN.md §15), grown monotonically
-	// inside the same fixpoint as the per-function summaries.
-	//
-	// closedChans maps a stable channel identity (package-level variable
-	// or field of a named type, see stableIDOf) to the witness of the
-	// close that some in-program function performs on it — the proof a
-	// worker ranging over that channel terminates.
-	closedChans map[string]string
-	// lockEdges is the interprocedural lock-acquisition order graph: an
-	// edge (A, B) records the first witness of some function acquiring B
-	// while holding A. lockorder reports every edge that sits on a cycle.
-	lockEdges map[lockPair]*lockEdge
-	// ignores caches each package's parsed //lint:ignore index so the
-	// summarizer can honor audited boundedness directives (a wg.Wait whose
-	// line carries a well-formed ctxflow suppression is declared bounded
-	// and does not taint its callers).
-	ignores map[*Package]ignoreIndex
 }
 
 // FuncInfo ties a declared function to its syntax and package.
@@ -114,14 +96,6 @@ type FuncSummary struct {
 	allocSite  string // first heap-allocation site (or call to a non-alloc-free callee)
 	globalSite string // first write landing in package-level state
 	seamSite   string // first call into a global-effect seam (rng/wallclock/metrics, time, math/rand)
-
-	// v4 liveness dimensions (DESIGN.md §15), same witness grammar.
-	blockSite  string            // first op that may block indefinitely, transitively (ctxflow)
-	termSeam   string            // proof the function terminates when spawned as a goroutine
-	leakSite   string            // why the function leaks when spawned ("" when seam or bounded)
-	chanSends  bitset            // params the function may send on, transitively
-	chanCloses bitset            // params the function may close, transitively
-	locks      map[string]string // lock id → first acquisition witness, transitively (lockorder)
 }
 
 // AllocFree reports whether the function is proven free of steady-state
@@ -262,13 +236,10 @@ const maxSummaryRounds = 64
 // of the call graph allows; cycles converge through the outer rounds.
 func NewProgram(pkgs []*Package) *Program {
 	p := &Program{
-		Pkgs:        pkgs,
-		infos:       map[*types.Func]*FuncInfo{},
-		summaries:   map[*types.Func]*FuncSummary{},
-		byName:      map[string]*types.Func{},
-		closedChans: map[string]string{},
-		lockEdges:   map[lockPair]*lockEdge{},
-		ignores:     map[*Package]ignoreIndex{},
+		Pkgs:      pkgs,
+		infos:     map[*types.Func]*FuncInfo{},
+		summaries: map[*types.Func]*FuncSummary{},
+		byName:    map[string]*types.Func{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -513,9 +484,6 @@ func summarize(p *Program, fi *FuncInfo) bool {
 		grew = true
 	}
 	if summarizeV3(p, fi, s.sum) {
-		grew = true
-	}
-	if summarizeV4(p, fi, s.sum) {
 		grew = true
 	}
 	return grew

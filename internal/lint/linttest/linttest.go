@@ -44,14 +44,13 @@ var (
 
 // extraPatterns are stdlib packages fixtures may import beyond the
 // module's own dependency closure.
-var extraPatterns = []string{"time", "math/rand", "math/rand/v2", "sort", "slices", "fmt", "strings", "sync", "context"}
+var extraPatterns = []string{"time", "math/rand", "math/rand/v2", "sort", "slices", "fmt", "strings"}
 
 // sharedResolver runs `go list -export` once for all fixture tests.
 func sharedResolver(t *testing.T) *lint.Resolver {
 	t.Helper()
 	// Duplicate test goroutines wait behind one `go list -export` run;
 	// the run is finite and the test binary owns the whole process.
-	//lint:ignore ctxflow memoized fixture load in a test harness — finite, offline, process-owned (DESIGN.md §15.4)
 	loadOnce.Do(func() {
 		moduleDir, err := lint.ModuleDir(".")
 		if err != nil {

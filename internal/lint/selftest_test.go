@@ -24,10 +24,6 @@ func TestAnalyzersFireOnViolations(t *testing.T) {
 		{lint.BitExact, "testdata/bitexact/bad", 4},
 		{lint.ShardSafety, "testdata/shardsafety/bad", 4},
 		{lint.RoutePurity, "testdata/routepurity/bad", 4},
-		{lint.GoroutineLifecycle, "testdata/goroutinelifecycle/bad", 3},
-		{lint.ChanDiscipline, "testdata/chandiscipline/bad", 5},
-		{lint.LockOrder, "testdata/lockorder/bad", 2},
-		{lint.CtxFlow, "testdata/ctxflow/bad", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {
@@ -69,10 +65,6 @@ func TestAnalyzersSilentOnCleanFixtures(t *testing.T) {
 		{lint.BitExact, "testdata/bitexact/good"},
 		{lint.ShardSafety, "testdata/shardsafety/good"},
 		{lint.RoutePurity, "testdata/routepurity/good"},
-		{lint.GoroutineLifecycle, "testdata/goroutinelifecycle/good"},
-		{lint.ChanDiscipline, "testdata/chandiscipline/good"},
-		{lint.LockOrder, "testdata/lockorder/good"},
-		{lint.CtxFlow, "testdata/ctxflow/good"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {

@@ -15,10 +15,6 @@ func All() []*Analyzer {
 		BitExact,
 		ShardSafety,
 		RoutePurity,
-		GoroutineLifecycle,
-		ChanDiscipline,
-		LockOrder,
-		CtxFlow,
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 // everything at once — resolving instruments by name (shared and
 // per-goroutine), updating them, and snapshotting mid-flight — which is
 // the access pattern a scrape endpoint sees over a live machine. Run
-// under -race in CI, this is the dynamic check behind the lockorder /
-// chandiscipline static story: the registry's internal locking must
-// neither race nor deadlock under full contention.
+// under -race in CI, it checks that the registry's internal locking
+// neither races nor deadlocks under full contention.
 func TestRegistryStress(t *testing.T) {
 	const (
 		workers = 8

@@ -158,7 +158,6 @@ func Shutdown() {
 		// The queue's capacity exceeds any real worker count and, by the
 		// quiescence precondition, workers are parked receiving on it, so
 		// poison delivery is bounded.
-		//lint:ignore ctxflow poison send into a buffered queue whose receivers are idle by precondition (DESIGN.md §15.4)
 		work <- nil
 	}
 }
@@ -189,9 +188,9 @@ func dispatch(j *job, helpers int) {
 	j.run()
 	// The join is structurally bounded: this job owns the pool, so every
 	// worker holding a wg slot is running chunks of this same finite job
-	// (or skipping them after an abort), and any par call its bodies make
-	// runs inline rather than waiting on the pool.
-	//lint:ignore ctxflow bounded join — the job owns the pool, so its helpers only run its finite chunks, nested par calls run inline, and every helper Dones unconditionally (DESIGN.md §15.4)
+	// (or skipping them after an abort), any par call its bodies make
+	// runs inline rather than waiting on the pool, and run recovers body
+	// panics, so every helper reaches its Done.
 	j.wg.Wait()
 	owned.Store(false)
 	j.reraise()

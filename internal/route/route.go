@@ -1,14 +1,15 @@
 // Package route selects a simulation method for each circuit — the
 // automatic technique switching that lets the system models run past
-// the dense statevector's 24-qubit wall (DESIGN.md §12). A circuit
-// analyzer classifies a bound circuit by its gate content and width;
-// the Router maps the class to one of three engines:
+// the dense statevector's 24-qubit wall (DESIGN.md §12). Analyze counts
+// a bound circuit's non-Clifford gates and detects mid-circuit
+// measurement; the Router maps that and the register width to one of
+// four engines:
 //
 //   - dense: the contiguous SoA statevector (exact, ≤ the router's
 //     DenseLimit qubits)
 //   - sharded: the chunked statevector (exact, dense-equivalent
-//     bit-for-bit, ≤ shard.MaxQubits qubits) — ClassHuge's dense-exact
-//     window past the contiguous limit
+//     bit-for-bit, ≤ shard.MaxQubits qubits) — the dense-exact window
+//     past the contiguous limit
 //   - clifford: the CHP stabilizer tableau (exact, Clifford-only,
 //     thousands of qubits)
 //   - product: the mean-field surrogate (approximate, O(n), any width)
@@ -68,40 +69,6 @@ func ParseMethod(name string) (Method, error) {
 	return Auto, fmt.Errorf("route: unknown method %q (want auto|dense|clifford|product|sharded)", name)
 }
 
-// Class is the analyzer's circuit classification.
-type Class uint8
-
-// The circuit classes, ordered by how much structure the circuit offers
-// a specialised engine.
-const (
-	// ClassClifford: every gate is exactly Clifford — tableau-simulable
-	// at any width.
-	ClassClifford Class = iota
-	// ClassCliffordDominated: ≤ 10% non-Clifford gates (but at least
-	// one). Today this routes like dense/huge; the class is recorded so
-	// benches and future gadget-based engines can see the structure.
-	ClassCliffordDominated
-	// ClassSmallDense: generic circuit within the dense window.
-	ClassSmallDense
-	// ClassHuge: generic circuit past the dense window.
-	ClassHuge
-)
-
-var classNames = [...]string{
-	ClassClifford:          "clifford",
-	ClassCliffordDominated: "clifford-dominated",
-	ClassSmallDense:        "small-dense",
-	ClassHuge:              "huge",
-}
-
-// String names the class.
-func (c Class) String() string {
-	if int(c) < len(classNames) {
-		return classNames[c]
-	}
-	return fmt.Sprintf("class(%d)", uint8(c))
-}
-
 // DefaultDenseLimit is the widest register the router sends to the
 // contiguous dense engine — quantum.ExactLimit's pre-router value, kept
 // here so the split survives the Chip refactor. Generic circuits past
@@ -117,48 +84,28 @@ const DefaultShardedLimit = shard.MaxQubits
 
 // Analysis is what the analyzer learned about one circuit.
 type Analysis struct {
-	Class       Class
 	NQubits     int
 	Gates       int // total gate count, Measure included
 	NonClifford int // gates the tableau cannot apply (unbound rotations count)
 	MidMeasure  bool
 }
 
-// Analyze classifies a circuit. Width classes use DefaultDenseLimit;
-// the Router's limit governs actual method choice. A Measure is
-// mid-circuit when a later non-Measure gate touches the same qubit.
+// Analyze scans a circuit once. A Measure is mid-circuit when a later
+// non-Measure gate touches the same qubit.
 func Analyze(c *circuit.Circuit) Analysis {
 	a := Analysis{NQubits: c.NQubits, Gates: len(c.Gates)}
-	lastOp := make(map[int]int, 8) // qubit → index of its last non-Measure gate
-	for i, g := range c.Gates {
+	measured := make([]bool, c.NQubits)
+	for _, g := range c.Gates {
 		if g.Kind == circuit.Measure {
+			measured[g.Qubit] = true
 			continue
 		}
-		lastOp[g.Qubit] = i
-		if g.Kind.Arity() == 2 {
-			lastOp[g.Qubit2] = i
-		}
-	}
-	for i, g := range c.Gates {
-		if g.Kind == circuit.Measure {
-			if last, ok := lastOp[g.Qubit]; ok && last > i {
-				a.MidMeasure = true
-			}
-			continue
+		if measured[g.Qubit] || (g.Kind.Arity() == 2 && measured[g.Qubit2]) {
+			a.MidMeasure = true
 		}
 		if !tableau.IsClifford(g) {
 			a.NonClifford++
 		}
-	}
-	switch {
-	case a.NonClifford == 0:
-		a.Class = ClassClifford
-	case a.NonClifford*10 <= a.Gates:
-		a.Class = ClassCliffordDominated
-	case a.NQubits <= DefaultDenseLimit:
-		a.Class = ClassSmallDense
-	default:
-		a.Class = ClassHuge
 	}
 	return a
 }
@@ -222,13 +169,13 @@ func (r Router) SelectWidth(c *circuit.Circuit, width int) (Method, Analysis, er
 			return Auto, a, fmt.Errorf("route: mid-circuit measurement on %d qubits exceeds the dense limit %d", width, qsim.MaxQubits)
 		}
 		return Dense, a, nil
-	case a.Class == ClassClifford:
+	case a.NonClifford == 0:
 		return Clifford, a, nil
 	case width <= r.denseLimit():
 		return Dense, a, nil
 	case width <= r.shardedLimit():
-		// ClassHuge (and wide Clifford-dominated) circuits stay
-		// dense-exact on the sharded engine up to its window.
+		// Generic circuits past the contiguous window stay dense-exact
+		// on the sharded engine up to its window.
 		return Sharded, a, nil
 	default:
 		return Product, a, nil

@@ -33,8 +33,8 @@ func TestMethodNames(t *testing.T) {
 func TestCliffordCircuitRoutesTableau(t *testing.T) {
 	c := circuit.NewBuilder(30).H(0).CX(0, 1).RZ(2, math.Pi).MeasureAll().MustBuild()
 	m, a := sel(t, Default(), c)
-	if a.Class != ClassClifford || m != Clifford {
-		t.Fatalf("class %v method %v, want clifford/clifford", a.Class, m)
+	if a.NonClifford != 0 || m != Clifford {
+		t.Fatalf("NonClifford %d method %v, want 0/clifford", a.NonClifford, m)
 	}
 }
 
@@ -51,12 +51,8 @@ func TestGenericHugeRoutesProduct(t *testing.T) {
 		b.RY(q, 0.1*float64(q+1))
 	}
 	c := b.MeasureAll().MustBuild()
-	m, a := sel(t, Default(), c)
-	if m != Product {
+	if m, _ := sel(t, Default(), c); m != Product {
 		t.Fatalf("routed %v, want product", m)
-	}
-	if a.Class != ClassHuge {
-		t.Fatalf("class %v, want huge", a.Class)
 	}
 }
 
@@ -119,6 +115,19 @@ func TestMidMeasureForcesDense(t *testing.T) {
 		t.Fatal("terminal measure flagged mid-circuit")
 	}
 
+	// A two-qubit gate is mid-circuit through its second operand too.
+	second := circuit.NewBuilder(2)
+	second.Measure(1).CZ(0, 1)
+	if _, a := sel(t, Default(), second.MustBuild()); !a.MidMeasure {
+		t.Fatal("CZ after measuring its second operand not flagged mid-circuit")
+	}
+	// A later gate on a different qubit is not.
+	other := circuit.NewBuilder(2)
+	other.Measure(0).X(1)
+	if _, a := sel(t, Default(), other.MustBuild()); a.MidMeasure {
+		t.Fatal("gate on an unmeasured qubit flagged mid-circuit")
+	}
+
 	// Past the dense window there is no engine that can collapse.
 	wide := circuit.NewBuilder(qsim.MaxQubits + 1)
 	wide.H(0).Measure(0).X(0)
@@ -127,8 +136,8 @@ func TestMidMeasureForcesDense(t *testing.T) {
 	}
 }
 
-// Satellite: one T gate demotes an otherwise-Clifford circuit to
-// Clifford-dominated, and the method falls back to dense/product.
+// Satellite: one T gate makes an otherwise-Clifford circuit
+// non-Clifford, and the method falls back to dense/product.
 func TestSingleTGateDemotes(t *testing.T) {
 	b := circuit.NewBuilder(8)
 	for q := 0; q < 8; q++ {
@@ -140,9 +149,6 @@ func TestSingleTGateDemotes(t *testing.T) {
 	b.T(3)
 	c := b.MeasureAll().MustBuild()
 	m, a := sel(t, Default(), c)
-	if a.Class != ClassCliffordDominated {
-		t.Fatalf("class %v, want clifford-dominated (1 T in %d gates)", a.Class, a.Gates)
-	}
 	if a.NonClifford != 1 {
 		t.Fatalf("NonClifford = %d, want 1", a.NonClifford)
 	}
@@ -185,9 +191,9 @@ func TestSelectWidthUsesChipWidth(t *testing.T) {
 	}
 }
 
-// ClassHuge → sharded: generic circuits past the contiguous dense
-// window stay dense-exact on the sharded engine up to shard.MaxQubits,
-// and hand off to the product surrogate beyond it.
+// Generic circuits past the contiguous dense window stay dense-exact
+// on the sharded engine up to shard.MaxQubits, and hand off to the
+// product surrogate beyond it.
 func TestGenericWideRoutesSharded(t *testing.T) {
 	wide := func(n int) *circuit.Circuit {
 		b := circuit.NewBuilder(n)
@@ -197,12 +203,8 @@ func TestGenericWideRoutesSharded(t *testing.T) {
 		return b.MeasureAll().MustBuild()
 	}
 	for _, n := range []int{DefaultDenseLimit + 1, 24, shard.MaxQubits} {
-		m, a := sel(t, Default(), wide(n))
-		if m != Sharded {
+		if m, _ := sel(t, Default(), wide(n)); m != Sharded {
 			t.Fatalf("%dq generic routed %v, want sharded", n, m)
-		}
-		if n > 24 && a.Class != ClassHuge {
-			t.Fatalf("%dq class %v, want huge", n, a.Class)
 		}
 	}
 	if m, _ := sel(t, Default(), wide(shard.MaxQubits+1)); m != Product {

@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// CheckGoroutineLeak is the runtime twin of the goroutinelifecycle
-// analyzer (DESIGN.md §15.5): it audits the process's goroutine
-// high-water mark against a baseline captured before the suspect work
-// ran. The scheduler is given time to settle — goroutines that have
-// terminated but not yet been reaped do not count as leaks — by
-// polling with exponential backoff; only a count that stays above the
-// baseline after the settle window panics, naming the component.
+// CheckGoroutineLeak is simsan's goroutine leak canary (DESIGN.md
+// §10): it audits the process's goroutine high-water mark against a
+// baseline captured before the suspect work ran. The scheduler is
+// given time to settle — goroutines that have terminated but not yet
+// been reaped do not count as leaks — by polling with exponential
+// backoff; only a count that stays above the baseline after the settle
+// window panics, naming the component.
 //
 // Callers gate on Enabled as with every sanitizer check; the function
 // also self-gates so a stray unconditional call costs nothing in

@@ -10,40 +10,56 @@ import (
 
 // Instruction accounting follows the ISA contract: setup issues one
 // q_set; every evaluation issues q_gen + q_run + q_acquire plus one
-// q_update per changed register.
+// q_update per changed register, or a full q_set re-upload with
+// Incremental off. InstructionCount is the sum of the controller.instr.*
+// counters.
 func TestInstructionAccounting(t *testing.T) {
 	w, err := vqa.New(vqa.QAOA, 8) // 10 parameters
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(host.Rocket())
-	cfg.Shots = 50
-	s, err := New(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First eval: q_set + q_gen + q_run + q_acquire = 4.
-	if _, err := s.Evaluate(w.InitialParams); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Result().InstructionCount; n != 4 {
-		t.Errorf("after setup eval: %d instructions, want 4", n)
-	}
-	// Second eval with 1 changed parameter: +1 q_update +3 control = +4.
 	p := append([]float64(nil), w.InitialParams...)
 	p[3] += 0.7
-	if _, err := s.Evaluate(p); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Result().InstructionCount; n != 8 {
-		t.Errorf("after delta eval: %d instructions, want 8", n)
-	}
-	// Third eval with nothing changed: only the 3 control instructions.
-	if _, err := s.Evaluate(p); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Result().InstructionCount; n != 11 {
-		t.Errorf("after no-op eval: %d instructions, want 11", n)
+	// Three evaluations: the initial parameters, one changed parameter,
+	// then nothing changed. want holds the running totals.
+	for _, tc := range []struct {
+		name        string
+		incremental bool
+		want        [3]int
+	}{
+		// q_set + q_gen + q_run + q_acquire = 4; then +1 q_update and
+		// the 3 control instructions; then only the 3 control ones.
+		{"incremental", true, [3]int{4, 8, 11}},
+		// Without the software stack every evaluation re-uploads the
+		// program: q_set + q_gen + q_run + q_acquire = 4 each time.
+		{"full-reload", false, [3]int{4, 8, 12}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(host.Rocket())
+			cfg.Shots = 50
+			cfg.Incremental = tc.incremental
+			s, err := New(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, params := range [][]float64{w.InitialParams, p, p} {
+				if _, err := s.Evaluate(params); err != nil {
+					t.Fatal(err)
+				}
+				n := s.Result().InstructionCount
+				if n != tc.want[i] {
+					t.Errorf("after eval %d: %d instructions, want %d", i+1, n, tc.want[i])
+				}
+				counters := s.Metrics().Snapshot().Counters
+				var sum int64
+				for _, op := range []string{"q_set", "q_update", "q_gen", "q_run", "q_acquire"} {
+					sum += counters["controller.instr."+op]
+				}
+				if int64(n) != sum {
+					t.Errorf("after eval %d: InstructionCount %d, controller.instr.* counters sum to %d", i+1, n, sum)
+				}
+			}
+		})
 	}
 }
 

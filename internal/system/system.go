@@ -26,7 +26,6 @@ import (
 	"qtenon/internal/qcc"
 	"qtenon/internal/quantum"
 	"qtenon/internal/report"
-	"qtenon/internal/rocc"
 	"qtenon/internal/route"
 	"qtenon/internal/sched"
 	"qtenon/internal/sim"
@@ -129,7 +128,6 @@ type System struct {
 
 	breakdown    report.Breakdown
 	comm         report.CommBreakdown
-	instrs       int
 	evals        int
 	pulsesGen    int64
 	hostActivity sim.Time
@@ -332,8 +330,7 @@ func (s *System) setup(params []float64) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.instrs++ // one bulk q_set
-	s.m.qSet.Inc()
+	s.m.qSet.Inc() // one bulk q_set
 	t := s.controller.Cycles(cycles)
 	s.comm.QSet += t
 	s.cur = append([]float64(nil), params...)
@@ -389,7 +386,6 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 		t := sim.Time(len(deltas)) * s.controller.Cycles(host.RoCCIssueCycles)
 		commPrep += t
 		s.comm.QUpdate += t
-		s.instrs += len(deltas)
 		s.m.qUpdate.Add(int64(len(deltas)))
 		s.cur = append(s.cur[:0], params...)
 	} else {
@@ -407,7 +403,6 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 		t := s.controller.Cycles(cycles)
 		commPrep += t
 		s.comm.QSet += t
-		s.instrs++
 		s.m.qSet.Inc()
 		s.cur = append(s.cur[:0], params...)
 	}
@@ -417,7 +412,6 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.instrs++
 	s.m.qGen.Inc()
 	s.pulsesGen += int64(pipeRes.Generated)
 	pulsePrep := s.controller.Cycles(pipeRes.Cycles)
@@ -431,7 +425,6 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.instrs += 2 // q_run + q_acquire
 	s.m.qRun.Inc()
 	s.m.qAcquire.Inc()
 	s.m.shots.Add(int64(s.cfg.Shots))
@@ -550,7 +543,7 @@ func (s *System) Result() report.RunResult {
 		Breakdown:        s.breakdown,
 		Comm:             s.comm,
 		Evaluations:      s.evals,
-		InstructionCount: s.instrs,
+		InstructionCount: int(s.m.qSet.Value() + s.m.qUpdate.Value() + s.m.qGen.Value() + s.m.qRun.Value() + s.m.qAcquire.Value()),
 		HostActivity:     s.hostActivity,
 		CommActivity:     s.commActivity,
 		PulsesGenerated:  s.pulsesGen,
@@ -576,8 +569,3 @@ var (
 	_ backend.Instrumented = (*System)(nil)
 	_ backend.Factory      = Factory{}
 )
-
-// Sanity hook: the RoCC encodings must stay consistent with the ISA the
-// compiler/scheduler assume. This is compile-time documentation more
-// than runtime behaviour.
-var _ = rocc.FnQRun
