@@ -95,17 +95,6 @@ func (c *Circuit) BindInto(dst *Circuit, params []float64) *Circuit {
 	return dst
 }
 
-// CountKind reports how many gates of kind k the circuit contains.
-func (c *Circuit) CountKind(k Kind) int {
-	n := 0
-	for _, g := range c.Gates {
-		if g.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // Counts summarizes the circuit's gate population.
 type Counts struct {
 	OneQubit int // non-measure single-qubit gates

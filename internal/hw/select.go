@@ -33,9 +33,6 @@ func NewArbiter(width int) *Arbiter {
 	return &Arbiter{width: width}
 }
 
-// Width reports the number of request lines.
-func (a *Arbiter) Width() int { return a.width }
-
 // Grant chooses among the asserted request lines, starting the search at
 // the line after the previous winner. It returns -1 when no line is
 // asserted; otherwise it returns the granted index and advances the

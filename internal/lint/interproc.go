@@ -98,16 +98,6 @@ type FuncSummary struct {
 	seamSite   string // first call into a global-effect seam (rng/wallclock/metrics, time, math/rand)
 }
 
-// AllocFree reports whether the function is proven free of steady-state
-// heap allocation, transitively through its in-program callees. A nil
-// summary is NOT alloc-free: for allocation the optimistic-inert stance
-// inverts — an unknown callee may allocate — so hotpath consumers must
-// go through calleeAllocSite, which consults the curated allowlists.
-func (s *FuncSummary) AllocFree() bool { return s != nil && s.allocSite == "" }
-
-// AllocSite describes the first allocation witness ("" when alloc-free).
-func (s *FuncSummary) AllocSite() string { return s.allocSite }
-
 // WritesGlobal reports whether the function (transitively) stores to
 // package-level state — the write-target dimension's "escapes every
 // partition" bucket consumed by shardsafety and routepurity.

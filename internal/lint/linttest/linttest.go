@@ -23,7 +23,6 @@
 package linttest
 
 import (
-	"fmt"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -272,18 +271,4 @@ func parseWants(t *testing.T, file string, lineNo int, line string) []*wantPatte
 		pats = append(pats, &wantPattern{re: re})
 	}
 	return pats
-}
-
-// Clean asserts the analyzer reports nothing on an already-loaded
-// package — used by the self-test that runs the suite over the real
-// module tree.
-func Clean(t *testing.T, a *lint.Analyzer, pkg *lint.Package) {
-	t.Helper()
-	diags, err := lint.Run(pkg, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("linttest: %v", err)
-	}
-	for _, d := range diags {
-		t.Errorf("%s: %s", fmt.Sprint(d.Pos), d.Message)
-	}
 }

@@ -70,6 +70,45 @@ func TestSingleGateLatency(t *testing.T) {
 	}
 }
 
+// A ranged q_gen hands Run only the entries inside the range: those
+// become valid and the rest stay untouched until a full q_gen.
+func TestQGenRange(t *testing.T) {
+	p, cache, _ := rig(t, 2, DefaultConfig())
+	// Two qubits, two distinct gates each.
+	loadGate(t, cache, 0, 0, circuit.RX, 0.1)
+	loadGate(t, cache, 0, 1, circuit.RX, 0.2)
+	loadGate(t, cache, 1, 0, circuit.RX, 0.3)
+	loadGate(t, cache, 1, 1, circuit.RX, 0.4)
+
+	// Range covering only qubit 0's entries.
+	if _, err := p.Run([]WorkItem{{0, 0}, {0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		e, _ := cache.ReadProgram(0, i, qcc.HostAccess)
+		if e.Status != qcc.StatusValid {
+			t.Errorf("q0[%d] status = %d after ranged q_gen", i, e.Status)
+		}
+		e, _ = cache.ReadProgram(1, i, qcc.HostAccess)
+		if e.Status != qcc.StatusInvalid {
+			t.Errorf("q1[%d] status = %d; ranged q_gen leaked", i, e.Status)
+		}
+	}
+
+	// Full range: every entry is processed.
+	if _, err := p.Run([]WorkItem{{0, 0}, {0, 1}, {1, 0}, {1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 2; q++ {
+		for i := 0; i < 2; i++ {
+			e, _ := cache.ReadProgram(q, i, qcc.HostAccess)
+			if e.Status != qcc.StatusValid {
+				t.Errorf("q%d[%d] status = %d after full q_gen", q, i, e.Status)
+			}
+		}
+	}
+}
+
 func TestSLTSkipsRepeatedParameters(t *testing.T) {
 	p, cache, bank := rig(t, 1, DefaultConfig())
 	// Same angle 10 times on one qubit.

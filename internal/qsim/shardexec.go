@@ -292,9 +292,6 @@ func NewAlias(p []float64, spare Alias) Alias {
 	return Alias{t: newAliasTable(p, nil, spare.t)}
 }
 
-// Valid reports whether the table has been built.
-func (a Alias) Valid() bool { return a.t != nil }
-
 // Draw returns one index from the table's distribution: O(1), two RNG
 // draws — identical to the contiguous sampler's per-shot cost.
 func (a Alias) Draw(rng *rand.Rand) int { return a.t.draw(rng) }

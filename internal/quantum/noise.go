@@ -63,9 +63,6 @@ func NewNoisyChip(n int, seed int64, noise Noise) (*NoisyChip, error) {
 	return &NoisyChip{Chip: chip, noise: noise, rng: rng.New(rng.Derive(seed, 0x5eed))}, nil
 }
 
-// Noise reports the configured error model.
-func (c *NoisyChip) Noise() Noise { return c.noise }
-
 // Execute runs shots under the error model. Each shot batch samples one
 // Pauli-error trajectory (adequate for expectation-level statistics at
 // NISQ error rates) and readout errors are applied per shot, per qubit.

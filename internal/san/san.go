@@ -8,8 +8,8 @@
 // Three check families live behind the tag:
 //
 //   - scheduler causality (internal/sim): no popped event may precede
-//     the engine clock, and the calendar queue's heap/bucket ordering
-//     invariants are audited on every pop;
+//     the engine clock, and the event heap's shape is audited on every
+//     pop;
 //   - scratch-arena canaries (internal/qsim, internal/tilelink): each
 //     Append*/…Reuse handout stamps a canary into the buffer's spare
 //     capacity; the next handout of the same backing array verifies it,

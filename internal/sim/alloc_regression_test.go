@@ -19,31 +19,10 @@ func BenchmarkEngineScheduleStepAllocFree(b *testing.B) {
 		for e.Step() {
 		}
 	}
-	cycle() // grow heap, bucket and ring to steady-state capacity
+	cycle() // grow the heap to steady-state capacity
 	for i := 0; i < b.N; i++ {
 		if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
 			b.Fatalf("warmed schedule/step cycle allocates %.1f times per run, want 0", avg)
-		}
-	}
-}
-
-// BenchmarkEngineResetAllocFree asserts Reset recycles the engine's
-// storage: a full schedule/run/Reset cycle allocates nothing after
-// warm-up.
-func BenchmarkEngineResetAllocFree(b *testing.B) {
-	var e Engine
-	fn := func() {}
-	cycle := func() {
-		for j := 0; j < 256; j++ {
-			e.Schedule(Time(j%5)*Nanosecond, fn)
-		}
-		e.Run()
-		e.Reset()
-	}
-	cycle()
-	for i := 0; i < b.N; i++ {
-		if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
-			b.Fatalf("schedule/run/Reset cycle allocates %.1f times per run, want 0", avg)
 		}
 	}
 }

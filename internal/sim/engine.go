@@ -15,27 +15,16 @@ import (
 // # Hot-path memory discipline
 //
 // The event queue is a hand-rolled 4-ary min-heap over a reusable
-// backing slice, fronted by a FIFO bucket holding the events of the
-// current minimum timestamp (a one-bucket calendar queue). Events are
-// stored by value — nothing is boxed through an interface, so Schedule
-// and Step are amortized zero-allocation once the backing storage has
-// grown to the simulation's peak simultaneity. Popped slots have their
-// closure cleared so executed events do not retain their captures
-// through the backing array, and Reset recycles the storage across
-// independent simulations.
-//
-// The bucket front exists for the dense same-timestamp bursts the
-// pipeline and tilelink models generate: while events at the current
-// minimum timestamp are being drained, newly scheduled events at that
-// same timestamp append and pop in O(1) ring operations instead of
-// paying two heap sifts each.
+// backing slice. Events are stored by value — nothing is boxed through
+// an interface, so Schedule and Step are amortized zero-allocation once
+// the backing storage has grown to the simulation's peak simultaneity.
+// Popped slots have their closure cleared so executed events do not
+// retain their captures through the backing array.
 type Engine struct {
-	now    Time
-	heap   fourAryHeap
-	bucket eventRing // events at bucketAt, globally FIFO by seq
-	seq    uint64
-	nexec  uint64
-	halted bool
+	now   Time
+	heap  fourAryHeap
+	seq   uint64
+	nexec uint64
 
 	cEvents *metrics.Counter
 	gDepth  *metrics.Gauge
@@ -118,67 +107,9 @@ func (h *fourAryHeap) pop() event {
 	return top
 }
 
-// eventRing is a FIFO of events over a reusable ring buffer.
-type eventRing struct {
-	buf  []event
-	head int
-	n    int
-}
-
-func (r *eventRing) push(ev event) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = ev
-	r.n++
-}
-
-func (r *eventRing) grow() {
-	next := make([]event, 2*len(r.buf)+4)
-	for i := 0; i < r.n; i++ {
-		next[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
-	r.buf = next
-	r.head = 0
-}
-
-func (r *eventRing) pop() event {
-	ev := r.buf[r.head]
-	r.buf[r.head] = event{} // clear the slot: no closure retention
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	if r.n == 0 {
-		r.head = 0
-	}
-	return ev
-}
-
-func (r *eventRing) peek() *event { return &r.buf[r.head] }
-
-// at returns the i-th queued event in FIFO order (sanitizer audits).
-func (r *eventRing) at(i int) *event { return &r.buf[(r.head+i)%len(r.buf)] }
-
-// reset empties the ring, clearing occupied slots so no closures stay
-// reachable, and keeps the buffer for reuse.
-func (r *eventRing) reset() {
-	for i := 0; i < r.n; i++ {
-		r.buf[(r.head+i)%len(r.buf)] = event{}
-	}
-	r.head, r.n = 0, 0
-}
-
 func (e *Engine) push(at Time, f func()) {
 	e.seq++
-	ev := event{at: at, seq: e.seq, fn: f}
-	// Calendar front: while the bucket is draining timestamp bucketAt,
-	// every new event at that timestamp appends to it in O(1). The heap
-	// never holds bucketAt events while the bucket is non-empty (refill
-	// drains them all), so FIFO order within the timestamp is global.
-	if e.bucket.n > 0 && at == e.bucket.peek().at {
-		e.bucket.push(ev)
-	} else {
-		e.heap.push(ev)
-	}
+	e.heap.push(event{at: at, seq: e.seq, fn: f})
 	e.gDepth.Set(int64(e.Pending()))
 }
 
@@ -189,7 +120,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.nexec }
 
 // Pending reports the number of scheduled-but-unexecuted events.
-func (e *Engine) Pending() int { return len(e.heap) + e.bucket.n }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Schedule runs fn after the given delay. A negative delay panics:
 // causality violations are always bugs in the caller.
@@ -208,49 +139,13 @@ func (e *Engine) At(t Time, fn func()) {
 	e.push(t, fn)
 }
 
-// peekNext returns the earliest pending event without removing it, or
-// nil when the queue is empty. The bucket holds the minimum timestamp
-// whenever it is non-empty, except that the heap may hold events at
-// strictly earlier times (scheduled via At below the bucket's
-// timestamp); comparing front-vs-root covers that case.
-func (e *Engine) peekNext() *event {
-	if e.bucket.n == 0 {
-		if len(e.heap) == 0 {
-			return nil
-		}
-		return &e.heap[0]
-	}
-	if len(e.heap) > 0 && e.heap[0].before(e.bucket.peek()) {
-		return &e.heap[0]
-	}
-	return e.bucket.peek()
-}
-
-// popNext removes and returns the earliest pending event. When the
-// bucket is empty it refills from the heap: every event sharing the
-// heap's minimum timestamp moves into the bucket (they come off the
-// heap in seq order), so the burst then drains — and extends — in O(1)
-// per event.
-func (e *Engine) popNext() event {
-	if e.bucket.n == 0 {
-		// Refill the calendar front with the next timestamp's burst.
-		at := e.heap[0].at
-		for len(e.heap) > 0 && e.heap[0].at == at {
-			e.bucket.push(e.heap.pop())
-		}
-	} else if len(e.heap) > 0 && e.heap[0].before(e.bucket.peek()) {
-		return e.heap.pop()
-	}
-	return e.bucket.pop()
-}
-
 // Step executes the single earliest pending event and reports whether one
 // was available.
 func (e *Engine) Step() bool {
-	if e.Pending() == 0 {
+	if len(e.heap) == 0 {
 		return false
 	}
-	ev := e.popNext()
+	ev := e.heap.pop()
 	if san.Enabled {
 		e.sanCheckPop(&ev)
 	}
@@ -265,11 +160,9 @@ func (e *Engine) Step() bool {
 // sanCheckPop audits the event-ordering invariants after each pop; it
 // runs only under the simsan build tag (the call site gates on
 // san.Enabled, so ordinary builds compile it away along with the call).
-// Three invariants: the popped event must not precede the clock
-// (causality — executing it would rewind time for its observers), the
-// 4-ary heap must satisfy its shape property at every node, and the
-// calendar bucket must be FIFO (strictly increasing seq) at a single
-// timestamp no later than the heap's minimum.
+// Two invariants: the popped event must not precede the clock
+// (causality — executing it would rewind time for its observers), and
+// the 4-ary heap must satisfy its shape property at every node.
 func (e *Engine) sanCheckPop(ev *event) {
 	if ev.at < e.now {
 		san.Failf("sim.Engine", "causality violation: popped event at t=%d (seq %d) precedes now=%d", int64(ev.at), ev.seq, int64(e.now))
@@ -280,109 +173,12 @@ func (e *Engine) sanCheckPop(ev *event) {
 				i, int64(e.heap[i].at), e.heap[i].seq, p, int64(e.heap[p].at), e.heap[p].seq)
 		}
 	}
-	for i := 1; i < e.bucket.n; i++ {
-		prev, cur := e.bucket.at(i-1), e.bucket.at(i)
-		if cur.at != prev.at {
-			san.Failf("sim.Engine", "calendar bucket mixes timestamps t=%d and t=%d", int64(prev.at), int64(cur.at))
-		}
-		if cur.seq <= prev.seq {
-			san.Failf("sim.Engine", "calendar bucket FIFO violated: seq %d follows seq %d", cur.seq, prev.seq)
-		}
-	}
-	if e.bucket.n > 0 && len(e.heap) > 0 && e.heap[0].at < e.bucket.peek().at {
-		// Legal only transiently (At below the bucket's timestamp); the
-		// pop path must then have drained from the heap, so by the time we
-		// audit, a strictly earlier heap minimum means the popped event
-		// came from the wrong queue.
-		if ev.at > e.heap[0].at {
-			san.Failf("sim.Engine", "popped t=%d while heap minimum t=%d is earlier", int64(ev.at), int64(e.heap[0].at))
-		}
-	}
 }
 
-// Run executes events until the queue drains or Halt is called, and
-// returns the final simulated time.
-//
-// A Halt that arrived before Run (including while the queue was empty)
-// is observed here: Run consumes it and returns immediately without
-// executing any events. Halts are never silently lost.
+// Run executes events until the queue drains and returns the final
+// simulated time.
 func (e *Engine) Run() Time {
-	if e.halted {
-		e.halted = false
-		return e.now
-	}
 	for e.Step() {
-		if e.halted {
-			e.halted = false
-			break
-		}
 	}
 	return e.now
-}
-
-// RunUntil executes events with timestamps ≤ deadline, then advances the
-// clock to the deadline (even if the queue drained earlier). Equal-time
-// ties at the deadline all execute: the boundary is inclusive.
-//
-// Like Run, a pending Halt is consumed on entry and stops RunUntil
-// before any event runs — and before the clock advances: halting means
-// "stop where you are".
-func (e *Engine) RunUntil(deadline Time) Time {
-	if e.halted {
-		e.halted = false
-		return e.now
-	}
-	for {
-		next := e.peekNext()
-		if next == nil || next.at > deadline {
-			break
-		}
-		e.Step()
-		if e.halted {
-			e.halted = false
-			return e.now
-		}
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
-// Halt stops Run/RunUntil after the currently executing event returns.
-// Pending events remain queued. A Halt issued while no run loop is
-// active (even with an empty queue) persists until the next Run or
-// RunUntil observes — and consumes — it.
-func (e *Engine) Halt() { e.halted = true }
-
-// Advance moves the clock forward by d without running any events.
-// It panics if an earlier event is pending — skipping events would break
-// causality silently, which is never intended. An event at exactly the
-// target time stays pending: Advance's clock move loses the race, and
-// the event still executes at its own timestamp.
-func (e *Engine) Advance(d Time) {
-	t := e.now + d
-	if next := e.peekNext(); next != nil && next.at < t {
-		panic("sim: Advance would skip pending events")
-	}
-	e.now = t
-}
-
-// Reset returns the engine to its zero state — clock at 0, no pending
-// events, counters cleared, any pending Halt discarded — while keeping
-// the queue's backing storage (and metrics attachment) for reuse.
-// Dropped events have their closures cleared, so a Reset engine retains
-// nothing from the previous simulation. Sequence numbering restarts, so
-// a reused engine schedules and ties exactly like a fresh one.
-func (e *Engine) Reset() {
-	for i := range e.heap {
-		e.heap[i] = event{}
-	}
-	e.heap = e.heap[:0]
-	e.bucket.reset()
-	e.now = 0
-	e.seq = 0
-	e.nexec = 0
-	e.halted = false
-	e.gDepth.Set(0)
 }

@@ -6,215 +6,10 @@ import (
 	"testing"
 )
 
-// --- Halt semantics -------------------------------------------------------
-
-// A Halt issued while the queue is empty (no run loop active) must not be
-// lost: the next Run observes it, consumes it, and executes nothing.
-func TestEngineHaltOnEmptyQueuePersists(t *testing.T) {
-	var e Engine
-	e.Halt() // nothing is running and nothing is queued
-	e.Schedule(Nanosecond, func() { t.Error("event ran through a pending Halt") })
-	if end := e.Run(); end != 0 {
-		t.Errorf("halted Run advanced the clock to %v", end)
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1 (event must stay queued)", e.Pending())
-	}
-	// The halt was consumed: a second Run executes normally.
-	ran := false
-	e.heap[0].fn = func() { ran = true }
-	if end := e.Run(); end != Nanosecond || !ran {
-		t.Errorf("post-halt Run: end=%v ran=%v, want 1ns true", end, ran)
-	}
-}
-
-func TestEngineHaltBeforeRunUntilStopsWithoutAdvancing(t *testing.T) {
-	var e Engine
-	e.Schedule(5*Nanosecond, func() { t.Error("event ran through a pending Halt") })
-	e.Halt()
-	if end := e.RunUntil(10 * Nanosecond); end != 0 {
-		t.Errorf("halted RunUntil advanced the clock to %v", end)
-	}
-	// Consumed: the next RunUntil proceeds to the deadline.
-	e.heap[0].fn = func() {}
-	if end := e.RunUntil(10 * Nanosecond); end != 10*Nanosecond {
-		t.Errorf("RunUntil after consumed halt = %v, want 10ns", end)
-	}
-}
-
-// Halt inside an event, then Resume via Run: the remaining events run,
-// in order, from where the halted run stopped.
-func TestEngineHaltInsideEventThenResume(t *testing.T) {
-	var e Engine
-	var order []int
-	e.Schedule(1*Nanosecond, func() { order = append(order, 1); e.Halt() })
-	e.Schedule(1*Nanosecond, func() { order = append(order, 2) })
-	e.Schedule(2*Nanosecond, func() { order = append(order, 3) })
-	if end := e.Run(); end != 1*Nanosecond {
-		t.Errorf("halted at %v, want 1ns", end)
-	}
-	if len(order) != 1 {
-		t.Fatalf("events before halt = %v, want [1]", order)
-	}
-	if end := e.Run(); end != 2*Nanosecond {
-		t.Errorf("resumed run ended at %v, want 2ns", end)
-	}
-	if len(order) != 3 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order = %v, want [1 2 3]", order)
-	}
-}
-
-func TestEngineHaltInsideRunUntilThenResume(t *testing.T) {
-	var e Engine
-	count := 0
-	e.Schedule(1*Nanosecond, func() { count++; e.Halt() })
-	e.Schedule(2*Nanosecond, func() { count++ })
-	if end := e.RunUntil(5 * Nanosecond); end != 1*Nanosecond {
-		t.Errorf("halted RunUntil ended at %v, want 1ns (no deadline advance)", end)
-	}
-	if end := e.RunUntil(5 * Nanosecond); end != 5*Nanosecond || count != 2 {
-		t.Errorf("resume: end=%v count=%d, want 5ns 2", end, count)
-	}
-}
-
-// --- RunUntil boundary ----------------------------------------------------
-
-// Every event tied at exactly the deadline executes (inclusive bound), in
-// FIFO order, before the clock settles on the deadline.
-func TestEngineRunUntilEqualTimestampTiesAtDeadline(t *testing.T) {
-	var e Engine
-	var order []int
-	deadline := 7 * Nanosecond
-	for i := 0; i < 8; i++ {
-		i := i
-		e.At(deadline, func() { order = append(order, i) })
-	}
-	e.Schedule(8*Nanosecond, func() { t.Error("event past the deadline ran") })
-	if end := e.RunUntil(deadline); end != deadline {
-		t.Errorf("end = %v, want %v", end, deadline)
-	}
-	if len(order) != 8 {
-		t.Fatalf("executed %d deadline ties, want 8", len(order))
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tie order = %v, want FIFO", order)
-		}
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1 (the post-deadline event)", e.Pending())
-	}
-}
-
-// An event scheduled at a deadline tie from within a tie also executes:
-// the burst extends while it drains.
-func TestEngineRunUntilTieSpawnsTie(t *testing.T) {
-	var e Engine
-	deadline := 3 * Nanosecond
-	count := 0
-	e.At(deadline, func() {
-		count++
-		e.At(deadline, func() { count++ })
-	})
-	e.RunUntil(deadline)
-	if count != 2 {
-		t.Errorf("executed %d events, want 2 (spawned tie included)", count)
-	}
-}
-
-// --- Advance vs same-time events -----------------------------------------
-
-// Advance racing an event at exactly the target time: the clock move is
-// allowed (the event is not skipped — it still executes at its own
-// timestamp), while an event strictly inside the window panics.
-func TestEngineAdvanceRacesSameTimeEvent(t *testing.T) {
-	var e Engine
-	ran := false
-	e.Schedule(4*Nanosecond, func() { ran = true })
-	e.Advance(4 * Nanosecond) // t == event time: allowed
-	if e.Now() != 4*Nanosecond {
-		t.Fatalf("Now = %v, want 4ns", e.Now())
-	}
-	e.Run()
-	if !ran {
-		t.Error("same-time event was lost by Advance")
-	}
-	if e.Now() != 4*Nanosecond {
-		t.Errorf("Now = %v after running same-time event, want 4ns", e.Now())
-	}
-}
-
-// The same race through the bucket front: drain part of a burst, halt,
-// then Advance to the burst's timestamp — legal — and past it — panic.
-func TestEngineAdvancePastBucketedEventPanics(t *testing.T) {
-	var e Engine
-	e.Schedule(2*Nanosecond, func() { e.Halt() })
-	e.Schedule(2*Nanosecond, func() {})
-	e.Run() // halts with one 2ns event still bucketed
-	e.Advance(0)
-	defer func() {
-		if recover() == nil {
-			t.Error("Advance past a bucketed pending event did not panic")
-		}
-	}()
-	e.Advance(Nanosecond)
-}
-
-// --- Reset ----------------------------------------------------------------
-
-// Reset-then-reuse determinism: a reset engine behaves exactly like a
-// fresh one — clock at zero, seq ordering restarted, nothing retained.
-func TestEngineResetThenReuseDeterminism(t *testing.T) {
-	run := func(e *Engine) []int {
-		var order []int
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < 50; i++ {
-			i := i
-			e.Schedule(Time(rng.Intn(5))*Nanosecond, func() { order = append(order, i) })
-		}
-		e.Run()
-		return order
-	}
-	var fresh Engine
-	want := run(&fresh)
-
-	var e Engine
-	e.Schedule(3*Nanosecond, func() {})
-	e.Schedule(3*Nanosecond, func() { e.Halt() })
-	e.Run() // leave residue: halted mid-burst, one event pending
-	e.Schedule(9*Nanosecond, func() { t.Error("stale event survived Reset") })
-	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 {
-		t.Fatalf("Reset left now=%v pending=%d executed=%d", e.Now(), e.Pending(), e.Executed())
-	}
-	got := run(&e)
-	if len(got) != len(want) {
-		t.Fatalf("reused engine executed %d events, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("reused order %v, want fresh order %v", got, want)
-		}
-	}
-}
-
-// Reset discards a pending Halt.
-func TestEngineResetClearsPendingHalt(t *testing.T) {
-	var e Engine
-	e.Halt()
-	e.Reset()
-	ran := false
-	e.Schedule(Nanosecond, func() { ran = true })
-	e.Run()
-	if !ran {
-		t.Error("Reset did not clear the pending Halt")
-	}
-}
-
 // --- Closure retention ----------------------------------------------------
 
 // Popped events must not keep their closures reachable through the
-// queue's backing arrays: after the events run, the captured allocations
+// queue's backing array: after the events run, the captured allocations
 // must be collectable even though the engine (and its storage) lives on.
 func TestEngineDoesNotRetainExecutedClosures(t *testing.T) {
 	var e Engine
@@ -226,7 +21,7 @@ func TestEngineDoesNotRetainExecutedClosures(t *testing.T) {
 		e.Schedule(Time(i%3)*Nanosecond, func() { payload[0]++ })
 	}
 	e.Run()
-	// The engine is still alive and still owns its backing slices; only
+	// The engine is still alive and still owns its backing slice; only
 	// the fn slots were cleared. Give the collector a few cycles.
 	got := 0
 	for cycle := 0; cycle < 20 && got < n; cycle++ {
@@ -247,36 +42,6 @@ func TestEngineDoesNotRetainExecutedClosures(t *testing.T) {
 	}
 }
 
-// Reset clears unexecuted events' closures too.
-func TestEngineResetReleasesPendingClosures(t *testing.T) {
-	var e Engine
-	const n = 32
-	collected := make(chan struct{}, n)
-	for i := 0; i < n; i++ {
-		payload := new([1 << 16]byte)
-		runtime.SetFinalizer(payload, func(*[1 << 16]byte) { collected <- struct{}{} })
-		e.Schedule(Time(i)*Nanosecond, func() { payload[0]++ })
-	}
-	e.Reset()
-	got := 0
-	for cycle := 0; cycle < 20 && got < n; cycle++ {
-		runtime.GC()
-		for {
-			select {
-			case <-collected:
-				got++
-				continue
-			default:
-			}
-			break
-		}
-	}
-	runtime.KeepAlive(&e)
-	if got < n {
-		t.Errorf("only %d/%d dropped closures were collectable after Reset", got, n)
-	}
-}
-
 // --- Zero-allocation hot path --------------------------------------------
 
 // Schedule and Step are amortized zero-allocation once the backing
@@ -292,52 +57,32 @@ func TestEngineScheduleStepZeroAllocAmortized(t *testing.T) {
 		for e.Step() {
 		}
 	}
-	warm() // grow heap, bucket and ring to steady-state capacity
+	warm() // grow the heap to steady-state capacity
 	if avg := testing.AllocsPerRun(50, warm); avg != 0 {
 		t.Errorf("schedule/step cycle allocates %.1f times per run, want 0", avg)
 	}
 }
 
-// Reset-recycled engines keep their storage: a full
-// schedule/run/Reset cycle is allocation-free after warm-up.
-func TestEngineResetRecyclesStorage(t *testing.T) {
-	var e Engine
-	fn := func() {}
-	cycle := func() {
-		for j := 0; j < 256; j++ {
-			e.Schedule(Time(j%5)*Nanosecond, fn)
-		}
-		e.Run()
-		e.Reset()
-	}
-	cycle()
-	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
-		t.Errorf("schedule/run/Reset cycle allocates %.1f times per run, want 0", avg)
-	}
-}
+// --- Heavy interleaved load stays ordered ---------------------------------
 
-// --- Alias for the old property: heavy interleaved load stays ordered ----
-
+// Events scheduled from inside running events, often at the timestamp
+// being drained, still execute in nondecreasing time and none is lost.
 func TestEngineInterleavedBurstOrdering(t *testing.T) {
 	var e Engine
 	rng := rand.New(rand.NewSource(42))
 	var last Time
-	var lastSeq int
 	count := 0
 	var spawn func(depth int)
 	spawn = func(depth int) {
 		at := e.Now() + Time(rng.Intn(3))*Nanosecond
-		seq := count
 		count++
 		e.At(at, func() {
 			if e.Now() < last {
 				t.Fatalf("time went backwards: %v after %v", e.Now(), last)
 			}
 			last = e.Now()
-			_ = seq
-			_ = lastSeq
 			if depth > 0 && rng.Intn(3) > 0 {
-				spawn(depth - 1) // often lands on the live bucket timestamp
+				spawn(depth - 1) // often lands on the current timestamp
 			}
 		})
 	}
@@ -373,7 +118,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 
 // BenchmarkEngineStep measures the pop/dispatch path (0 allocs/op
 // amortized): each iteration schedules and executes one event against a
-// standing backlog, touching both the bucket front and the heap.
+// standing backlog of 1024 heap entries.
 func BenchmarkEngineStep(b *testing.B) {
 	var e Engine
 	fn := func() {}

@@ -136,51 +136,6 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	var e Engine
-	var count int
-	for i := 1; i <= 5; i++ {
-		e.Schedule(Time(i)*Microsecond, func() { count++ })
-	}
-	e.RunUntil(3 * Microsecond)
-	if count != 3 {
-		t.Errorf("events run by 3µs = %d, want 3", count)
-	}
-	if e.Now() != 3*Microsecond {
-		t.Errorf("Now = %v, want 3µs", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if count != 5 {
-		t.Errorf("total events = %d, want 5", count)
-	}
-}
-
-func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
-	var e Engine
-	e.RunUntil(42 * Nanosecond)
-	if e.Now() != 42*Nanosecond {
-		t.Errorf("Now = %v, want 42ns", e.Now())
-	}
-}
-
-func TestEngineHalt(t *testing.T) {
-	var e Engine
-	var count int
-	e.Schedule(Nanosecond, func() { count++; e.Halt() })
-	e.Schedule(2*Nanosecond, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Errorf("events run = %d, want 1 (halted)", count)
-	}
-	e.Run() // resume
-	if count != 2 {
-		t.Errorf("events after resume = %d, want 2", count)
-	}
-}
-
 func TestEnginePanicsOnPastEvent(t *testing.T) {
 	var e Engine
 	e.Schedule(10*Nanosecond, func() {})
@@ -201,21 +156,6 @@ func TestEnginePanicsOnNegativeDelay(t *testing.T) {
 		}
 	}()
 	e.Schedule(-Nanosecond, func() {})
-}
-
-func TestEngineAdvance(t *testing.T) {
-	var e Engine
-	e.Advance(7 * Nanosecond)
-	if e.Now() != 7*Nanosecond {
-		t.Errorf("Now = %v, want 7ns", e.Now())
-	}
-	e.Schedule(Nanosecond, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Error("Advance past pending event did not panic")
-		}
-	}()
-	e.Advance(2 * Nanosecond)
 }
 
 // Property: any randomly scheduled set of events executes in nondecreasing

@@ -41,32 +41,9 @@ func TestSimsanCausalityViolation(t *testing.T) {
 	})
 }
 
-func TestSimsanBucketTimestampMix(t *testing.T) {
-	var e Engine
-	// Corrupt: the calendar bucket must hold one timestamp, but these
-	// mix three. The audit runs after the first pop and sees the 7/9
-	// pair still queued.
-	e.bucket.push(event{at: 5, seq: 1, fn: func() {}})
-	e.bucket.push(event{at: 7, seq: 2, fn: func() {}})
-	e.bucket.push(event{at: 9, seq: 3, fn: func() {}})
-	sanMustPanic(t, []string{"simsan: sim.Engine:", "mixes timestamps"}, func() {
-		e.Step()
-	})
-}
-
-func TestSimsanBucketFIFOViolation(t *testing.T) {
-	var e Engine
-	e.bucket.push(event{at: 5, seq: 5, fn: func() {}})
-	e.bucket.push(event{at: 5, seq: 9, fn: func() {}})
-	e.bucket.push(event{at: 5, seq: 7, fn: func() {}}) // corrupt: out of order
-	sanMustPanic(t, []string{"simsan: sim.Engine:", "FIFO violated", "seq 7", "seq 9"}, func() {
-		e.Step()
-	})
-}
-
 // TestSimsanCleanRun pins that an uncorrupted engine passes the audits:
-// the sanitizer must not fire on legal schedules, including the
-// At-below-bucket path the audit special-cases.
+// the sanitizer must not fire on legal schedules, including events
+// scheduled from inside a running event at its own timestamp.
 func TestSimsanCleanRun(t *testing.T) {
 	var e Engine
 	var order []int

@@ -1,13 +1,16 @@
-// Package sim provides the discrete-event simulation kernel used by every
-// timed component in the Qtenon reproduction: a picosecond-resolution
-// virtual clock, an event queue, and helpers for converting between clock
-// cycles and simulated time.
+// Package sim provides the Qtenon reproduction's simulated time: a
+// picosecond-resolution Time, the Clock every timed component uses to
+// convert between cycle counts and simulated time, and a discrete-event
+// Engine.
 //
-// The kernel is deliberately minimal: components schedule closures at
-// absolute or relative virtual times and the engine executes them in
-// timestamp order. Determinism is guaranteed by a monotonically increasing
-// sequence number that breaks timestamp ties in FIFO order, so repeated
-// runs with the same seed produce identical traces.
+// The engine is deliberately minimal. Of the machine models only
+// internal/system schedules on it, laying out each evaluation's phases
+// as at most six events; the pipeline and bus models are cycle-stepped
+// loops. Callers schedule closures at absolute or relative virtual times
+// and the engine executes them in timestamp order. Determinism is
+// guaranteed by a monotonically increasing sequence number that breaks
+// timestamp ties in FIFO order, so repeated runs with the same seed
+// produce identical traces.
 package sim
 
 import (

@@ -81,9 +81,6 @@ func (q *QSpace) Store(tag, qaddr uint32) {
 // Invalidate removes a mapping (used when its pulse slot is recycled).
 func (q *QSpace) Invalidate(tag uint32) { delete(q.slots, tag) }
 
-// Len reports the number of valid mappings.
-func (q *QSpace) Len() int { return len(q.slots) }
-
 // Allocator hands out .pulse entry indices for one qubit. When the pulse
 // store wraps, the recycled slot's old parameter mapping must be
 // invalidated everywhere, which the SLT handles through the owner
@@ -178,10 +175,6 @@ func resolveInstruments(reg *metrics.Registry) instruments {
 		evictions:  reg.Counter("slt.evictions"),
 	}
 }
-
-// Instrument attaches this SLT to a metrics registry. Nil registry
-// detaches.
-func (s *SLT) Instrument(reg *metrics.Registry) { s.m = resolveInstruments(reg) }
 
 // New returns an SLT with the given geometry backed by qspace and alloc.
 // ways and setCount default to the paper's 2×128 via DefaultNew.

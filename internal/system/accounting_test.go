@@ -1,10 +1,13 @@
 package system
 
 import (
+	"math"
 	"testing"
 
+	"qtenon/internal/circuit"
 	"qtenon/internal/host"
 	"qtenon/internal/opt"
+	"qtenon/internal/qcc"
 	"qtenon/internal/vqa"
 )
 
@@ -121,5 +124,70 @@ func TestSubQuantumUpdateIsFree(t *testing.T) {
 	}
 	if after.PulsesGenerated != before.PulsesGenerated {
 		t.Error("sub-quantum update regenerated pulses")
+	}
+}
+
+// The quantum program is computable data: after the first evaluation's
+// q_set, each new angle reaches the controller as a q_update of one
+// .regfile register, q_gen regenerates the pulses that read it, and the
+// next q_run measures the new state, all without re-uploading the
+// program. System binds the host's float parameters for q_run, so the
+// register and pulse checks, not the ⟨Z⟩ values alone, witness the
+// q_update.
+func TestQUpdateChangesNextRun(t *testing.T) {
+	w := &vqa.Workload{
+		Name:    "ry",
+		Circuit: circuit.NewBuilder(1).RYP(0, 0).MeasureAll().MustBuild(),
+		Cost: func(outcomes []uint64) float64 { // ⟨Z⟩ of qubit 0
+			z := 0
+			for _, o := range outcomes {
+				z += 1 - 2*int(o&1)
+			}
+			return float64(z) / float64(len(outcomes))
+		},
+		InitialParams: []float64{0},
+	}
+	cfg := DefaultConfig(host.Rocket())
+	cfg.Shots = 400
+	s, err := New(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pulses int64
+	for i, tc := range []struct {
+		theta, z, tol float64
+	}{
+		{0, 1, 0},
+		{math.Pi, -1, 0},
+		{math.Pi / 2, 0, 0.2},
+	} {
+		z, err := s.Evaluate([]float64{tc.theta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(z-tc.z) > tc.tol {
+			t.Errorf("RY(%v): ⟨Z⟩ = %v, want %v ± %v", tc.theta, z, tc.z, tc.tol)
+		}
+		v, err := s.cache.ReadReg(s.prog.ParamReg[0], qcc.HostAccess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := qcc.QuantizeAngle(tc.theta); v != want {
+			t.Errorf("RY(%v): .regfile[%d] = %#x, want %#x", tc.theta, s.prog.ParamReg[0], v, want)
+		}
+		gen := s.Result().PulsesGenerated
+		if i == 1 && gen <= pulses {
+			t.Errorf("RY(π): q_gen regenerated no pulse (%d generated before, %d after)", pulses, gen)
+		}
+		pulses = gen
+	}
+	counters := s.Metrics().Snapshot().Counters
+	for _, c := range []struct {
+		op   string
+		want int64
+	}{{"q_set", 1}, {"q_update", 2}, {"q_run", 3}} {
+		if got := counters["controller.instr."+c.op]; got != c.want {
+			t.Errorf("%s issued %d times, want %d", c.op, got, c.want)
+		}
 	}
 }

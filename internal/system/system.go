@@ -1,9 +1,10 @@
 // Package system assembles the full Qtenon machine: a RISC-V host core
 // with the RoCC-attached quantum controller (unified memory hierarchy,
-// SLT, four-stage pulse pipeline), the TileLink system bus with RBQ/WBQ,
+// SLT, four-stage pulse pipeline), the TileLink system bus with its RBQ,
 // the soft memory barrier, the quantum chip behind the ADI, and the
 // software stack (incremental compilation, batched transmission,
-// fine-grained synchronization).
+// fine-grained synchronization). It is the repository's one model of
+// the Qtenon machine: every experiment and the benchmark run on it.
 //
 // Each cost evaluation executes the paper's instruction sequence —
 // q_update* → q_gen → q_run ∥ q_acquire — with cycle-level component
@@ -290,9 +291,6 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 // Metrics exposes the instance's metrics registry — live counters from
 // every layer of the machine, snapshot-able at any point of a run.
 func (s *System) Metrics() *metrics.Registry { return s.reg }
-
-// Program exposes the compiled program (for the harness).
-func (s *System) Program() *compiler.Program { return s.prog }
 
 // transferCycles runs a real bus transfer of `beats` beats and returns
 // its cycle count.

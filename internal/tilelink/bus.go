@@ -1,9 +1,10 @@
 // Package tilelink models the quantum controller cache interface of
 // Figure 5: a TileLink-style split-transaction system bus with 5-bit
 // source tags and out-of-order responses, the Reorder Buffer Queue (RBQ)
-// that realigns them, the Write Buffer Queue (WBQ) that adapts 256-bit
-// bus beats to 32-bit public-cache writes, and the soft memory barrier
-// that provides fine-grained quantum-host synchronization (§6.2).
+// that realigns them, and the soft memory barrier that provides
+// fine-grained quantum-host synchronization (§6.2). Figure 5's Write
+// Buffer Queue is not modelled: no machine here splits bus beats into
+// 32-bit cache writes.
 //
 // The model is cycle-stepped: callers drive Tick once per bus cycle.
 // Response latency is deterministic pseudo-random within a configured
@@ -117,9 +118,6 @@ func NewBus(cfg Config) (*Bus, error) {
 
 // Now reports the bus cycle counter.
 func (b *Bus) Now() int64 { return b.now }
-
-// Outstanding reports in-flight request count.
-func (b *Bus) Outstanding() int { return len(b.fly) }
 
 // TrySubmit issues a request if a tag is free, returning the assigned tag.
 // At most one request issues per cycle (one A-channel beat).

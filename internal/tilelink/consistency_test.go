@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qtenon/internal/metrics"
 	"qtenon/internal/sim"
 )
 
@@ -108,6 +109,8 @@ func TestWithoutBarrierHostRaces(t *testing.T) {
 // the §6.2 requirement that consistency checking not stall the pipeline.
 func TestBarrierQueryCountBounded(t *testing.T) {
 	w := &raceWorld{engine: &sim.Engine{}, mem: map[uint64]uint64{}, barrier: NewBarrier()}
+	reg := metrics.NewRegistry()
+	w.barrier.Instrument(reg)
 	rng := rand.New(rand.NewSource(35))
 	const n = 20
 	w.producer(rng, 0x100, n)
@@ -127,8 +130,8 @@ func TestBarrierQueryCountBounded(t *testing.T) {
 	}
 	w.engine.Schedule(0, func() { pollNext(0) })
 	w.engine.Run()
-	if int64(polls) != w.barrier.Queries {
-		t.Errorf("poll count %d != barrier query count %d", polls, w.barrier.Queries)
+	if q := reg.Counter("tilelink.barrier_queries").Value(); int64(polls) != q {
+		t.Errorf("poll count %d != barrier query count %d", polls, q)
 	}
 	// With 100 ns poll spacing and ≤1 µs inter-write gaps, polls stay
 	// within a small constant factor of n.

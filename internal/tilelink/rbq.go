@@ -78,80 +78,12 @@ func (r *RBQ) Pop() (data uint64, ok bool) {
 // Pending reports how many issued requests have not been popped.
 func (r *RBQ) Pending() int { return r.order.Len() }
 
-// WBQ is the Write Buffer Queue of Figure 5: eight parallel 32-bit
-// queues adapting wide bus beats to the 32-bit write port of the public
-// quantum controller cache. A 256-bit beat is split into eight 32-bit
-// words, one per lane; shorter writes occupy only the lanes their length
-// requires, selected by the SIndex starting lane.
-type WBQ struct {
-	lanes []*hw.Queue[uint32]
-
-	gOccupancy *metrics.Gauge
-}
-
-// Instrument attaches the WBQ to a metrics registry: the
-// "tilelink.wbq_occupancy" gauge tracks buffered words (high-water =
-// peak width-adaptation backlog). Nil registry detaches.
-func (w *WBQ) Instrument(reg *metrics.Registry) {
-	w.gOccupancy = reg.Gauge("tilelink.wbq_occupancy")
-}
-
-// WBQLanes is the paper's lane count.
-const WBQLanes = 8
-
-// NewWBQ builds a WBQ with `lanes` lanes of the given depth.
-func NewWBQ(lanes, depth int) *WBQ {
-	w := &WBQ{lanes: make([]*hw.Queue[uint32], lanes)}
-	for i := range w.lanes {
-		w.lanes[i] = hw.NewQueue[uint32](depth)
-	}
-	return w
-}
-
-// Enqueue distributes a beat's words across lanes starting at lane
-// sindex, wrapping. It reports false (and enqueues nothing) if any needed
-// lane lacks space — hardware backpressure is all-or-nothing per beat.
-func (w *WBQ) Enqueue(sindex int, words []uint32) bool {
-	if len(words) > len(w.lanes) {
-		return false
-	}
-	for i := range words {
-		if w.lanes[(sindex+i)%len(w.lanes)].Full() {
-			return false
-		}
-	}
-	for i, v := range words {
-		w.lanes[(sindex+i)%len(w.lanes)].Push(v)
-	}
-	w.gOccupancy.Set(int64(w.Occupancy()))
-	return true
-}
-
-// DrainLane pops one word from a lane (one 32-bit write port transaction).
-func (w *WBQ) DrainLane(lane int) (uint32, bool) {
-	if lane < 0 || lane >= len(w.lanes) {
-		return 0, false
-	}
-	return w.lanes[lane].Pop()
-}
-
-// Occupancy reports total buffered words.
-func (w *WBQ) Occupancy() int {
-	n := 0
-	for _, l := range w.lanes {
-		n += l.Len()
-	}
-	return n
-}
-
 // Barrier is the soft memory barrier of §6.2: it tracks which host
 // addresses have had their PUT requests issued to the system bus, so the
 // host can query readiness non-blockingly over RoCC (single-cycle) rather
 // than executing a FENCE.
 type Barrier struct {
 	synced map[uint64]bool
-	// Queries counts barrier queries (each costs one RoCC cycle).
-	Queries int64
 
 	cQueries *metrics.Counter
 }
@@ -180,7 +112,6 @@ func (b *Barrier) MarkRange(addr uint64, n int, stride uint64) {
 // Query reports whether addr is synchronized. Non-blocking; counts one
 // query transaction.
 func (b *Barrier) Query(addr uint64) bool {
-	b.Queries++
 	b.cQueries.Inc()
 	return b.synced[addr]
 }

@@ -3,6 +3,8 @@ package tilelink
 import (
 	"math/rand"
 	"testing"
+
+	"qtenon/internal/metrics"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -183,65 +185,10 @@ func TestRBQReorderProperty(t *testing.T) {
 	}
 }
 
-func TestWBQLaneMapping(t *testing.T) {
-	w := NewWBQ(WBQLanes, 4)
-	if !w.Enqueue(0, []uint32{1, 2, 3, 4, 5, 6, 7, 8}) {
-		t.Fatal("full-beat enqueue failed")
-	}
-	if w.Occupancy() != 8 {
-		t.Errorf("occupancy = %d", w.Occupancy())
-	}
-	for lane := 0; lane < 8; lane++ {
-		v, ok := w.DrainLane(lane)
-		if !ok || v != uint32(lane+1) {
-			t.Fatalf("lane %d = %d,%v", lane, v, ok)
-		}
-	}
-}
-
-func TestWBQPartialAndWrap(t *testing.T) {
-	w := NewWBQ(8, 2)
-	// 3-word write starting at lane 6 wraps to lane 0.
-	if !w.Enqueue(6, []uint32{60, 70, 80}) {
-		t.Fatal("wrapping enqueue failed")
-	}
-	if v, _ := w.DrainLane(6); v != 60 {
-		t.Error("lane 6 wrong")
-	}
-	if v, _ := w.DrainLane(7); v != 70 {
-		t.Error("lane 7 wrong")
-	}
-	if v, _ := w.DrainLane(0); v != 80 {
-		t.Error("lane 0 (wrapped) wrong")
-	}
-}
-
-func TestWBQBackpressureAllOrNothing(t *testing.T) {
-	w := NewWBQ(2, 1)
-	if !w.Enqueue(0, []uint32{1}) {
-		t.Fatal("first enqueue failed")
-	}
-	// Lane 0 full: a 2-word beat must be refused entirely.
-	if w.Enqueue(1, []uint32{2, 3}) {
-		t.Error("partial enqueue accepted")
-	}
-	if w.Occupancy() != 1 {
-		t.Errorf("occupancy after refusal = %d", w.Occupancy())
-	}
-	if w.Enqueue(0, []uint32{9, 9, 9}) {
-		t.Error("enqueue wider than lane count accepted")
-	}
-}
-
-func TestWBQDrainInvalidLane(t *testing.T) {
-	w := NewWBQ(2, 1)
-	if _, ok := w.DrainLane(5); ok {
-		t.Error("DrainLane accepted invalid lane")
-	}
-}
-
 func TestBarrier(t *testing.T) {
 	b := NewBarrier()
+	reg := metrics.NewRegistry()
+	b.Instrument(reg)
 	if b.Query(0x1000) {
 		t.Error("fresh barrier reports synced")
 	}
@@ -258,8 +205,8 @@ func TestBarrier(t *testing.T) {
 	if b.Query(0x2020) {
 		t.Error("address beyond range synced")
 	}
-	if b.Queries != 7 {
-		t.Errorf("Queries = %d, want 7", b.Queries)
+	if q := reg.Counter("tilelink.barrier_queries").Value(); q != 7 {
+		t.Errorf("barrier_queries = %d, want 7", q)
 	}
 	b.Reset()
 	if b.Query(0x1000) {
