@@ -22,15 +22,13 @@ import (
 // Algorithm selects the classical optimizer driving a run.
 type Algorithm uint8
 
-// Supported algorithms. GD and SPSA are the paper's pair (§7.1); Adam is
-// the repository's extension with a GD-shaped evaluation pattern.
+// Supported algorithms: the paper's pair (§7.1).
 const (
 	GD Algorithm = iota
 	SPSA
-	Adam
 )
 
-var algorithmNames = [...]string{"GD", "SPSA", "Adam"}
+var algorithmNames = [...]string{"GD", "SPSA"}
 
 // String names the algorithm.
 func (a Algorithm) String() string {
@@ -97,7 +95,7 @@ func MetricsOf(b Backend) *metrics.Registry {
 // been evaluated before, e.g. by a warm-up; a fresh instance agrees with
 // its own counts).
 //
-// GD and Adam issue each gradient's 2P shifted points as one batch: a
+// GD issues each gradient's 2P shifted points as one batch: a
 // Batcher backend takes it in one EvaluateBatch call, any other backend
 // through opt.Batch, one Evaluate per point in batch order — identical
 // results by the Batcher contract.
@@ -111,8 +109,6 @@ func RunOn(b Backend, initial []float64, alg Algorithm, o opt.Options) (report.R
 	switch alg {
 	case SPSA:
 		res, err = opt.SPSA(b.Evaluate, initial, o)
-	case Adam:
-		res, err = opt.AdamBatch(batch, initial, o)
 	default:
 		// Unknown values fall back to GD, the historical front-door
 		// behaviour.

@@ -13,7 +13,6 @@ func TestAlgorithmString(t *testing.T) {
 	cases := map[backend.Algorithm]string{
 		backend.GD:             "GD",
 		backend.SPSA:           "SPSA",
-		backend.Adam:           "Adam",
 		backend.Algorithm(250): "algorithm(250)",
 	}
 	for alg, want := range cases {

@@ -38,7 +38,7 @@ func TestMachinesImplementBatcher(t *testing.T) {
 	}
 }
 
-// The batched GD/Adam route and the forced-serial route must produce
+// The batched GD route and the forced-serial route must produce
 // identical RunResults on both machines — values, accounting, history,
 // everything. This is the Batcher contract RunOn relies on.
 func TestBatchedRunMatchesSerialRun(t *testing.T) {
@@ -49,27 +49,25 @@ func TestBatchedRunMatchesSerialRun(t *testing.T) {
 		"baseline": baseline.Factory{Cfg: baseline.DefaultConfig()},
 	}
 	for mach, f := range factories {
-		for algName, alg := range map[string]backend.Algorithm{"gd": backend.GD, "adam": backend.Adam} {
-			t.Run(mach+"/"+algName, func(t *testing.T) {
-				bb, err := f.New(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				batched, err := backend.RunOn(bb, w.InitialParams, alg, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sb, err := f.New(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial, err := backend.RunOn(serialOnly{sb}, w.InitialParams, alg, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareRunResults(t, batched, serial)
-			})
-		}
+		t.Run(mach+"/gd", func(t *testing.T) {
+			bb, err := f.New(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batched, err := backend.RunOn(bb, w.InitialParams, backend.GD, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb, err := f.New(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial, err := backend.RunOn(serialOnly{sb}, w.InitialParams, backend.GD, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareRunResults(t, batched, serial)
+		})
 	}
 }
 

@@ -51,8 +51,6 @@ type Config struct {
 	ADI          quantum.ADI
 	Shots        int
 	Seed         int64
-	// Noise selects the chip error model; the zero value is ideal.
-	Noise quantum.Noise
 	// BatchResults ships all shot results in one message instead of one
 	// message per shot (an ablation; the default decoupled stack streams
 	// per shot).
@@ -79,7 +77,7 @@ func DefaultConfig() Config {
 type System struct {
 	cfg      Config
 	workload *vqa.Workload
-	chip     quantum.Executor
+	chip     *quantum.Chip
 	shape    isa.WorkloadShape
 	pulses   int // drive pulses per circuit execution (2q gates → 2)
 	// programLen is the quantum-dedicated instruction count of one
@@ -95,9 +93,6 @@ type System struct {
 	breakdown report.Breakdown
 	evals     int
 	instrs    int
-	// method is the simulation method the chip's router resolved on the
-	// most recent evaluation (route.Auto before the first one).
-	method route.Method
 
 	reg *metrics.Registry
 	m   instruments
@@ -128,17 +123,11 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	if err := cfg.Costs.Validate(); err != nil {
 		return nil, err
 	}
-	var chip quantum.Executor
-	var err error
-	if cfg.Noise.Enabled() {
-		chip, err = quantum.NewNoisyChip(w.NQubits(), cfg.Seed, cfg.Noise)
-	} else {
-		chip, err = quantum.NewChip(w.NQubits(), cfg.Seed)
-	}
+	chip, err := quantum.NewChip(w.NQubits(), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	quantum.ForceMethodOn(chip, cfg.Method)
+	chip.ForceMethod(cfg.Method)
 	ct := w.Circuit.Count()
 	// Generate the actual quantum-dedicated program once to size the
 	// per-evaluation upload; the structure is parameter-independent.
@@ -231,10 +220,7 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	b.Quantum += sim.Time(s.cfg.Shots) * (ex.ShotTime + s.cfg.ADI.RoundTrip())
 	s.m.shots.Add(int64(s.cfg.Shots))
 	s.m.shotTime.Observe(int64(ex.ShotTime))
-	if m, ok := quantum.MethodOf(s.chip); ok {
-		s.method = m
-		s.m.methods[m].Inc()
-	}
+	s.m.methods[s.chip.Method()].Inc()
 
 	// 5. Results return over UDP.
 	resultBytes := (s.workload.NQubits() + 7) / 8
@@ -264,7 +250,7 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 func (s *System) Result() report.RunResult {
 	var method string
 	if s.evals > 0 {
-		method = s.method.String()
+		method = s.chip.Method().String()
 	}
 	return report.RunResult{
 		Breakdown:        s.breakdown,

@@ -125,18 +125,6 @@ func (c *Circuit) Count() Counts {
 	return ct
 }
 
-// ParamGates returns, for each parameter slot, the indices of gates bound
-// to it. Slots with no users are present as empty slices.
-func (c *Circuit) ParamGates() [][]int {
-	out := make([][]int, c.NumParams)
-	for i, g := range c.Gates {
-		if g.Param != NoParam {
-			out[g.Param] = append(out[g.Param], i)
-		}
-	}
-	return out
-}
-
 // Builder incrementally constructs a circuit with a fluent interface.
 type Builder struct {
 	c   *Circuit

@@ -104,31 +104,6 @@ func TestBind(t *testing.T) {
 	}
 }
 
-func TestAngleResolution(t *testing.T) {
-	g := Gate{Kind: RX, Param: 1}
-	if got := g.Angle([]float64{9, 4}); got != 4 {
-		t.Errorf("Angle = %v, want 4", got)
-	}
-	g = Gate{Kind: RX, Theta: 2.5, Param: NoParam}
-	if got := g.Angle(nil); got != 2.5 {
-		t.Errorf("fixed Angle = %v, want 2.5", got)
-	}
-}
-
-func TestParamGates(t *testing.T) {
-	c := NewBuilder(2).RXP(0, 0).RYP(1, 1).RZP(0, 0).MustBuild()
-	pg := c.ParamGates()
-	if len(pg) != 2 {
-		t.Fatalf("len(ParamGates) = %d", len(pg))
-	}
-	if len(pg[0]) != 2 || pg[0][0] != 0 || pg[0][1] != 2 {
-		t.Errorf("param 0 gates = %v, want [0 2]", pg[0])
-	}
-	if len(pg[1]) != 1 || pg[1][0] != 1 {
-		t.Errorf("param 1 gates = %v, want [1]", pg[1])
-	}
-}
-
 func TestGateString(t *testing.T) {
 	tests := []struct {
 		g    Gate

@@ -100,15 +100,6 @@ type Gate struct {
 	Param  int
 }
 
-// Angle resolves the gate's rotation angle against a parameter vector.
-// Gates with fixed angles ignore params.
-func (g Gate) Angle(params []float64) float64 {
-	if g.Param == NoParam {
-		return g.Theta
-	}
-	return params[g.Param]
-}
-
 // String renders the gate in a compact assembly-like form.
 func (g Gate) String() string {
 	switch {

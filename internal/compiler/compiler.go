@@ -110,17 +110,6 @@ func Compile(c *circuit.Circuit, cfg qcc.Config) (*Program, error) {
 	return p, nil
 }
 
-// EntryWords reports the number of 32-bit words a q_set transfer of the
-// whole program moves (each 65-bit entry ships as three words on the
-// 32-bit public write port).
-func (p *Program) EntryWords() int {
-	n := 0
-	for _, chunk := range p.Entries {
-		n += len(chunk) * 3
-	}
-	return n
-}
-
 // TotalEntries counts program entries across qubit chunks.
 func (p *Program) TotalEntries() int {
 	n := 0

@@ -182,13 +182,6 @@ func TestLoadAndPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-func TestEntryWords(t *testing.T) {
-	p, _, _ := compileSmall(t)
-	if p.EntryWords() != p.TotalEntries()*3 {
-		t.Errorf("EntryWords = %d, want 3 words per entry", p.EntryWords())
-	}
-}
-
 func TestCompileLargeQAOALikeProgram(t *testing.T) {
 	// A 64-qubit, 5-layer ring QAOA fits comfortably in the 1024-entry
 	// chunks, and its instruction economy is the Table 1 claim.

@@ -38,20 +38,6 @@ func (c Core) Time(instructions int64) sim.Time {
 	return c.Clock.CyclesFloat(float64(instructions) / c.IPC)
 }
 
-// MemHierarchy carries the load-to-use latencies of Table 4's memory
-// system, in core cycles.
-type MemHierarchy struct {
-	L1Cycles   int64
-	L2Cycles   int64
-	DRAMCycles int64
-}
-
-// DefaultMem returns typical latencies for the Rocket-chip memory system
-// (16 KB L1, 512 KB 8-bank L2, DDR3).
-func DefaultMem() MemHierarchy {
-	return MemHierarchy{L1Cycles: 2, L2Cycles: 20, DRAMCycles: 100}
-}
-
 // Costs expresses the classical tasks of a hybrid iteration as
 // instruction counts. The constants are calibrated so the derived
 // latencies land in the ranges the paper reports (JIT recompilation

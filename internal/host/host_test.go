@@ -87,10 +87,3 @@ func TestCostScaling(t *testing.T) {
 		t.Error("JITCompile not monotone in gates")
 	}
 }
-
-func TestMemHierarchyOrdering(t *testing.T) {
-	m := DefaultMem()
-	if !(m.L1Cycles < m.L2Cycles && m.L2Cycles < m.DRAMCycles) {
-		t.Errorf("memory latencies not ordered: %+v", m)
-	}
-}

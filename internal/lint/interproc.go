@@ -505,31 +505,46 @@ func (s *summarizer) isLocal(obj types.Object) bool {
 	return obj != nil && obj.Pos() >= s.fi.Decl.Pos() && obj.Pos() <= s.fi.Decl.End()
 }
 
-// setOf computes the parameter bits the value of e may alias.
+// setOf computes the parameter bits the value of e may alias. A value
+// whose type holds no pointers aliases nothing, whatever it was read
+// from. Taking an address is not a read: &x, slicing an array x and a
+// pointer method bound to x carry the bits of x's place (addrSet).
 func (s *summarizer) setOf(e ast.Expr) bitset {
 	if e == nil {
 		return 0
 	}
+	info := s.fi.Pkg.Info
+	if t := info.TypeOf(e); t != nil && !isAliasCapable(t) {
+		return 0
+	}
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		obj := objectIn(s.fi.Pkg.Info, x)
+		obj := objectIn(info, x)
 		if obj == nil {
 			return 0
 		}
 		return s.paramBits[obj] | s.aliases[obj]
 	case *ast.SelectorExpr:
+		if sel := info.Selections[x]; sel != nil && sel.Kind() == types.MethodVal {
+			return s.recvSet(x, sel.Obj().(*types.Func))
+		}
 		return s.setOf(x.X)
 	case *ast.IndexExpr:
 		return s.setOf(x.X)
 	case *ast.IndexListExpr:
 		return s.setOf(x.X)
 	case *ast.SliceExpr:
+		if t := info.TypeOf(x.X); t != nil {
+			if _, ok := t.Underlying().(*types.Array); ok {
+				return s.addrSet(x.X)
+			}
+		}
 		return s.setOf(x.X)
 	case *ast.StarExpr:
 		return s.setOf(x.X)
 	case *ast.UnaryExpr:
 		if x.Op == token.AND {
-			return s.setOf(x.X)
+			return s.addrSet(x.X)
 		}
 		return 0
 	case *ast.CompositeLit:
@@ -580,7 +595,7 @@ func (s *summarizer) callResultSet(call *ast.CallExpr) bitset {
 	var b bitset
 	if sum.hasRecv && sum.flows&paramBit(0) != 0 {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			b |= s.setOf(sel.X)
+			b |= s.recvSet(sel, callee)
 		}
 	}
 	for i, arg := range call.Args {
@@ -589,6 +604,23 @@ func (s *summarizer) callResultSet(call *ast.CallExpr) bitset {
 		}
 	}
 	return b
+}
+
+// addrSet reports the parameter bits of the place e whose address is
+// taken: the bits of its root, whatever e's own type.
+func (s *summarizer) addrSet(e ast.Expr) bitset {
+	_, b := s.rootOf(e)
+	return b
+}
+
+// recvSet reports the parameter bits the receiver sel.X of method fn
+// may alias. A pointer method on a value operand takes its address.
+func (s *summarizer) recvSet(sel *ast.SelectorExpr, fn *types.Func) bitset {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv != nil && isPointer(recv.Type()) && !isPointer(s.fi.Pkg.Info.TypeOf(sel.X)) {
+		return s.addrSet(sel.X)
+	}
+	return s.setOf(sel.X)
 }
 
 // captureSet reports the parameter bits a function literal captures.
@@ -770,7 +802,7 @@ func (s *summarizer) call(call *ast.CallExpr) {
 	}
 	if sum.hasRecv {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			rb := s.setOf(sel.X)
+			rb := s.recvSet(sel, callee)
 			if sum.retains&paramBit(0) != 0 {
 				s.retain(rb)
 			}
@@ -791,6 +823,15 @@ func (s *summarizer) call(call *ast.CallExpr) {
 			s.mutate(ab)
 		}
 	}
+}
+
+// isPointer reports whether t is a pointer type; false for nil.
+func isPointer(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
 }
 
 // isAliasCapable reports whether values of t can carry aliases of

@@ -385,20 +385,6 @@ func capturesObject(pass *Pass, lit *ast.FuncLit, obj types.Object) bool {
 	return found
 }
 
-func usesObject(pass *Pass, e ast.Expr, obj types.Object) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pass.ObjectOf(id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 func describeFunc(name string) string {
 	if name == "" {
 		return "a function literal"

@@ -49,3 +49,14 @@ func badFlow(st *qsim.State, buf []float64) {
 func badDirect(st *qsim.State, buf []float64) {
 	sink(st.AppendProbabilities(buf)) // want `passed to sink, which retains that parameter`
 }
+
+var pinned *float64
+
+// keepFirst retains the address of one element, and with it the
+// scratch array behind the slice.
+func keepFirst(p []float64) { pinned = &p[0] }
+
+func badAddress(st *qsim.State, buf []float64) {
+	p := st.AppendProbabilities(buf)
+	keepFirst(p) // want `passed to keepFirst, which retains that parameter`
+}

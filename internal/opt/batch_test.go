@@ -79,7 +79,4 @@ func TestBatchErrorPropagation(t *testing.T) {
 	if _, err := GradientDescentBatch(eval, []float64{1}, batchTestOptions(2)); err != boom {
 		t.Errorf("GradientDescentBatch error = %v, want boom", err)
 	}
-	if _, err := AdamBatch(eval, []float64{1}, batchTestOptions(2)); err != boom {
-		t.Errorf("AdamBatch error = %v, want boom", err)
-	}
 }

@@ -189,7 +189,7 @@ func TestErrorPropagation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func(Evaluator, []float64, Options) (Result, error)
-	}{{"GD", GradientDescent}, {"SPSA", SPSA}, {"Adam", Adam}} {
+	}{{"GD", GradientDescent}, {"SPSA", SPSA}} {
 		calls := 0
 		eval := func(p []float64) (float64, error) {
 			if calls++; calls == 3 {

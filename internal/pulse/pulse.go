@@ -1,7 +1,7 @@
 // Package pulse implements control-pulse synthesis for superconducting
 // qubits: envelope generation (Gaussian and DRAG), IQ quantization to the
 // 16-bit DAC format, packing into the 640-bit .pulse cache entries of
-// Table 2, and the SerDes framing that feeds two 2 GHz DACs per qubit.
+// Table 2, in the word layout the two 2 GHz DACs per qubit consume.
 //
 // The paper treats its Pulse Generation Units as black boxes with a fixed
 // 1000-cycle latency; we keep that timing contract but also make the PGU
@@ -11,7 +11,6 @@
 package pulse
 
 import (
-	"fmt"
 	"math"
 
 	"qtenon/internal/circuit"
@@ -29,10 +28,6 @@ const (
 	// carries: 640 / 32 = 20 pairs, i.e. 10 ns of drive at 2 GS/s.
 	SamplesPerEntry = EntryBits / (DACBits * DACsPerQubit)
 )
-
-// BandwidthBitsPerNs is the per-qubit ADI output requirement:
-// 16 bit × 2 DACs × 2 GHz = 64 bit/ns (8 GB/s), as derived in §5.2.
-const BandwidthBitsPerNs = DACBits * DACsPerQubit * (DACRateHz / 1_000_000_000)
 
 // IQ is one complex drive sample quantized to the DAC range.
 type IQ struct {
@@ -205,39 +200,6 @@ func UnpackEntries(entries []Entry, n int) Waveform {
 		wf[i] = IQ{I: int16(uint16(packed)), Q: int16(uint16(packed >> 16))}
 	}
 	return wf
-}
-
-// SerDes models the serializer between the 200 MHz SRAM read port and the
-// 2 GHz DACs: each 640-bit entry is latched into ten parallel 64-bit
-// buffers and shifted out one 64-bit word per DAC tick pair. Its only
-// architectural property is rate matching, which Verify checks.
-type SerDes struct {
-	SRAMHz int64
-	DACHz  int64
-}
-
-// NewSerDes returns the paper's configuration (200 MHz SRAM, 2 GHz DAC).
-func NewSerDes() SerDes { return SerDes{SRAMHz: 200_000_000, DACHz: DACRateHz} }
-
-// Verify checks that one entry per SRAM cycle sustains the DAC demand:
-// entry bits × SRAM rate ≥ required bit rate.
-func (s SerDes) Verify() error {
-	supply := float64(EntryBits) * float64(s.SRAMHz)
-	demand := float64(DACBits*DACsPerQubit) * float64(s.DACHz)
-	if supply < demand {
-		return fmt.Errorf("pulse: SerDes underrun: supply %.0f bit/s < demand %.0f bit/s", supply, demand)
-	}
-	return nil
-}
-
-// Serialize flattens entries into the 64-bit word stream sent to the DAC
-// pair, in output order.
-func (s SerDes) Serialize(entries []Entry) []uint64 {
-	out := make([]uint64, 0, len(entries)*WordsPerEntry)
-	for _, e := range entries {
-		out = append(out, e[:]...)
-	}
-	return out
 }
 
 // PGU is a pulse generation unit: a fixed-function synthesizer with the

@@ -10,10 +10,6 @@ import (
 )
 
 func TestGeometryConstants(t *testing.T) {
-	// The derivation in §5.2: 16 bit × 2 DACs × 2 GHz = 64 bit/ns.
-	if BandwidthBitsPerNs != 64 {
-		t.Errorf("BandwidthBitsPerNs = %d, want 64", BandwidthBitsPerNs)
-	}
 	if WordsPerEntry != 10 {
 		t.Errorf("WordsPerEntry = %d, want 10 (ten parallel 64-bit buffers)", WordsPerEntry)
 	}
@@ -137,31 +133,6 @@ func TestPackRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSerDesRateMatch(t *testing.T) {
-	s := NewSerDes()
-	if err := s.Verify(); err != nil {
-		t.Errorf("paper configuration fails rate check: %v", err)
-	}
-	// 200 MHz × 640 bit = 128 Gb/s ≥ 64 Gb/s demand: exactly 2× headroom.
-	slow := SerDes{SRAMHz: 50_000_000, DACHz: DACRateHz}
-	if err := slow.Verify(); err == nil {
-		t.Error("underrun configuration passed Verify")
-	}
-}
-
-func TestSerDesSerializeOrder(t *testing.T) {
-	entries := []Entry{{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, {11, 12, 13, 14, 15, 16, 17, 18, 19, 20}}
-	words := NewSerDes().Serialize(entries)
-	if len(words) != 20 {
-		t.Fatalf("len = %d", len(words))
-	}
-	for i, w := range words {
-		if w != uint64(i+1) {
-			t.Fatalf("word %d = %d, want %d", i, w, i+1)
-		}
 	}
 }
 

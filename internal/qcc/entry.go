@@ -1,7 +1,5 @@
 package qcc
 
-import "fmt"
-
 // ProgramEntry is one 65-bit .program line (Table 2):
 //
 //	type (4b) | reg_flag (1b) | data (27b) | status (3b) | qaddr (30b)
@@ -26,83 +24,8 @@ const (
 	StatusPending uint8 = 2 // pulse generation in flight
 )
 
-// Field widths and limits.
+// Field limits of the data and qaddr fields.
 const (
-	entryTypeBits   = 4
-	entryDataBits   = 27
-	entryStatusBits = 3
-	entryQAddrBits  = 30
-
-	MaxEntryData  = 1<<entryDataBits - 1
-	MaxEntryQAddr = 1<<entryQAddrBits - 1
+	MaxEntryData  = 1<<27 - 1
+	MaxEntryQAddr = 1<<30 - 1
 )
-
-// Pack serializes the entry into the low 65 bits of (hi, lo): lo holds
-// bits 0–63, hi bit 0 holds bit 64. Layout, from the high end as drawn in
-// Figure 6: type | reg_flag | data | status | qaddr.
-func (e ProgramEntry) Pack() (hi uint8, lo uint64, err error) {
-	if e.Type >= 1<<entryTypeBits {
-		return 0, 0, fmt.Errorf("qcc: entry type %d exceeds %d bits", e.Type, entryTypeBits)
-	}
-	if e.Data > MaxEntryData {
-		return 0, 0, fmt.Errorf("qcc: entry data %#x exceeds %d bits", e.Data, entryDataBits)
-	}
-	if e.Status >= 1<<entryStatusBits {
-		return 0, 0, fmt.Errorf("qcc: entry status %d exceeds %d bits", e.Status, entryStatusBits)
-	}
-	if e.QAddr > MaxEntryQAddr {
-		return 0, 0, fmt.Errorf("qcc: entry qaddr %#x exceeds %d bits", e.QAddr, entryQAddrBits)
-	}
-	var v uint64 // bits 0..60 of the packed word below qaddr+status
-	v = uint64(e.QAddr)
-	v |= uint64(e.Status) << entryQAddrBits
-	v |= uint64(e.Data) << (entryQAddrBits + entryStatusBits)
-	flag := uint64(0)
-	if e.RegFlag {
-		flag = 1
-	}
-	v |= flag << (entryQAddrBits + entryStatusBits + entryDataBits)
-	// type occupies bits 61..64.
-	full := v | uint64(e.Type&0x7)<<61
-	hi = e.Type >> 3
-	return hi, full, nil
-}
-
-// UnpackEntry reverses Pack.
-func UnpackEntry(hi uint8, lo uint64) ProgramEntry {
-	e := ProgramEntry{
-		QAddr:  uint32(lo & MaxEntryQAddr),
-		Status: uint8(lo >> entryQAddrBits & (1<<entryStatusBits - 1)),
-		Data:   uint32(lo >> (entryQAddrBits + entryStatusBits) & MaxEntryData),
-	}
-	e.RegFlag = lo>>(entryQAddrBits+entryStatusBits+entryDataBits)&1 == 1
-	e.Type = uint8(lo>>61&0x7) | hi<<3
-	return e
-}
-
-// EntryWire is the 9-byte (65-bit padded) wire image of a program entry,
-// used when counting q_set transfer sizes.
-type EntryWire [9]byte
-
-// Wire returns the byte image, little-endian, bit 64 in byte 8.
-func (e ProgramEntry) Wire() (EntryWire, error) {
-	hi, lo, err := e.Pack()
-	if err != nil {
-		return EntryWire{}, err
-	}
-	var w EntryWire
-	for i := 0; i < 8; i++ {
-		w[i] = byte(lo >> (8 * i))
-	}
-	w[8] = hi
-	return w, nil
-}
-
-// FromWire parses a wire image.
-func FromWire(w EntryWire) ProgramEntry {
-	var lo uint64
-	for i := 0; i < 8; i++ {
-		lo |= uint64(w[i]) << (8 * i)
-	}
-	return UnpackEntry(w[8], lo)
-}

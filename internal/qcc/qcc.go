@@ -164,40 +164,9 @@ func (c Config) PulseBase(q int) int64 {
 	return base + int64(q)*int64(c.PulseEntries)
 }
 
-// Location identifies what a QAddress points at.
+// Location identifies one cache entry by segment, qubit chunk and index.
 type Location struct {
 	Segment Segment
 	Qubit   int // -1 for shared segments
 	Index   int // entry index within the chunk/segment
-}
-
-// Resolve maps a QAddress to its location. Unmapped addresses error —
-// there is deliberately no mapping for .slt.
-func (c Config) Resolve(qaddr int64) (Location, error) {
-	if qaddr < 0 {
-		return Location{}, fmt.Errorf("qcc: negative quantum address %#x", qaddr)
-	}
-	progEnd := int64(c.NQubits) * int64(c.ProgramEntries)
-	if qaddr < progEnd {
-		return Location{
-			Segment: SegProgram,
-			Qubit:   int(qaddr / int64(c.ProgramEntries)),
-			Index:   int(qaddr % int64(c.ProgramEntries)),
-		}, nil
-	}
-	if rb := c.RegfileBase(); qaddr >= rb && qaddr < rb+int64(c.RegfileEntries) {
-		return Location{Segment: SegRegfile, Qubit: -1, Index: int(qaddr - rb)}, nil
-	}
-	if mb := c.MeasureBase(); qaddr >= mb && qaddr < mb+int64(c.MeasureEntries) {
-		return Location{Segment: SegMeasure, Qubit: -1, Index: int(qaddr - mb)}, nil
-	}
-	if pb := c.PulseBase(0); qaddr >= pb && qaddr < pb+int64(c.NQubits)*int64(c.PulseEntries) {
-		off := qaddr - pb
-		return Location{
-			Segment: SegPulse,
-			Qubit:   int(off / int64(c.PulseEntries)),
-			Index:   int(off % int64(c.PulseEntries)),
-		}, nil
-	}
-	return Location{}, fmt.Errorf("qcc: unmapped quantum address %#x", qaddr)
 }

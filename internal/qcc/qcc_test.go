@@ -1,9 +1,6 @@
 package qcc
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 // TestTable2Sizes verifies the 64-qubit segment sizes against Table 2 of
 // the paper, bit for bit.
@@ -97,56 +94,10 @@ func TestFigure4AddressMap(t *testing.T) {
 	}
 }
 
-func TestResolve(t *testing.T) {
-	c := DefaultConfig(64)
-	tests := []struct {
-		addr int64
-		want Location
-	}{
-		{0x0, Location{SegProgram, 0, 0}},
-		{0x7ff, Location{SegProgram, 1, 1023}},
-		{0xfc05, Location{SegProgram, 63, 5}},
-		{0x70000, Location{SegRegfile, -1, 0}},
-		{0x703ff, Location{SegRegfile, -1, 1023}},
-		{0x71000, Location{SegMeasure, -1, 0}},
-		{0x723ff, Location{SegMeasure, -1, 5119}},
-		{0x80000, Location{SegPulse, 0, 0}},
-		{0x80401, Location{SegPulse, 1, 1}},
-	}
-	for _, tt := range tests {
-		got, err := c.Resolve(tt.addr)
-		if err != nil {
-			t.Errorf("Resolve(%#x): %v", tt.addr, err)
-			continue
-		}
-		if got != tt.want {
-			t.Errorf("Resolve(%#x) = %+v, want %+v", tt.addr, got, tt.want)
-		}
-	}
-	for _, bad := range []int64{-1, 0x69000, 0x72400, 0xfffff000} {
-		if _, err := c.Resolve(bad); err == nil {
-			t.Errorf("Resolve(%#x) accepted unmapped address", bad)
-		}
-	}
-}
-
-// Property: Resolve inverts the base functions for every qubit and index.
+// No segment overlaps even at large qubit counts.
 func TestAddressMapBijective(t *testing.T) {
 	for _, n := range []int{8, 64, 256, 320} {
 		c := DefaultConfig(n)
-		for q := 0; q < n; q += max(1, n/7) {
-			for _, idx := range []int{0, 1, c.ProgramEntries - 1} {
-				loc, err := c.Resolve(c.ProgramBase(q) + int64(idx))
-				if err != nil || loc != (Location{SegProgram, q, idx}) {
-					t.Fatalf("n=%d: program q%d[%d] → %+v, %v", n, q, idx, loc, err)
-				}
-				loc, err = c.Resolve(c.PulseBase(q) + int64(idx))
-				if err != nil || loc != (Location{SegPulse, q, idx}) {
-					t.Fatalf("n=%d: pulse q%d[%d] → %+v, %v", n, q, idx, loc, err)
-				}
-			}
-		}
-		// No segment overlaps even at large qubit counts.
 		progEnd := c.ProgramBase(n-1) + int64(c.ProgramEntries)
 		if progEnd > c.RegfileBase() {
 			t.Errorf("n=%d: program overlaps regfile", n)
@@ -154,54 +105,6 @@ func TestAddressMapBijective(t *testing.T) {
 		if c.MeasureBase()+int64(c.MeasureEntries) > c.PulseBase(0) {
 			t.Errorf("n=%d: measure overlaps pulse", n)
 		}
-	}
-}
-
-func TestProgramEntryPackRoundTrip(t *testing.T) {
-	e := ProgramEntry{Type: 9, RegFlag: true, Data: 0x5a5a5a5 & MaxEntryData, Status: StatusValid, QAddr: 0x2faceb1}
-	hi, lo, err := e.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back := UnpackEntry(hi, lo); back != e {
-		t.Errorf("round trip: %+v != %+v", back, e)
-	}
-}
-
-func TestProgramEntryPackRejects(t *testing.T) {
-	cases := []ProgramEntry{
-		{Type: 16},
-		{Data: MaxEntryData + 1},
-		{Status: 8},
-		{QAddr: MaxEntryQAddr + 1},
-	}
-	for _, e := range cases {
-		if _, _, err := e.Pack(); err == nil {
-			t.Errorf("Pack accepted out-of-range entry %+v", e)
-		}
-	}
-}
-
-// Property: arbitrary in-range entries survive Pack/Unpack and the wire
-// image.
-func TestEntryRoundTripProperty(t *testing.T) {
-	f := func(typ uint8, flag bool, data uint32, status uint8, qaddr uint32) bool {
-		e := ProgramEntry{
-			Type:    typ % 16,
-			RegFlag: flag,
-			Data:    data & MaxEntryData,
-			Status:  status % 8,
-			QAddr:   qaddr & MaxEntryQAddr,
-		}
-		hi, lo, err := e.Pack()
-		if err != nil || UnpackEntry(hi, lo) != e {
-			return false
-		}
-		w, err := e.Wire()
-		return err == nil && FromWire(w) == e
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -47,8 +47,8 @@ import (
 	qrng "qtenon/internal/rng"
 )
 
-// DefaultShardBits sizes production shards at 2^16 amplitudes: 16 cache
-// tiles (qsim.TileAmps = 2^12), 1 MiB of SoA floats per shard — large
+// DefaultShardBits sizes production shards at 2^16 amplitudes: 16 of
+// qsim's 2^12-amplitude cache tiles, 1 MiB of SoA floats per shard — large
 // enough to amortize dispatch, small enough to stay L2-resident across
 // a grouped sweep.
 const DefaultShardBits = 16

@@ -11,7 +11,7 @@ package qsim
 // where each sweep runs.
 //
 // Alignment invariant: a chunk's global base index is a multiple of the
-// chunk length (itself a power of two ≥ 2·TileAmps in production), so
+// chunk length (itself a power of two ≥ 2·tileAmps in production), so
 // for any qubit q with 2^q below the chunk length, the low bits of a
 // global amplitude index equal the in-chunk index bits. That is what
 // lets the contiguous pair/diagonal kernels run unmodified on a chunk:
@@ -23,10 +23,6 @@ import (
 
 	"qtenon/internal/circuit"
 )
-
-// TileAmps is the cache-tile size of the contiguous executor, exported
-// so the shard package can size chunks as a whole number of tiles.
-const TileAmps = tileAmps
 
 // SampleBlock is the per-worker shot granularity of the samplers,
 // exported so the sharded sampler uses the identical block/seed

@@ -36,14 +36,6 @@ import (
 // generic (non-Clifford) circuits — the router's DenseLimit.
 const ExactLimit = 16
 
-// Executor abstracts a quantum execution backend: the ideal Chip or a
-// NoisyChip. System models depend on this interface so the error model
-// is a configuration choice.
-type Executor interface {
-	NQubits() int
-	Execute(c *circuit.Circuit, shots int) (Execution, error)
-}
-
 // Execution reports one q_run-style batch.
 type Execution struct {
 	Outcomes []uint64 // one basis-state index per shot (qubit 0 = bit 0)
@@ -53,12 +45,13 @@ type Execution struct {
 // TotalTime is shots × per-shot duration.
 func (e Execution) TotalTime() sim.Time { return sim.Time(len(e.Outcomes)) * e.ShotTime }
 
-// Chip executes bound circuits and samples measurements. Each Execute
-// routes its circuit to a simulation method; the per-method simulator
-// arenas are recycled across Execute calls so the optimizer's thousands
-// of evaluations do not each allocate a fresh state. Execution.Outcomes,
-// by contrast, is always freshly allocated — callers hold several
-// Executions' outcomes at once (e.g. readout mitigation pairs).
+// Chip executes bound circuits and samples measurements, under its
+// error model when it has one (NewNoisyChip). Each Execute routes its
+// circuit to a simulation method; the per-method simulator arenas are
+// recycled across Execute calls so the optimizer's thousands of
+// evaluations do not each allocate a fresh state. Execution.Outcomes,
+// by contrast, is always freshly allocated: the error model flips its
+// bits in place, and the caller owns the slice.
 type Chip struct {
 	nqubits int
 	timing  circuit.Timing
@@ -66,6 +59,11 @@ type Chip struct {
 	router  route.Router
 	method  route.Method // last method Execute resolved (Auto before any run)
 	sims    [route.NumMethods]engine.Simulator
+
+	// noise is the error model; noiseRNG draws its errors and exists
+	// only when noise is enabled.
+	noise    Noise
+	noiseRNG *rand.Rand
 }
 
 // NewChip returns a chip over n qubits with the paper's gate timing and
@@ -83,12 +81,6 @@ func NewChip(n int, seed int64) (*Chip, error) {
 	}, nil
 }
 
-// NQubits reports the register width.
-func (c *Chip) NQubits() int { return c.nqubits }
-
-// Timing exposes the gate-duration model.
-func (c *Chip) Timing() circuit.Timing { return c.timing }
-
 // Method reports the simulation method the most recent Execute resolved
 // to, or route.Auto before the first execution.
 func (c *Chip) Method() route.Method { return c.method }
@@ -100,6 +92,14 @@ func (c *Chip) ForceMethod(m route.Method) { c.router.Force = m }
 
 // Execute runs `shots` repetitions of the bound circuit.
 func (c *Chip) Execute(ct *circuit.Circuit, shots int) (Execution, error) {
+	if c.noise.Enabled() {
+		return c.executeNoisy(ct, shots)
+	}
+	return c.execute(ct, shots)
+}
+
+// execute runs the circuit on the ideal chip.
+func (c *Chip) execute(ct *circuit.Circuit, shots int) (Execution, error) {
 	if ct.NQubits > c.nqubits {
 		return Execution{}, fmt.Errorf("quantum: circuit needs %d qubits, chip has %d", ct.NQubits, c.nqubits)
 	}
@@ -130,34 +130,8 @@ func (c *Chip) Execute(ct *circuit.Circuit, shots int) (Execution, error) {
 	return Execution{Outcomes: outcomes, ShotTime: shot}, nil
 }
 
-// methodReporter is any executor that reports its routed method.
-type methodReporter interface{ Method() route.Method }
-
-// methodForcer is any executor whose router accepts a pinned method.
-type methodForcer interface{ ForceMethod(route.Method) }
-
-// MethodOf reports the last method an executor routed to, when the
-// executor exposes one (Chip and NoisyChip do; ok is false otherwise).
-func MethodOf(e Executor) (route.Method, bool) {
-	if r, ok := e.(methodReporter); ok {
-		return r.Method(), true
-	}
-	return route.Auto, false
-}
-
-// ForceMethodOn pins the executor's method when it supports forcing;
-// it reports whether the executor did.
-func ForceMethodOn(e Executor, m route.Method) bool {
-	if f, ok := e.(methodForcer); ok {
-		f.ForceMethod(m)
-		return true
-	}
-	return false
-}
-
-// ADI is the analog-digital interface between controller and chip: fixed
-// latency each direction (paper baseline: 100 ns) and the per-qubit
-// bandwidth contract checked in internal/pulse.
+// ADI is the analog-digital interface between controller and chip: a
+// fixed latency each direction (paper baseline: 100 ns).
 type ADI struct {
 	LatencyIn  sim.Time // controller → chip (drive)
 	LatencyOut sim.Time // chip → controller (readout)

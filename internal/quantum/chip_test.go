@@ -66,9 +66,7 @@ func TestForceMethod(t *testing.T) {
 	if _, err := chip.Execute(nonClifford, 10); err == nil {
 		t.Error("clifford forced on a non-Clifford circuit did not fail")
 	}
-	if !ForceMethodOn(chip, route.Auto) {
-		t.Error("ForceMethodOn did not recognize the chip")
-	}
+	chip.ForceMethod(route.Auto)
 	if _, err := chip.Execute(nonClifford, 10); err != nil {
 		t.Fatal(err)
 	}

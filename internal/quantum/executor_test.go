@@ -7,12 +7,6 @@ import (
 	"qtenon/internal/sim"
 )
 
-// Compile-time interface conformance.
-var (
-	_ Executor = (*Chip)(nil)
-	_ Executor = (*NoisyChip)(nil)
-)
-
 func TestExecutionTotalTime(t *testing.T) {
 	e := Execution{Outcomes: make([]uint64, 7), ShotTime: 3 * sim.Microsecond}
 	if e.TotalTime() != 21*sim.Microsecond {

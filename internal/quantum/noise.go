@@ -2,10 +2,9 @@ package quantum
 
 import (
 	"fmt"
-	"math/rand"
-	"qtenon/internal/rng"
 
 	"qtenon/internal/circuit"
+	"qtenon/internal/rng"
 )
 
 // Noise configures the NISQ error model applied during execution:
@@ -42,17 +41,11 @@ func TypicalNISQ() Noise {
 	return Noise{Depolar1Q: 0.001, Depolar2Q: 0.01, Readout: 0.02}
 }
 
-// NoisyChip wraps a Chip with the stochastic error model. Errors are
-// realized per shot-batch as randomly injected Pauli operators
-// (trajectory method), so the exact backend stays a pure statevector.
-type NoisyChip struct {
-	*Chip
-	noise Noise
-	rng   *rand.Rand
-}
-
-// NewNoisyChip builds a chip with the given error model.
-func NewNoisyChip(n int, seed int64, noise Noise) (*NoisyChip, error) {
+// NewNoisyChip returns a chip like NewChip's that executes under the
+// given error model; the zero Noise is the ideal chip. Errors are
+// realized per shot batch as randomly injected Pauli operators
+// (trajectory method), so the exact backends stay pure statevectors.
+func NewNoisyChip(n int, seed int64, noise Noise) (*Chip, error) {
 	if err := noise.Validate(); err != nil {
 		return nil, err
 	}
@@ -60,29 +53,31 @@ func NewNoisyChip(n int, seed int64, noise Noise) (*NoisyChip, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &NoisyChip{Chip: chip, noise: noise, rng: rng.New(rng.Derive(seed, 0x5eed))}, nil
+	chip.noise = noise
+	if noise.Enabled() {
+		chip.noiseRNG = rng.New(rng.Derive(seed, 0x5eed))
+	}
+	return chip, nil
 }
 
-// Execute runs shots under the error model. Each shot batch samples one
-// Pauli-error trajectory (adequate for expectation-level statistics at
-// NISQ error rates) and readout errors are applied per shot, per qubit.
-func (c *NoisyChip) Execute(ct *circuit.Circuit, shots int) (Execution, error) {
-	if !c.noise.Enabled() {
-		return c.Chip.Execute(ct, shots)
-	}
+// executeNoisy runs shots under the error model. Each shot batch samples
+// one Pauli-error trajectory (adequate for expectation-level statistics
+// at NISQ error rates) and readout errors are applied per shot, per
+// qubit.
+func (c *Chip) executeNoisy(ct *circuit.Circuit, shots int) (Execution, error) {
 	noisy := c.injectTrajectory(ct)
-	ex, err := c.Chip.Execute(noisy, shots)
+	ex, err := c.execute(noisy, shots)
 	if err != nil {
 		return Execution{}, err
 	}
 	// Recompute the shot time from the clean circuit: injected error
 	// gates are instantaneous physical processes, not scheduled pulses.
-	ex.ShotTime = circuit.Duration(ct, c.Chip.Timing())
+	ex.ShotTime = circuit.Duration(ct, c.timing)
 	if c.noise.Readout > 0 {
 		n := min(ct.NQubits, 64)
 		for i := range ex.Outcomes {
 			for q := 0; q < n; q++ {
-				if c.rng.Float64() < c.noise.Readout {
+				if c.noiseRNG.Float64() < c.noise.Readout {
 					ex.Outcomes[i] ^= 1 << q
 				}
 			}
@@ -93,11 +88,11 @@ func (c *NoisyChip) Execute(ct *circuit.Circuit, shots int) (Execution, error) {
 
 // injectTrajectory returns a copy of ct with sampled Pauli errors
 // appended after faulty gates.
-func (c *NoisyChip) injectTrajectory(ct *circuit.Circuit) *circuit.Circuit {
+func (c *Chip) injectTrajectory(ct *circuit.Circuit) *circuit.Circuit {
 	out := &circuit.Circuit{NQubits: ct.NQubits, NumParams: ct.NumParams}
 	paulis := []circuit.Kind{circuit.X, circuit.Y, circuit.Z}
 	inject := func(q int) {
-		k := paulis[c.rng.Intn(len(paulis))]
+		k := paulis[c.noiseRNG.Intn(len(paulis))]
 		out.Gates = append(out.Gates, circuit.Gate{Kind: k, Qubit: q, Param: circuit.NoParam})
 	}
 	for _, g := range ct.Gates {
@@ -105,14 +100,14 @@ func (c *NoisyChip) injectTrajectory(ct *circuit.Circuit) *circuit.Circuit {
 		switch {
 		case g.Kind == circuit.Measure:
 		case g.Kind.Arity() == 2:
-			if c.rng.Float64() < c.noise.Depolar2Q {
+			if c.noiseRNG.Float64() < c.noise.Depolar2Q {
 				inject(g.Qubit)
 			}
-			if c.rng.Float64() < c.noise.Depolar2Q {
+			if c.noiseRNG.Float64() < c.noise.Depolar2Q {
 				inject(g.Qubit2)
 			}
 		default:
-			if c.rng.Float64() < c.noise.Depolar1Q {
+			if c.noiseRNG.Float64() < c.noise.Depolar1Q {
 				inject(g.Qubit)
 			}
 		}

@@ -122,6 +122,37 @@ func TestNoiseKeepsShotTime(t *testing.T) {
 	}
 }
 
+// The noisy chip's outcome words, pinned: the trajectory draws, the
+// ideal sampling and the readout flips happen in a fixed order on two
+// seeded streams, so any change to that order changes these words.
+func TestNoisyOutcomeStream(t *testing.T) {
+	chip, err := NewNoisyChip(2, 13, TypicalNISQ())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := circuit.NewBuilder(2).H(0).CX(0, 1).MeasureAll().MustBuild()
+	// One digit per shot; 1 and 2 are errors on a Bell pair.
+	want := []string{
+		"00030333300033130203333330310300",
+		"03000330300333030030000333030330",
+		"00033033333330003000003330130133",
+		"30333333300033330302333230003030",
+	}
+	for b, w := range want {
+		ex, err := chip.Execute(c, len(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(ex.Outcomes))
+		for i, o := range ex.Outcomes {
+			got[i] = '0' + byte(o)
+		}
+		if string(got) != w {
+			t.Errorf("batch %d outcomes = %s, want %s", b, got, w)
+		}
+	}
+}
+
 func TestTypicalNISQStillUseful(t *testing.T) {
 	// At realistic error rates a Bell pair keeps most of its correlation.
 	chip, err := NewNoisyChip(2, 13, TypicalNISQ())

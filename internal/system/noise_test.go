@@ -40,8 +40,12 @@ func TestNoisyExecutionRunsAndDiverges(t *testing.T) {
 		t.Errorf("noise changed quantum time: %v vs %v",
 			cres.Breakdown.Quantum, nres.Breakdown.Quantum)
 	}
-	if _, err := New(func() Config { c := clean; c.Noise = quantum.Noise{Readout: 2}; return c }(), w); err == nil {
-		t.Error("invalid noise accepted")
+	for _, bad := range []quantum.Noise{{Readout: 2}, {Readout: -0.2}, {Depolar1Q: -1}} {
+		c := clean
+		c.Noise = bad
+		if _, err := New(c, w); err == nil {
+			t.Errorf("invalid noise %+v accepted", bad)
+		}
 	}
 }
 

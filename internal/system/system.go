@@ -112,7 +112,7 @@ type System struct {
 	cache    *qcc.Cache
 	bank     *slt.Bank
 	pipe     *pipeline.Pipeline
-	chip     quantum.Executor
+	chip     *quantum.Chip
 	bus      *tilelink.Bus
 	rbq      *tilelink.RBQ
 	barrier  *tilelink.Barrier
@@ -133,9 +133,6 @@ type System struct {
 	pulsesGen    int64
 	hostActivity sim.Time
 	commActivity sim.Time
-	// method is the simulation method the chip's router resolved on the
-	// most recent evaluation (route.Auto before the first one).
-	method route.Method
 
 	// tracer, when set, records per-resource spans on the virtual
 	// timeline (now advances by each evaluation's wall time).
@@ -238,16 +235,11 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	var chip quantum.Executor
-	if cfg.Noise.Enabled() {
-		chip, err = quantum.NewNoisyChip(exec.NQubits, cfg.Seed, cfg.Noise)
-	} else {
-		chip, err = quantum.NewChip(exec.NQubits, cfg.Seed)
-	}
+	chip, err := quantum.NewNoisyChip(exec.NQubits, cfg.Seed, cfg.Noise)
 	if err != nil {
 		return nil, err
 	}
-	quantum.ForceMethodOn(chip, cfg.Method)
+	chip.ForceMethod(cfg.Method)
 	busCfg := cfg.Bus
 	busCfg.Seed = cfg.Seed
 	bus, err := tilelink.NewBus(busCfg)
@@ -427,10 +419,7 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	s.m.qAcquire.Inc()
 	s.m.shots.Add(int64(s.cfg.Shots))
 	s.m.shotTime.Observe(int64(ex.ShotTime))
-	if m, ok := quantum.MethodOf(s.chip); ok {
-		s.method = m
-		s.m.methods[m].Inc()
-	}
+	s.m.methods[s.chip.Method()].Inc()
 
 	k := 1
 	if s.cfg.Batching {
@@ -535,7 +524,7 @@ func (s *System) Now() sim.Time { return s.now }
 func (s *System) Result() report.RunResult {
 	var method string
 	if s.evals > 0 {
-		method = s.method.String()
+		method = s.chip.Method().String()
 	}
 	return report.RunResult{
 		Breakdown:        s.breakdown,

@@ -96,9 +96,9 @@ func TransferReuse(bus *Bus, rbq *RBQ, addr uint64, beats int, write bool, data,
 }
 
 // StreamCycles estimates the steady-state cycles to move `beats` beats:
-// max(beats, latency) plus pipeline fill. It exists as a closed-form
-// cross-check of Transfer used by tests and by coarse planning in the
-// scheduler; timing results always come from Transfer itself.
+// max(beats, latency) plus pipeline fill. It is a closed-form
+// cross-check that tests hold Transfer against; timing results always
+// come from Transfer itself.
 func StreamCycles(cfg Config, beats int) int64 {
 	if beats <= 0 {
 		return 0
