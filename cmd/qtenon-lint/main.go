@@ -1,10 +1,9 @@
 // Command qtenon-lint runs the repository's invariant analyzers
 // (internal/lint) over Go packages: determinism, scratcharena,
 // metricsdiscipline, floatcompare, eventretention, parsafety, unitflow,
-// deepscratch, hotpath, bitexact, shardsafety, routepurity. See
-// DESIGN.md §9–§10 for the invariant catalogue, the interprocedural
-// summaries, and the //lint:ignore suppression directive, and §14 for
-// the v3 allocation/bit-exactness/partition/purity analyzers.
+// deepscratch. See DESIGN.md §9–§10 for the invariant catalogue, the
+// interprocedural summaries, and the //lint:ignore suppression
+// directive.
 //
 // Usage:
 //

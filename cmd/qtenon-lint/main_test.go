@@ -113,16 +113,10 @@ func TestJSONSchema(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"kern/kern.go": `package kern
 
-//qtenon:hotpath
-func Grow(dst []float64, n int) []float64 {
-	for i := 0; i < n; i++ {
-		dst = append(dst, 0)
-	}
-	return dst
-}
+func Same(a, b float64) bool { return a == b }
 `,
 	})
-	stdout, stderr, code := runLint(t, dir, "-only", "hotpath", "-format=json", "./...")
+	stdout, stderr, code := runLint(t, dir, "-only", "floatcompare", "-format=json", "./...")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -147,8 +141,8 @@ func Grow(dst []float64, n int) []float64 {
 		t.Fatal(err)
 	}
 	d := diags[0]
-	if d.Analyzer != "hotpath" {
-		t.Errorf("analyzer = %q, want hotpath", d.Analyzer)
+	if d.Analyzer != "floatcompare" {
+		t.Errorf("analyzer = %q, want floatcompare", d.Analyzer)
 	}
 	if d.File != "kern/kern.go" {
 		t.Errorf("file = %q, want module-relative kern/kern.go", d.File)
@@ -156,12 +150,12 @@ func Grow(dst []float64, n int) []float64 {
 	if d.Line <= 0 || d.Column <= 0 {
 		t.Errorf("position %d:%d should be 1-based", d.Line, d.Column)
 	}
-	if !strings.Contains(d.Message, "allocation-free") {
+	if !strings.Contains(d.Message, "tolerance") {
 		t.Errorf("message should state the invariant, got %q", d.Message)
 	}
-	want := "//lint:ignore hotpath"
-	if !strings.HasPrefix(d.SuggestedIgnore, want) || !strings.Contains(d.SuggestedIgnore, "DESIGN.md §14.1") {
-		t.Errorf("suggested_ignore = %q, want prefix %q citing DESIGN.md §14.1", d.SuggestedIgnore, want)
+	want := "//lint:ignore floatcompare"
+	if !strings.HasPrefix(d.SuggestedIgnore, want) || !strings.Contains(d.SuggestedIgnore, "DESIGN.md §9") {
+		t.Errorf("suggested_ignore = %q, want prefix %q citing DESIGN.md §9", d.SuggestedIgnore, want)
 	}
 }
 
@@ -173,7 +167,6 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 	for _, name := range []string{
 		"determinism", "scratcharena", "metricsdiscipline", "floatcompare",
 		"eventretention", "parsafety", "unitflow", "deepscratch",
-		"hotpath", "bitexact", "shardsafety", "routepurity",
 	} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout)

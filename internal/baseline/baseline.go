@@ -123,7 +123,7 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	if err := cfg.Costs.Validate(); err != nil {
 		return nil, err
 	}
-	chip, err := quantum.NewChip(w.NQubits(), cfg.Seed)
+	chip, err := quantum.NewChip(w.NQubits(), cfg.Seed, quantum.Noise{})
 	if err != nil {
 		return nil, err
 	}

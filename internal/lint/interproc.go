@@ -88,33 +88,6 @@ type FuncSummary struct {
 
 	paramDomain  []Domain // receiver-first, like the bitsets
 	resultDomain Domain   // domain of the first result, when int-typed
-
-	// v3 dimensions (DESIGN.md §14). Each is a set-once fact holding a
-	// rendered "file.go:line: what" description of the first witness, ""
-	// while unproven; monotone like the bitsets, so the fixpoint
-	// propagates them transitively through the call graph.
-	allocSite  string // first heap-allocation site (or call to a non-alloc-free callee)
-	globalSite string // first write landing in package-level state
-	seamSite   string // first call into a global-effect seam (rng/wallclock/metrics, time, math/rand)
-}
-
-// WritesGlobal reports whether the function (transitively) stores to
-// package-level state — the write-target dimension's "escapes every
-// partition" bucket consumed by shardsafety and routepurity.
-func (s *FuncSummary) WritesGlobal() bool { return s != nil && s.globalSite != "" }
-
-// GlobalWriteSite describes the first package-level write witness.
-func (s *FuncSummary) GlobalWriteSite() string { return s.globalSite }
-
-// SeamSite describes the function's first (transitive) call into a
-// global-effect seam — internal/rng, internal/wallclock,
-// internal/metrics, time.Now, or a math/rand package-level stream —
-// "" when it touches none. Consumed by routepurity.
-func (s *FuncSummary) SeamSite() string {
-	if s == nil {
-		return ""
-	}
-	return s.seamSite
 }
 
 // argIndex maps a call argument position to the summary's receiver-first
@@ -473,9 +446,6 @@ func summarize(p *Program, fi *FuncInfo) bool {
 	if summarizeDomains(p, fi, s.sum) {
 		grew = true
 	}
-	if summarizeV3(p, fi, s.sum) {
-		grew = true
-	}
 	return grew
 }
 
@@ -674,6 +644,13 @@ func (s *summarizer) scan(body *ast.BlockStmt) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			s.assign(n)
+		case *ast.IncDecStmt:
+			// c[i]++ writes through c like c[i] = c[i] + 1.
+			switch ast.Unparen(n.X).(type) {
+			case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
+				_, rootBits := s.rootOf(n.X)
+				s.mutate(rootBits)
+			}
 		case *ast.RangeStmt:
 			// for k, v := range p: v's values alias p's elements.
 			src := s.setOf(n.X)

@@ -49,7 +49,7 @@ type Analyzer struct {
 	// Doc is a one-paragraph description: first line is a summary.
 	Doc string
 	// Design names the DESIGN.md section(s) documenting the invariant
-	// this analyzer enforces (e.g. "§14.1"). The JSON output mode uses it
+	// this analyzer enforces (e.g. "§9.4"). The JSON output mode uses it
 	// to render the suggested //lint:ignore directive, since every ignore
 	// must cite the section it is overriding.
 	Design string

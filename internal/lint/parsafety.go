@@ -33,7 +33,7 @@ var parExecutors = map[string]bool{
 // through another argument (set(out, i, v)).
 //
 // The index-partition machinery itself lives in partitionScope
-// (partition.go), shared with shardsafety's stricter shard dialect.
+// (partition.go).
 var ParSafety = &Analyzer{
 	Name:   "parsafety",
 	Doc:    "flag concurrent closures writing non-index-partitioned captured state",
@@ -55,7 +55,7 @@ func runParSafety(pass *Pass) error {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-					newPartitionScope(pass, lit, "go statement", parSafetyRule, false).walk()
+					newPartitionScope(pass, lit, "go statement", parSafetyRule).walk()
 				}
 			case *ast.CallExpr:
 				name, ok := parExecutorCall(pass, n)
@@ -64,7 +64,7 @@ func runParSafety(pass *Pass) error {
 				}
 				for _, arg := range n.Args {
 					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-						newPartitionScope(pass, lit, "par."+name, parSafetyRule, false).walk()
+						newPartitionScope(pass, lit, "par."+name, parSafetyRule).walk()
 					}
 				}
 			}

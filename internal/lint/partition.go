@@ -7,24 +7,11 @@ import (
 	"go/types"
 )
 
-// partitionScope carries the index-partition reasoning shared by
-// parsafety and shardsafety: given one concurrently-executed closure, it
-// tracks which identifiers are partition indices (the closure's int
-// parameters plus closure-locals computed from them), walks write
-// targets to their roots, and decides whether each write is confined to
-// the closure's partition.
-//
-// Two dialects run on top of the same machinery:
-//
-//   - parsafety (strict=false): the module-wide rule for internal/par
-//     fan-out, with the documented integer-steering exemption for
-//     `set(out, i, v)`-shaped callees.
-//   - shardsafety (strict=true): the internal/qsim/shard rule. The
-//     steering exemption is dropped (a shard closure handing a whole
-//     captured chunk table to a callee is exactly the bug class), writes
-//     to package-level state are flagged regardless of indexing, and
-//     callee write-target summaries (WritesGlobal) are consulted so a
-//     global store can't hide one call deep.
+// partitionScope carries parsafety's index-partition reasoning: given
+// one concurrently-executed closure, it tracks which identifiers are
+// partition indices (the closure's int parameters plus closure-locals
+// computed from them), walks write targets to their roots, and decides
+// whether each write is confined to the closure's partition.
 //
 // The butterfly pairing `s1 := s0 | bit` needs no special case: s1 is a
 // closure-local integer computed from the derived s0, so the derived-set
@@ -34,18 +21,16 @@ type partitionScope struct {
 	lit     *ast.FuncLit
 	where   string // launch site, for diagnostics ("par.For", "go statement")
 	rule    string // trailing clause appended to every diagnostic
-	strict  bool
 	derived map[types.Object]bool
 	seen    map[token.Pos]bool
 }
 
-func newPartitionScope(pass *Pass, lit *ast.FuncLit, where, rule string, strict bool) *partitionScope {
+func newPartitionScope(pass *Pass, lit *ast.FuncLit, where, rule string) *partitionScope {
 	sc := &partitionScope{
 		pass:    pass,
 		lit:     lit,
 		where:   where,
 		rule:    rule,
-		strict:  strict,
 		derived: map[types.Object]bool{},
 		seen:    map[token.Pos]bool{},
 	}
@@ -221,12 +206,6 @@ func (sc *partitionScope) checkWrite(target ast.Expr, isDefine bool) {
 		if !free {
 			return
 		}
-		if sc.strict {
-			if v, ok := obj.(*types.Var); ok && isPkgLevelVar(v) {
-				sc.reportf(target.Pos(), "writes package-level %q (escapes every chunk partition)", obj.Name())
-				return
-			}
-		}
 		if sc.isMapStore(target) {
 			sc.reportf(target.Pos(), "writes captured map %q (concurrent map writes race even when keys are partitioned)", obj.Name())
 			return
@@ -238,12 +217,10 @@ func (sc *partitionScope) checkWrite(target ast.Expr, isDefine bool) {
 }
 
 // checkCall is the interprocedural leg: a captured value handed to a
-// callee that mutates it is a write from inside the closure. In the
-// parsafety dialect the call is exempt when the argument itself is
-// narrowed to a partition (fill(buf[lo:hi])) or the callee is steered by
-// a partition index through an integer argument (set(out, i, v)); the
-// shard dialect keeps only the first exemption and additionally rejects
-// callees whose write-target summary shows a package-level store.
+// callee that mutates it is a write from inside the closure. The call is
+// exempt when the argument itself is narrowed to a partition
+// (fill(buf[lo:hi])) or the callee is steered by a partition index
+// through an integer argument (set(out, i, v)).
 func (sc *partitionScope) checkCall(call *ast.CallExpr) {
 	callee := sc.pass.CalleeFunc(call)
 	if callee == nil {
@@ -253,13 +230,7 @@ func (sc *partitionScope) checkCall(call *ast.CallExpr) {
 	if sum == nil {
 		return
 	}
-	if sc.strict && sum.WritesGlobal() {
-		sc.reportf(call.Pos(), "calls %s, whose write-target summary shows a package-level store (%s)", callee.Name(), sum.GlobalWriteSite())
-	}
 	intArgSteered := func() bool {
-		if sc.strict {
-			return false
-		}
 		for _, arg := range call.Args {
 			t := sc.pass.TypeOf(arg)
 			if t == nil {

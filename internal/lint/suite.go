@@ -11,10 +11,6 @@ func All() []*Analyzer {
 		ParSafety,
 		UnitFlow,
 		DeepScratch,
-		HotPath,
-		BitExact,
-		ShardSafety,
-		RoutePurity,
 	}
 }
 

@@ -60,31 +60,6 @@ func TestDeepScratchFixtures(t *testing.T) {
 	t.Run("multipkg", func(t *testing.T) { linttest.RunMulti(t, lint.DeepScratch, "testdata/deepscratch/multipkg") })
 }
 
-func TestHotPathFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.HotPath, "testdata/hotpath/"+dir) })
-	}
-	t.Run("multipkg", func(t *testing.T) { linttest.RunMulti(t, lint.HotPath, "testdata/hotpath/multipkg") })
-}
-
-func TestBitExactFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.BitExact, "testdata/bitexact/"+dir) })
-	}
-}
-
-func TestShardSafetyFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.ShardSafety, "testdata/shardsafety/"+dir) })
-	}
-}
-
-func TestRoutePurityFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good", "engine"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.RoutePurity, "testdata/routepurity/"+dir) })
-	}
-}
-
 // TestDirectives drives the //lint:ignore machinery programmatically:
 // the malformed-directive diagnostic lands on the directive's own line,
 // where a want comment cannot sit.

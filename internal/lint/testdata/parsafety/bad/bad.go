@@ -110,3 +110,17 @@ func arraySliceMutator(rows [][4]float64, v []float64) {
 		fillRow(rows, v) // want `passes captured "rows" to fillRow, which its summary shows writes through that parameter`
 	})
 }
+
+// countAll writes c's elements with ++, which its summary must record as
+// a mutation like any assignment.
+func countAll(c []int) {
+	for i := range c {
+		c[i]++
+	}
+}
+
+func incDecMutator(counts []int) {
+	par.Do(len(counts), func(i int) {
+		countAll(counts) // want `passes captured "counts" to countAll, which its summary shows writes through that parameter`
+	})
+}

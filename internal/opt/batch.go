@@ -64,8 +64,6 @@ func (s *batchScratch) ensure(p int) {
 // BatchEvaluator call for all 2P shifted points ordered
 // [+0, −0, +1, −1, …]; a Batch-adapted Evaluator sees exactly that
 // serial sequence.
-//
-//qtenon:hotpath
 func shiftGradientBatch(eval BatchEvaluator, params []float64, shift float64, grad []float64, scr *batchScratch) (int, error) {
 	p := len(params)
 	scr.ensure(p)

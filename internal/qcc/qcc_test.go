@@ -95,7 +95,7 @@ func TestFigure4AddressMap(t *testing.T) {
 }
 
 // No segment overlaps even at large qubit counts.
-func TestAddressMapBijective(t *testing.T) {
+func TestAddressMapSegmentsDisjoint(t *testing.T) {
 	for _, n := range []int{8, 64, 256, 320} {
 		c := DefaultConfig(n)
 		progEnd := c.ProgramBase(n-1) + int64(c.ProgramEntries)

@@ -71,14 +71,10 @@ func (d *Dense) State() *qsim.State { return d.st }
 func (d *Dense) NQubits() int { return d.st.NQubits() }
 
 // Apply implements Simulator.
-//
-//qtenon:hotpath
 func (d *Dense) Apply(g circuit.Gate) { d.st.Apply(g) }
 
 // Run implements Simulator via qsim.RunReuse, preserving the dense
 // path's exact numerical stream: Reset + fused sweep on the same arena.
-//
-//qtenon:hotpath
 func (d *Dense) Run(c *circuit.Circuit) error {
 	st, err := qsim.RunReuse(d.st, c)
 	if err != nil {
@@ -208,18 +204,13 @@ func (s *Sharded) ShardState() *shard.State { return s.st }
 func (s *Sharded) NQubits() int { return s.st.NQubits() }
 
 // Apply implements Simulator.
-//
-//qtenon:hotpath
 func (s *Sharded) Apply(g circuit.Gate) { s.st.Apply(g) }
 
 // Run implements Simulator. A width mismatch reallocates, mirroring
 // qsim.RunReuse; the common chip path always matches and reuses the
 // shard arena.
-//
-//qtenon:hotpath
 func (s *Sharded) Run(c *circuit.Circuit) error {
 	if c.NQubits != s.st.NQubits() {
-		//lint:ignore hotpath width-mismatch rebuild is the documented cold start; the chip path always matches and reuses the shard arena (DESIGN.md §14.1)
 		st, err := shard.New(c.NQubits)
 		if err != nil {
 			return err

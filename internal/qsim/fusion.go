@@ -403,8 +403,6 @@ func (x *execScratch) prepare(ops []fusedOp) []diagPrep {
 // qubit 1q/CX on large registers) run as full-array sweeps between
 // groups. Grouping never reorders ops, so results are identical to
 // op-at-a-time execution.
-//
-//qtenon:hotpath
 func (s *State) applyFused(ops []fusedOp) {
 	i := 0
 	for i < len(ops) {
@@ -434,8 +432,6 @@ func (s *State) applyFused(ops []fusedOp) {
 // across the whole group. par chunks are multiples of tileAmps, so tile
 // boundaries — like everything else in execution — are independent of
 // worker count.
-//
-//qtenon:hotpath
 func (s *State) applyTiled(ops []fusedOp) {
 	s.invalidate()
 	preps := s.execScratch.prepare(ops)
@@ -480,8 +476,6 @@ func (s *State) applyTiled(ops []fusedOp) {
 // the rest the full complex multiply. The specializations change only
 // the sign of zeros relative to always-complex multiplication
 // (DESIGN.md §11.2).
-//
-//qtenon:hotpath
 func applyPhaseTermsRange(re, im []float64, terms []phaseTerm, lo, hi int) {
 	for ti := range terms {
 		t := &terms[ti]
@@ -521,8 +515,6 @@ func applyPhaseTermsRange(re, im []float64, terms []phaseTerm, lo, hi int) {
 // lookup and no complex arithmetic. lo must be aligned to
 // min(2^(sB+1), hi−lo) and hi−lo must be a power of two or end the
 // array; tile and chunk bounds guarantee both.
-//
-//qtenon:hotpath
 func applySignTermsRange(re, im []float64, terms []signTerm, lo, hi int) {
 	for ti := range terms {
 		t := &terms[ti]

@@ -57,8 +57,6 @@ func (ps *State) Clone() *State {
 }
 
 // P1 returns qubit q's |1⟩ probability.
-//
-//qtenon:hotpath
 func (ps *State) P1(q int) float64 {
 	return real(ps.b[q])*real(ps.b[q]) + imag(ps.b[q])*imag(ps.b[q])
 }
@@ -66,19 +64,16 @@ func (ps *State) P1(q int) float64 {
 // ZExp returns ⟨Z_q⟩ = 1 − 2·P1.
 func (ps *State) ZExp(q int) float64 { return 1 - 2*ps.P1(q) }
 
-//qtenon:hotpath
 func (ps *State) apply1Q(q int, u00, u01, u10, u11 complex128) {
 	a, b := ps.a[q], ps.b[q]
 	ps.a[q] = u00*a + u01*b
 	ps.b[q] = u10*a + u11*b
 }
 
-//qtenon:hotpath
 func (ps *State) rz(q int, theta float64) {
 	ps.apply1Q(q, cmplx.Exp(complex(0, -theta/2)), 0, 0, cmplx.Exp(complex(0, theta/2)))
 }
 
-//qtenon:hotpath
 func (ps *State) rx(q int, theta float64) {
 	c, s := math.Cos(theta/2), math.Sin(theta/2)
 	ps.apply1Q(q, complex(c, 0), complex(0, -s), complex(0, -s), complex(c, 0))

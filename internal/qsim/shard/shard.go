@@ -142,8 +142,7 @@ func (s *State) Amp(i int) (re, im float64) {
 func (s *State) invalidate() { s.samplerValid = false }
 
 // growScratch returns dst resized to n, reallocating only when capacity
-// is exhausted — the arena shape the hotpath analyzer proves
-// steady-state allocation-free.
+// is exhausted, so a warmed arena grows no further.
 func growScratch(dst []float64, n int) []float64 {
 	if n <= cap(dst) {
 		return dst[:n]
@@ -210,8 +209,6 @@ func (s *State) Apply(g circuit.Gate) {
 // execute runs a compiled program: maximal runs of shard-local ops are
 // grouped per shard (cache-resident chunk, one parallel dispatch),
 // cross-shard ops run between groups.
-//
-//qtenon:hotpath
 func (s *State) execute(p *qsim.FusedProgram) {
 	if p.NumOps() == 0 {
 		return
@@ -254,8 +251,6 @@ func (s *State) opShardLocal(p *qsim.FusedProgram, i int) bool {
 // shard: one parallel dispatch, each shard sweeping its chunk through
 // the whole group while it is cache-resident. Shards write disjoint
 // chunks, so the dispatch is race-free.
-//
-//qtenon:hotpath
 func (s *State) applyLocalGroup(p *qsim.FusedProgram, lo, hi int) {
 	par.Do(len(s.re), func(sh int) {
 		re, im := s.re[sh], s.im[sh]
@@ -286,8 +281,6 @@ func (s *State) applyLocalGroup(p *qsim.FusedProgram, lo, hi int) {
 // (local control) or — both operands global — swaps whole chunk
 // descriptors in O(1). Every pair is touched by exactly one dispatch
 // index, so parallel pairs never overlap.
-//
-//qtenon:hotpath
 func (s *State) applyGlobalOp(p *qsim.FusedProgram, i int) {
 	kind, q, q2 := p.OpInfo(i)
 	switch kind {
@@ -339,8 +332,6 @@ func (s *State) Probabilities() []float64 {
 // ExpectationZ returns ⟨Z_q⟩: per-shard partial sums folded in
 // shard-index order (deterministic at any GOMAXPROCS). A global qubit's
 // sign is constant per shard and read from the shard index.
-//
-//qtenon:hotpath
 func (s *State) ExpectationZ(q int) float64 {
 	s.zScratch = growScratch(s.zScratch, len(s.re))
 	partial := s.zScratch

@@ -82,8 +82,6 @@ func (p *FusedProgram) OpInfo(i int) (kind OpKind, q, q2 int) {
 // Apply1QChunk applies op i (which must be Op1Q with 2^(q+1) ≤ chunk
 // length) to one amplitude chunk, dispatching the same real/complex
 // kernel choice as the contiguous engine over the chunk's pairs.
-//
-//qtenon:hotpath
 func (p *FusedProgram) Apply1QChunk(i int, re, im []float64) {
 	op := &p.ops[i]
 	stride := 1 << op.q
@@ -100,8 +98,6 @@ func (p *FusedProgram) Apply1QChunk(i int, re, im []float64) {
 // of chunk 0 pairs with element j of chunk 1. The float expressions are
 // the contiguous kernels' inner loops verbatim, so the arithmetic —
 // including the real-matrix specialization — is bit-identical.
-//
-//qtenon:hotpath
 func (p *FusedProgram) Apply1QPairChunks(i int, re0, im0, re1, im1 []float64) {
 	op := &p.ops[i]
 	n := len(re0)
@@ -142,8 +138,6 @@ func (p *FusedProgram) Apply1QPairChunks(i int, re0, im0, re1, im1 []float64) {
 // independent slice of the sweep; factors keyed on bits at or above the
 // chunk length are constant across the chunk and resolved from base.
 // Phase terms run before sign terms, exactly as in the tiled executor.
-//
-//qtenon:hotpath
 func (p *FusedProgram) ApplyDiagChunk(i int, re, im []float64, base int) {
 	pr := p.preps[i]
 	applyPhaseTermsChunk(re, im, p.x.phases[pr.phaseOff:pr.phaseOff+pr.phaseLen], base)
@@ -155,8 +149,6 @@ func (p *FusedProgram) ApplyDiagChunk(i int, re, im []float64, base int) {
 // bits, while the multiplies run on chunk-local storage. Runs whose
 // stride meets or exceeds the chunk length collapse to one constant
 // factor for the whole chunk.
-//
-//qtenon:hotpath
 func applyPhaseTermsChunk(re, im []float64, terms []phaseTerm, base int) {
 	n := len(re)
 	for ti := range terms {
@@ -197,8 +189,6 @@ func applyPhaseTermsChunk(re, im []float64, terms []phaseTerm, base int) {
 // chunk and folded out of the lut (selecting a half, or a single
 // negate/skip decision); fully chunk-local terms reuse the contiguous
 // sweep unchanged (chunk bounds satisfy its alignment contract).
-//
-//qtenon:hotpath
 func applySignTermsChunk(re, im []float64, terms []signTerm, base int) {
 	n := len(re)
 	for ti := range terms {
@@ -232,8 +222,6 @@ func applySignTermsChunk(re, im []float64, terms []signTerm, base int) {
 // ApplyCXChunk applies a CX whose control and target are both below the
 // chunk length to one chunk — the contiguous swap kernel over the full
 // chunk range.
-//
-//qtenon:hotpath
 func ApplyCXChunk(re, im []float64, control, target int) {
 	applyCXRange(re, im, 1<<control, 1<<target, 0, len(re))
 }
@@ -241,8 +229,6 @@ func ApplyCXChunk(re, im []float64, control, target int) {
 // ApplyXChunk applies an unconditional X on a target below the chunk
 // length — the shard-selected half of a CX whose control bit lives in
 // the shard index. Pure swaps, hence exact.
-//
-//qtenon:hotpath
 func ApplyXChunk(re, im []float64, target int) {
 	mt := 1 << target
 	for i := 0; i < len(re); i++ {
@@ -257,8 +243,6 @@ func ApplyXChunk(re, im []float64, target int) {
 // SwapWhereSetChunk swaps element j between two chunks for every j with
 // the control bit set — a CX whose control is below the chunk length and
 // whose target bit lives in the shard index. Pure swaps, hence exact.
-//
-//qtenon:hotpath
 func SwapWhereSetChunk(re0, im0, re1, im1 []float64, control int) {
 	mc := 1 << control
 	n := len(re0)

@@ -173,8 +173,6 @@ func (s *State) Reset() {
 }
 
 // Norm returns the 2-norm of the state (1 for any valid state).
-//
-//qtenon:hotpath
 func (s *State) Norm() float64 {
 	re, im := s.re, s.im
 	sum := par.SumFloat64(len(re), func(lo, hi int) float64 {
@@ -222,8 +220,6 @@ func matIsReal(u *[4]complex128) bool {
 // flops); the complex kernel reproduces complex128 arithmetic term for
 // term, so both match the historical kernel bit-for-bit up to the sign
 // of zeros.
-//
-//qtenon:hotpath
 func (s *State) apply1Q(q int, u00, u01, u10, u11 complex128) {
 	s.invalidate()
 	re, im := s.re, s.im
@@ -245,8 +241,6 @@ func (s *State) apply1Q(q int, u00, u01, u10, u11 complex128) {
 // [lo, hi). Within a range the pair index is decoded once per contiguous
 // run (a run ends at a stride block or the range boundary, whichever is
 // first), keeping the inner loop a branch-free four-multiply float sweep.
-//
-//qtenon:hotpath
 func apply1QRealPairs(re, im []float64, stride int, u [4]float64, lo, hi int) {
 	u00, u01, u10, u11 := u[0], u[1], u[2], u[3]
 	if stride == 1 {
@@ -292,8 +286,6 @@ func apply1QRealPairs(re, im []float64, stride int, u [4]float64, lo, hi int) {
 // apply1QCmplxPairs is the general complex kernel over the pair-index
 // range [lo, hi), written as explicit float arithmetic in exactly the
 // association order complex128 multiplication uses.
-//
-//qtenon:hotpath
 func apply1QCmplxPairs(re, im []float64, stride int, u *[4]complex128, lo, hi int) {
 	u00r, u00i := real(u[0]), imag(u[0])
 	u01r, u01i := real(u[1]), imag(u[1])
@@ -323,8 +315,6 @@ func apply1QCmplxPairs(re, im []float64, stride int, u *[4]complex128, lo, hi in
 }
 
 // applyCZ applies a controlled-Z between qubits a and b.
-//
-//qtenon:hotpath
 func (s *State) applyCZ(a, b int) {
 	s.invalidate()
 	re, im := s.re, s.im
@@ -342,8 +332,6 @@ func (s *State) applyCZ(a, b int) {
 // applyCX applies a CNOT with the given control and target. Each index
 // with control set and target clear owns its swap partner, so ranges
 // never write the same element.
-//
-//qtenon:hotpath
 func (s *State) applyCX(control, target int) {
 	s.invalidate()
 	re, im := s.re, s.im
@@ -358,8 +346,6 @@ func (s *State) applyCX(control, target int) {
 // partner of every i with control set, target clear lies in the same
 // aligned range whenever mt < hi-lo and lo is mt-aligned, and in the
 // full range always).
-//
-//qtenon:hotpath
 func applyCXRange(re, im []float64, mc, mt, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if i&mc != 0 && i&mt == 0 {
@@ -371,8 +357,6 @@ func applyCXRange(re, im []float64, mc, mt, lo, hi int) {
 }
 
 // applyRZZ applies exp(-i θ/2 Z_a Z_b), which is diagonal.
-//
-//qtenon:hotpath
 func (s *State) applyRZZ(a, b int, theta float64) {
 	s.invalidate()
 	re, im := s.re, s.im
@@ -430,8 +414,6 @@ func gateMatrix1Q(g circuit.Gate) (m [4]complex128, ok bool) {
 
 // Apply executes one gate. Measure gates are ignored here; use Sample or
 // MeasureQubit for readout.
-//
-//qtenon:hotpath
 func (s *State) Apply(g circuit.Gate) {
 	switch g.Kind {
 	case circuit.I, circuit.Measure:
@@ -567,8 +549,6 @@ func (s *State) MeasureQubit(q int, rng *rand.Rand) int {
 }
 
 // ExpectationZ returns ⟨Z_q⟩ for a single qubit.
-//
-//qtenon:hotpath
 func (s *State) ExpectationZ(q int) float64 {
 	re, im := s.re, s.im
 	m := 1 << q
@@ -587,8 +567,6 @@ func (s *State) ExpectationZ(q int) float64 {
 }
 
 // ExpectationZZ returns ⟨Z_a Z_b⟩.
-//
-//qtenon:hotpath
 func (s *State) ExpectationZZ(a, b int) float64 {
 	re, im := s.re, s.im
 	ma, mb := 1<<a, 1<<b

@@ -46,7 +46,7 @@ type Execution struct {
 func (e Execution) TotalTime() sim.Time { return sim.Time(len(e.Outcomes)) * e.ShotTime }
 
 // Chip executes bound circuits and samples measurements, under its
-// error model when it has one (NewNoisyChip). Each Execute routes its
+// error model when it has one. Each Execute routes its
 // circuit to a simulation method; the per-method simulator arenas are
 // recycled across Execute calls so the optimizer's thousands of
 // evaluations do not each allocate a fresh state. Execution.Outcomes,
@@ -68,17 +68,28 @@ type Chip struct {
 
 // NewChip returns a chip over n qubits with the paper's gate timing and
 // the default router (dense ≤ ExactLimit, tableau for Clifford circuits,
-// product beyond).
-func NewChip(n int, seed int64) (*Chip, error) {
+// product beyond), executing under the given error model; the zero
+// Noise is the ideal chip. Errors are realized per shot batch as
+// randomly injected Pauli operators (trajectory method), so the exact
+// backends stay pure statevectors.
+func NewChip(n int, seed int64, noise Noise) (*Chip, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("quantum: non-positive qubit count %d", n)
 	}
-	return &Chip{
+	if err := noise.Validate(); err != nil {
+		return nil, err
+	}
+	chip := &Chip{
 		nqubits: n,
 		timing:  circuit.DefaultTiming(),
 		rng:     rng.New(seed),
 		router:  route.Router{DenseLimit: ExactLimit},
-	}, nil
+		noise:   noise,
+	}
+	if noise.Enabled() {
+		chip.noiseRNG = rng.New(rng.Derive(seed, 0x5eed))
+	}
+	return chip, nil
 }
 
 // Method reports the simulation method the most recent Execute resolved

@@ -16,7 +16,7 @@ func TestBackendSelection(t *testing.T) {
 	nonClifford := circuit.NewBuilder(2).H(0).RY(1, 0.3).MeasureAll().MustBuild()
 	clifford := circuit.NewBuilder(2).H(0).CX(0, 1).MeasureAll().MustBuild()
 
-	small, err := NewChip(8, 1)
+	small, err := NewChip(8, 1, Noise{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestBackendSelection(t *testing.T) {
 		t.Errorf("8-qubit chip routed %v for a Clifford circuit, want clifford", got)
 	}
 
-	big, err := NewChip(64, 1)
+	big, err := NewChip(64, 1, Noise{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +46,14 @@ func TestBackendSelection(t *testing.T) {
 	if got := big.Method(); got != route.Product {
 		t.Errorf("64-qubit chip routed %v for a generic circuit, want product", got)
 	}
-	if _, err := NewChip(0, 1); err == nil {
+	if _, err := NewChip(0, 1, Noise{}); err == nil {
 		t.Error("NewChip accepted 0 qubits")
 	}
 }
 
 func TestForceMethod(t *testing.T) {
 	clifford := circuit.NewBuilder(2).H(0).CX(0, 1).MeasureAll().MustBuild()
-	chip, _ := NewChip(2, 1)
+	chip, _ := NewChip(2, 1, Noise{})
 	chip.ForceMethod(route.Dense)
 	if _, err := chip.Execute(clifford, 10); err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestForceMethod(t *testing.T) {
 }
 
 func TestExecuteValidation(t *testing.T) {
-	chip, _ := NewChip(2, 1)
+	chip, _ := NewChip(2, 1, Noise{})
 	tooWide := circuit.NewBuilder(3).H(0).MustBuild()
 	if _, err := chip.Execute(tooWide, 10); err == nil {
 		t.Error("accepted circuit wider than chip")
@@ -89,7 +89,7 @@ func TestExecuteValidation(t *testing.T) {
 }
 
 func TestExecuteTiming(t *testing.T) {
-	chip, _ := NewChip(2, 1)
+	chip, _ := NewChip(2, 1, Noise{})
 	c := circuit.NewBuilder(2).H(0).CX(0, 1).MeasureAll().MustBuild()
 	ex, err := chip.Execute(c, 100)
 	if err != nil {
@@ -108,7 +108,7 @@ func TestExecuteTiming(t *testing.T) {
 }
 
 func TestExactBellCorrelations(t *testing.T) {
-	chip, _ := NewChip(2, 7)
+	chip, _ := NewChip(2, 7, Noise{})
 	c := circuit.NewBuilder(2).H(0).CX(0, 1).MeasureAll().MustBuild()
 	ex, err := chip.Execute(c, 4000)
 	if err != nil {
@@ -207,7 +207,7 @@ func TestSurrogateSampleDistribution(t *testing.T) {
 }
 
 func TestLargeChipExecutes(t *testing.T) {
-	chip, _ := NewChip(64, 9)
+	chip, _ := NewChip(64, 9, Noise{})
 	b := circuit.NewBuilder(64)
 	for q := 0; q < 64; q++ {
 		b.RY(q, 0.1*float64(q))
@@ -241,7 +241,7 @@ func TestADIDefaults(t *testing.T) {
 
 func TestChipDeterminism(t *testing.T) {
 	run := func() []uint64 {
-		chip, _ := NewChip(4, 42)
+		chip, _ := NewChip(4, 42, Noise{})
 		c := circuit.NewBuilder(4).H(0).CX(0, 1).RY(2, 0.5).MeasureAll().MustBuild()
 		ex, err := chip.Execute(c, 20)
 		if err != nil {

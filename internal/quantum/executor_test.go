@@ -21,7 +21,7 @@ func TestSurrogateDeterministicAcrossRuns(t *testing.T) {
 	// Identical circuits on identically seeded chips: identical outcomes
 	// even for >64-qubit registers (RNG stream includes windowed qubits).
 	mk := func() []uint64 {
-		chip, err := NewChip(80, 123)
+		chip, err := NewChip(80, 123, Noise{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestSurrogateDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestWideOutcomesFitWindow(t *testing.T) {
-	chip, _ := NewChip(80, 5)
+	chip, _ := NewChip(80, 5, Noise{})
 	b := circuit.NewBuilder(80)
 	for q := 0; q < 80; q++ {
 		b.X(q) // all qubits |1⟩

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"qtenon/internal/circuit"
-	"qtenon/internal/rng"
 )
 
 // Noise configures the NISQ error model applied during execution:
@@ -39,25 +38,6 @@ func (n Noise) Enabled() bool { return n.Depolar1Q > 0 || n.Depolar2Q > 0 || n.R
 // superconducting hardware: 0.1% single-qubit, 1% two-qubit, 2% readout.
 func TypicalNISQ() Noise {
 	return Noise{Depolar1Q: 0.001, Depolar2Q: 0.01, Readout: 0.02}
-}
-
-// NewNoisyChip returns a chip like NewChip's that executes under the
-// given error model; the zero Noise is the ideal chip. Errors are
-// realized per shot batch as randomly injected Pauli operators
-// (trajectory method), so the exact backends stay pure statevectors.
-func NewNoisyChip(n int, seed int64, noise Noise) (*Chip, error) {
-	if err := noise.Validate(); err != nil {
-		return nil, err
-	}
-	chip, err := NewChip(n, seed)
-	if err != nil {
-		return nil, err
-	}
-	chip.noise = noise
-	if noise.Enabled() {
-		chip.noiseRNG = rng.New(rng.Derive(seed, 0x5eed))
-	}
-	return chip, nil
 }
 
 // executeNoisy runs shots under the error model. Each shot batch samples

@@ -26,36 +26,14 @@ func TestNoiseValidate(t *testing.T) {
 	if !TypicalNISQ().Enabled() {
 		t.Error("typical NISQ reports disabled")
 	}
-	if _, err := NewNoisyChip(2, 1, Noise{Readout: -1}); err == nil {
-		t.Error("NewNoisyChip accepted invalid noise")
-	}
-}
-
-func TestNoiselessPassthrough(t *testing.T) {
-	clean, _ := NewChip(2, 9)
-	noisy, err := NewNoisyChip(2, 9, Noise{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := circuit.NewBuilder(2).H(0).CX(0, 1).MeasureAll().MustBuild()
-	a, err := clean.Execute(c, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := noisy.Execute(c, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Outcomes {
-		if a.Outcomes[i] != b.Outcomes[i] {
-			t.Fatal("zero-noise chip diverges from clean chip")
-		}
+	if _, err := NewChip(2, 1, Noise{Readout: -1}); err == nil {
+		t.Error("NewChip accepted invalid noise")
 	}
 }
 
 func TestReadoutErrorRate(t *testing.T) {
 	// |0⟩ measured under 10% readout error flips ≈10% of shots.
-	noisy, err := NewNoisyChip(1, 3, Noise{Readout: 0.1})
+	noisy, err := NewChip(1, 3, Noise{Readout: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +57,7 @@ func TestDepolarizingDegradesBell(t *testing.T) {
 	// noiseless execution keeps them exact.
 	c := circuit.NewBuilder(2).H(0).CX(0, 1).MeasureAll().MustBuild()
 	mismatch := func(noise Noise) float64 {
-		chip, err := NewNoisyChip(2, 11, noise)
+		chip, err := NewChip(2, 11, noise)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,8 +88,8 @@ func TestNoiseKeepsShotTime(t *testing.T) {
 	// Injected error operators are not scheduled pulses: timing must
 	// match the clean circuit.
 	c := circuit.NewBuilder(2).H(0).CX(0, 1).MeasureAll().MustBuild()
-	clean, _ := NewChip(2, 5)
-	noisy, _ := NewNoisyChip(2, 5, Noise{Depolar1Q: 0.5, Depolar2Q: 0.5})
+	clean, _ := NewChip(2, 5, Noise{})
+	noisy, _ := NewChip(2, 5, Noise{Depolar1Q: 0.5, Depolar2Q: 0.5})
 	a, _ := clean.Execute(c, 10)
 	b, err := noisy.Execute(c, 10)
 	if err != nil {
@@ -126,7 +104,7 @@ func TestNoiseKeepsShotTime(t *testing.T) {
 // ideal sampling and the readout flips happen in a fixed order on two
 // seeded streams, so any change to that order changes these words.
 func TestNoisyOutcomeStream(t *testing.T) {
-	chip, err := NewNoisyChip(2, 13, TypicalNISQ())
+	chip, err := NewChip(2, 13, TypicalNISQ())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +133,7 @@ func TestNoisyOutcomeStream(t *testing.T) {
 
 func TestTypicalNISQStillUseful(t *testing.T) {
 	// At realistic error rates a Bell pair keeps most of its correlation.
-	chip, err := NewNoisyChip(2, 13, TypicalNISQ())
+	chip, err := NewChip(2, 13, TypicalNISQ())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"math"
 	"testing"
 
 	"qtenon/internal/host"
@@ -8,13 +9,13 @@ import (
 )
 
 // evaluateAllocCeiling bounds the allocations one warmed Evaluate may
-// make. The arena work brought the 12-qubit/100-shot evaluation from
-// ~2000 allocs down to under 100 (fresh Outcomes, per-block RNGs and
-// batch planning remain by design); the ceiling sits well above normal
-// jitter but far below the pre-arena figure, so losing any scratch
-// buffer (statevector, alias table, regfile image, diff plan, RBQ data)
-// trips it.
-const evaluateAllocCeiling = 400
+// make. It is the measured count of the 12-qubit/100-shot evaluation:
+// fresh Outcomes, per-block RNGs and batch planning remain by design,
+// and 17 are the dense engine's Run, which qsim/engine's
+// BenchmarkRunAllocRegression pins on its own. Losing any scratch buffer
+// (statevector, alias table, regfile image, diff plan, RBQ data), or one
+// new allocation per kernel call, trips it.
+const evaluateAllocCeiling = 36
 
 // BenchmarkEvaluateAllocRegression fails the build when a warmed-up cost
 // evaluation starts allocating like the arenas are gone. CI runs it via
@@ -39,10 +40,16 @@ func BenchmarkEvaluateAllocRegression(b *testing.B) {
 	}
 	eval() // warm every arena (statevector, sampler, image, diff, RBQ)
 	eval()
+	// params[0] reaches a new angle on every call, so the SLT's tag maps
+	// keep growing, and a window that catches one of those amortized
+	// growths counts a few extra allocations. A per-call allocation shows
+	// in every window, so the fewest over all windows is what is gated.
+	fewest := math.Inf(1)
 	for i := 0; i < b.N; i++ {
-		if avg := testing.AllocsPerRun(5, eval); avg > evaluateAllocCeiling {
-			b.Fatalf("warmed Evaluate allocates %.0f times per call, ceiling %d — a hot-path arena regressed",
-				avg, evaluateAllocCeiling)
-		}
+		fewest = min(fewest, testing.AllocsPerRun(5, eval))
+	}
+	if fewest > evaluateAllocCeiling {
+		b.Fatalf("warmed Evaluate allocates %.0f times per call, ceiling %d — a hot-path arena regressed",
+			fewest, evaluateAllocCeiling)
 	}
 }

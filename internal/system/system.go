@@ -235,7 +235,7 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	chip, err := quantum.NewNoisyChip(exec.NQubits, cfg.Seed, cfg.Noise)
+	chip, err := quantum.NewChip(exec.NQubits, cfg.Seed, cfg.Noise)
 	if err != nil {
 		return nil, err
 	}
