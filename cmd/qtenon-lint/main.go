@@ -1,9 +1,8 @@
 // Command qtenon-lint runs the repository's invariant analyzers
 // (internal/lint) over Go packages: determinism, scratcharena,
-// metricsdiscipline, floatcompare, eventretention, parsafety, unitflow,
-// deepscratch. See DESIGN.md §9–§10 for the invariant catalogue, the
-// interprocedural summaries, and the //lint:ignore suppression
-// directive.
+// metricsdiscipline, floatcompare, eventretention, parsafety. See
+// DESIGN.md §9 for the invariant catalogue and the //lint:ignore
+// suppression directive.
 //
 // Usage:
 //
@@ -13,13 +12,11 @@
 //	qtenon-lint -format=json ./...    # machine-readable diagnostics
 //	qtenon-lint -format=github ./...  # GitHub Actions annotations
 //
-// All named packages are loaded into one interprocedural program, so
-// function summaries cross package boundaries; narrowing the patterns
-// narrows what the summary-driven analyzers can see.
+// Every analyzer reads one function at a time, so a package's findings
+// do not depend on which other packages are named with it.
 //
 // It can also serve as a vet tool, reusing go vet's package loader and
-// build cache (one package per invocation, so summaries degrade to the
-// intra-package view):
+// build cache; it reports the same findings as the driver:
 //
 //	go vet -vettool=$(command -v qtenon-lint) ./...
 //
@@ -99,12 +96,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One program over every loaded package: the summary-driven
-	// analyzers see across package boundaries.
-	diags, err := lint.RunProgram(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "qtenon-lint: %v\n", err)
-		os.Exit(2)
+	// Package order, then position within each package.
+	var diags []lint.Diagnostic
+	for _, pkg := range pkgs {
+		ds, err := lint.Run(pkg, analyzers)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "qtenon-lint: %v\n", err)
+			os.Exit(2)
+		}
+		diags = append(diags, ds...)
 	}
 
 	switch *format {

@@ -166,7 +166,7 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"determinism", "scratcharena", "metricsdiscipline", "floatcompare",
-		"eventretention", "parsafety", "unitflow", "deepscratch",
+		"eventretention", "parsafety",
 	} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout)

@@ -1,6 +1,7 @@
 package backend_test
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"qtenon/internal/backend"
@@ -20,6 +21,11 @@ import (
 // the picosecond, instruction counts, SLT hit rate, cost history — must
 // reproduce bit-for-bit. Any drift here means the refactor changed
 // simulation semantics, not just plumbing.
+//
+// snapshot is the FNV-64a hash of the backend's metrics snapshot JSON
+// after the run. It pins every instrument, so a bug that changes only a
+// metric fails here too. A change that adds, renames or removes an
+// instrument re-records it.
 type golden struct {
 	breakdown        report.Breakdown
 	comm             report.CommBreakdown
@@ -31,6 +37,7 @@ type golden struct {
 	sltHitRate       float64
 	history          []float64
 	method           string
+	snapshot         uint64
 }
 
 var goldens = map[string]golden{
@@ -45,6 +52,7 @@ var goldens = map[string]golden{
 		sltHitRate:       0.91990483743061058,
 		history:          []float64{-3.8359999999999999, -4.0759999999999996, -5.1059999999999999},
 		method:           "dense",
+		snapshot:         0x6d9584433e6f8e83,
 	},
 	"baseline/gd": {
 		breakdown:        report.Breakdown{Quantum: 47880000000, Comm: 252509664960, PulseGen: 10584000000, HostComp: 55441890000},
@@ -55,6 +63,7 @@ var goldens = map[string]golden{
 		pulsesGenerated:  10584,
 		history:          []float64{-3.8359999999999999, -4.0759999999999996, -5.1059999999999999},
 		method:           "dense",
+		snapshot:         0x24adc26ddfa2d50c,
 	},
 	"qtenon/spsa": {
 		breakdown:        report.Breakdown{Quantum: 6840000000, Comm: 433000, PulseGen: 87265000, HostComp: 7294554},
@@ -67,6 +76,7 @@ var goldens = map[string]golden{
 		sltHitRate:       0.51933701657458564,
 		history:          []float64{-4.3120000000000003, -4.0860000000000003, -4.6360000000000001},
 		method:           "dense",
+		snapshot:         0xc59b343664a27f4f,
 	},
 	"baseline/spsa": {
 		breakdown:        report.Breakdown{Quantum: 6840000000, Comm: 36072809280, PulseGen: 1512000000, HostComp: 7920270000},
@@ -77,6 +87,7 @@ var goldens = map[string]golden{
 		pulsesGenerated:  1512,
 		history:          []float64{-4.3120000000000003, -4.0860000000000003, -4.6360000000000001},
 		method:           "dense",
+		snapshot:         0x17dd336321be8135,
 	},
 }
 
@@ -134,6 +145,21 @@ func checkGolden(t *testing.T, got report.RunResult, want golden) {
 	}
 }
 
+// checkSnapshot compares the hash of b's metrics snapshot with the
+// golden digest, printing the snapshot on a mismatch.
+func checkSnapshot(t *testing.T, b backend.Backend, want uint64) {
+	t.Helper()
+	js, err := backend.MetricsOf(b).Snapshot().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(js)
+	if got := h.Sum64(); got != want {
+		t.Errorf("metrics snapshot digest = %#x, want %#x; snapshot:\n%s", got, want, js)
+	}
+}
+
 // TestGoldenEquivalence runs both machines under both optimizers through
 // the unified backend run loop and asserts the exact seed-tree numbers.
 func TestGoldenEquivalence(t *testing.T) {
@@ -148,11 +174,17 @@ func TestGoldenEquivalence(t *testing.T) {
 		for algName, alg := range algs {
 			key := mach + "/" + algName
 			t.Run(key, func(t *testing.T) {
-				res, err := backend.Run(f, w, alg, o)
+				// backend.Run, with the backend kept for its snapshot.
+				b, err := f.New(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := backend.RunOn(b, w.InitialParams, alg, o)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkGolden(t, res, goldens[key])
+				checkSnapshot(t, b, goldens[key].snapshot)
 			})
 		}
 	}

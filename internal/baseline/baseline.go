@@ -51,10 +51,6 @@ type Config struct {
 	ADI          quantum.ADI
 	Shots        int
 	Seed         int64
-	// BatchResults ships all shot results in one message instead of one
-	// message per shot (an ablation; the default decoupled stack streams
-	// per shot).
-	BatchResults bool
 	// Method pins the chip's simulation method; route.Auto (zero value)
 	// keeps automatic routing.
 	Method route.Method
@@ -222,17 +218,11 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	s.m.shotTime.Observe(int64(ex.ShotTime))
 	s.m.methods[s.chip.Method()].Inc()
 
-	// 5. Results return over UDP.
+	// 5. Results return over UDP, one message per shot.
 	resultBytes := (s.workload.NQubits() + 7) / 8
-	if s.cfg.BatchResults {
-		b.Comm += s.cfg.Link.MessageTime(resultBytes * s.cfg.Shots)
-		b.HostComp += s.cfg.Core.Time(s.cfg.Costs.DriverPerMessage)
-		s.m.messages.Inc()
-	} else {
-		b.Comm += sim.Time(s.cfg.Shots) * s.cfg.Link.MessageTime(resultBytes)
-		b.HostComp += sim.Time(s.cfg.Shots) * s.cfg.Core.Time(s.cfg.Costs.DriverPerMessage)
-		s.m.messages.Add(int64(s.cfg.Shots))
-	}
+	b.Comm += sim.Time(s.cfg.Shots) * s.cfg.Link.MessageTime(resultBytes)
+	b.HostComp += sim.Time(s.cfg.Shots) * s.cfg.Core.Time(s.cfg.Costs.DriverPerMessage)
+	s.m.messages.Add(int64(s.cfg.Shots))
 
 	// 6. Host post-processing and optimizer arithmetic.
 	b.HostComp += s.cfg.Core.Time(s.cfg.Costs.PostProcess(s.cfg.Shots, s.workload.NQubits()))

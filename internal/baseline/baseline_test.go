@@ -84,26 +84,6 @@ func TestEvaluateAccounting(t *testing.T) {
 	}
 }
 
-func TestBatchResultsReducesComm(t *testing.T) {
-	w := smallQAOA(t)
-	run := func(batch bool) sim.Time {
-		cfg := DefaultConfig()
-		cfg.Shots = 200
-		cfg.BatchResults = batch
-		s, err := New(cfg, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Evaluate(w.InitialParams); err != nil {
-			t.Fatal(err)
-		}
-		return s.Result().Breakdown.Comm
-	}
-	if run(true) >= run(false) {
-		t.Error("batched results not cheaper than per-shot")
-	}
-}
-
 func TestRunGDAndSPSA(t *testing.T) {
 	w := smallQAOA(t)
 	cfg := DefaultConfig()

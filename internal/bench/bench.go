@@ -24,7 +24,8 @@ import (
 
 // Scale selects experiment size. Method optionally pins every run's
 // simulation engine (qtenon-bench -method); the route.Auto zero value
-// lets each chip's router choose per circuit.
+// lets each chip's router choose per circuit, except at the Figure 11/12
+// sweep points sweepScale sends to the product surrogate.
 type Scale struct {
 	Quick  bool
 	Method route.Method

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"qtenon/internal/route"
 )
 
 // All generators must run cleanly at Quick scale and emit their paper
@@ -46,6 +48,28 @@ func TestScaleParameters(t *testing.T) {
 	}
 	if Full.HeadlineQubits() != 64 {
 		t.Error("headline register must be 64 qubits at full scale")
+	}
+}
+
+// TestSweepPointMethod pins the engine each Figure 11/12 sweep point
+// runs with: a Full-scale 24q point runs the product surrogate instead
+// of an exact sharded statevector, points on either side keep automatic
+// routing (and their run-cache keys), and a -method override wins.
+func TestSweepPointMethod(t *testing.T) {
+	for _, c := range []struct {
+		sc   Scale
+		nq   int
+		want route.Method
+	}{
+		{Full, 16, route.Auto},
+		{Full, 24, route.Product},
+		{Full, 32, route.Auto},
+		{Scale{Method: route.Sharded}, 24, route.Sharded},
+		{Scale{Method: route.Dense}, 8, route.Dense},
+	} {
+		if got := sweepScale(c.sc, c.nq).Method; got != c.want {
+			t.Errorf("sweep point %dq under -method %s runs %s, want %s", c.nq, c.sc.Method, got, c.want)
+		}
 	}
 }
 

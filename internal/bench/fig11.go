@@ -2,10 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"qtenon/internal/host"
 	"qtenon/internal/report"
+	"qtenon/internal/route"
 	"qtenon/internal/vqa"
 )
 
@@ -16,6 +18,7 @@ type SweepRow struct {
 	Core      string
 	Classical float64 // classical-execution-time speedup over baseline
 	EndToEnd  float64 // end-to-end speedup over baseline
+	Method    string  // engine the Qtenon run executed on
 }
 
 // Figure11 reproduces the GD sweep: classical-execution-time speedup and
@@ -38,6 +41,19 @@ func Figure12(sc Scale) (string, error) {
 	return formatSweep(rows, true), nil
 }
 
+// sweepScale returns the scale one sweep point runs at. Points wider
+// than the dense window run on the product surrogate: the sweeps
+// measure simulated time, and exact 2^24-amplitude runs would take
+// hours. Points past the sharded window already route to product, so
+// they stay on Auto and keep their run-cache keys. A forced -method
+// always wins.
+func sweepScale(sc Scale, nq int) Scale {
+	if sc.Method == route.Auto && nq > route.DefaultDenseLimit && nq <= route.DefaultShardedLimit {
+		sc.Method = route.Product
+	}
+	return sc
+}
+
 // SweepRows computes the Figure 11/12 data points. The (workload ×
 // qubit-count) grid points are independent full optimizations, so they
 // fan out across the worker pool; rows are assembled by grid index, so
@@ -57,12 +73,13 @@ func SweepRows(sc Scale, spsa bool) ([]SweepRow, error) {
 	perPoint := make([][]SweepRow, len(points))
 	err := forEachPoint(len(points), func(i int) error {
 		pt := points[i]
-		base, err := runBaseline(pt.k, pt.nq, spsa, sc)
+		psc := sweepScale(sc, pt.nq)
+		base, err := runBaseline(pt.k, pt.nq, spsa, psc)
 		if err != nil {
 			return err
 		}
 		for _, core := range cores {
-			qt, err := runQtenon(pt.k, pt.nq, core, spsa, sc)
+			qt, err := runQtenon(pt.k, pt.nq, core, spsa, psc)
 			if err != nil {
 				return err
 			}
@@ -72,6 +89,7 @@ func SweepRows(sc Scale, spsa bool) ([]SweepRow, error) {
 				Core:      core.Name,
 				Classical: report.Speedup(base.Breakdown.Classical(), qt.Breakdown.Classical()),
 				EndToEnd:  report.Speedup(base.Breakdown.Total(), qt.Breakdown.Total()),
+				Method:    qt.Method,
 			})
 		}
 		return nil
@@ -108,13 +126,20 @@ func formatSweep(rows []SweepRow, spsa bool) string {
 	tb := newTable("workload", "qubits", "core", "classical ×", "end-to-end ×")
 	sums := map[vqa.Kind]float64{}
 	counts := map[vqa.Kind]int{}
+	var wide []string // engines that ran past the dense window
 	for _, r := range rows {
 		tb.AddRow(r.Workload.String(), r.Qubits, r.Core,
 			fmt.Sprintf("%.1f", r.Classical), fmt.Sprintf("%.2f", r.EndToEnd))
 		sums[r.Workload] += r.Classical
 		counts[r.Workload]++
+		if r.Qubits > route.DefaultDenseLimit && !slices.Contains(wide, r.Method) {
+			wide = append(wide, r.Method)
+		}
 	}
 	sb.WriteString(tb.String())
+	if len(wide) > 0 {
+		fmt.Fprintf(&sb, "engine above %d qubits: %s (-exp sharded runs 24q exactly)\n", route.DefaultDenseLimit, strings.Join(wide, ", "))
+	}
 	for _, k := range vqa.Kinds() {
 		if counts[k] > 0 {
 			fmt.Fprintf(&sb, "average classical speedup %s: %.1f×\n", k, sums[k]/float64(counts[k]))

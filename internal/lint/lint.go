@@ -16,6 +16,12 @@
 //     the approved tolerance helpers.
 //   - eventretention: closures scheduled on sim.Engine must not capture
 //     loop variables or scratch-backed slices.
+//   - parsafety: closures run by the internal/par executors or a go
+//     statement write only index-partitioned or closure-local state.
+//
+// Each analyzer reads one function at a time; none follows a call into
+// its callee. Bugs that cross a call are left to tests that run the
+// code: the golden RunResults and `go test -race`.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the suite can migrate onto the upstream framework
@@ -64,13 +70,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Prog is the whole-program interprocedural view (call graph +
-	// function summaries) shared by every package in a RunProgram load.
-	// Under the single-package entry points it still exists but covers
-	// only this package, so summaries of cross-package callees degrade to
-	// nil (assumed inert).
-	Prog *Program
 
 	report func(Diagnostic)
 }
@@ -195,36 +194,13 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) (ignoreIndex, []*di
 }
 
 // Run applies the analyzers to one loaded package and returns the
-// surviving diagnostics sorted by position. The interprocedural Program
-// is built over this package alone, so cross-package summaries degrade
-// to the inert assumption; multi-package loads should prefer RunProgram.
+// surviving diagnostics sorted by position. Every analyzer reads one
+// function at a time, so a package's findings do not depend on which
+// other packages were loaded with it. Diagnostics on a line governed by
+// a well-formed //lint:ignore directive naming the analyzer are
+// dropped; malformed directives are reported as diagnostics of the
+// pseudo-analyzer "lintdirective".
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return runPackage(pkg, NewProgram([]*Package{pkg}), analyzers)
-}
-
-// RunProgram builds one interprocedural Program over all the packages
-// and applies the analyzers to each, returning diagnostics grouped by
-// package (in the given package order) and sorted by position within
-// each. This is the whole-module entry point: summaries of callees in
-// sibling packages are real, not assumed inert.
-func RunProgram(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	prog := NewProgram(pkgs)
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		ds, err := runPackage(pkg, prog, analyzers)
-		if err != nil {
-			return nil, err
-		}
-		diags = append(diags, ds...)
-	}
-	return diags, nil
-}
-
-// runPackage applies the analyzers to one package under a shared
-// Program. Diagnostics on a line governed by a well-formed //lint:ignore
-// directive naming the analyzer are dropped; malformed directives are
-// reported as diagnostics of the pseudo-analyzer "lintdirective".
-func runPackage(pkg *Package, prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	idx, all := parseDirectives(pkg.Fset, pkg.Files)
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -234,7 +210,6 @@ func runPackage(pkg *Package, prog *Program, analyzers []*Analyzer) ([]Diagnosti
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			Prog:      prog,
 		}
 		pass.report = func(d Diagnostic) {
 			key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)

@@ -182,61 +182,6 @@ func matchWants(t *testing.T, diags []lint.Diagnostic, wants map[wantKey][]*want
 	}
 }
 
-// RunMulti type-checks a multi-package fixture module: every immediate
-// subdirectory of dir holding .go files becomes one package, loaded in
-// lexicographic order — name subdirectories so dependencies sort before
-// their importers (alib before buse). All packages run under ONE
-// interprocedural program via lint.RunProgram, which is what makes
-// cross-package summary fixtures (the interprocedural goldens)
-// expressible; want comments may sit in any of the packages, matched by
-// file basename, so basenames must be unique across the fixture.
-func RunMulti(t *testing.T, a *lint.Analyzer, dir string) {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("linttest: %v", err)
-	}
-	var pkgs []*lint.Package
-	wants := map[wantKey][]*wantPattern{}
-	basenames := map[string]string{}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		sub := filepath.Join(dir, e.Name())
-		hasGo := false
-		subEntries, err := os.ReadDir(sub)
-		if err != nil {
-			t.Fatalf("linttest: %v", err)
-		}
-		for _, se := range subEntries {
-			if !se.IsDir() && strings.HasSuffix(se.Name(), ".go") {
-				hasGo = true
-				if prev, dup := basenames[se.Name()]; dup {
-					t.Fatalf("linttest: duplicate basename %s in %s and %s — RunMulti matches wants by basename", se.Name(), prev, sub)
-				}
-				basenames[se.Name()] = sub
-			}
-		}
-		if !hasGo {
-			continue
-		}
-		pkg, w := loadFixture(t, sub)
-		pkgs = append(pkgs, pkg)
-		for k, pats := range w {
-			wants[k] = append(wants[k], pats...)
-		}
-	}
-	if len(pkgs) == 0 {
-		t.Fatalf("linttest: no fixture packages under %s", dir)
-	}
-	diags, err := lint.RunProgram(pkgs, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("linttest: running %s on %s: %v", a.Name, dir, err)
-	}
-	matchWants(t, diags, wants)
-}
-
 type wantKey struct {
 	file string
 	line int

@@ -51,8 +51,8 @@ type listPkg struct {
 //     package with export-data references to it would split its type
 //     identities);
 //  2. packages already type-checked from source in this load (each
-//     Check registers its result, which is how multi-package fixture
-//     modules — which have no export data — import one another);
+//     Check registers its result, so a package the source fallback
+//     checked once keeps one type identity for every importer);
 //  3. fallback: type-check the dependency from source, when go list
 //     reported its file list but produced no export data (a cold or
 //     poisoned build cache). Standard-library packages never take the
@@ -158,8 +158,8 @@ func NewExportResolver(fset *token.FileSet, lookup func(path string) (io.ReadClo
 // Check parses and type-checks one package's files against the
 // resolver's dependency closure. path is the import path the package is
 // checked under (analyzers scope rules by it). The checked package is
-// registered with the resolver, so later Checks in the same load can
-// import it from source — the multi-package fixture mechanism.
+// registered with the resolver, so later imports of it in the same load
+// reuse it instead of checking it again.
 func (r *Resolver) Check(path, dir string, fileNames []string) (*Package, error) {
 	if r.loading == nil {
 		r.loading = map[string]bool{}

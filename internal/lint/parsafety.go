@@ -16,7 +16,7 @@ var parExecutors = map[string]bool{
 }
 
 // ParSafety enforces the deterministic-reduction idiom (DESIGN.md §6,
-// §10): a closure handed to an internal/par executor — or launched with
+// §9.6): a closure handed to an internal/par executor — or launched with
 // a bare go statement — runs concurrently with its siblings, so every
 // write it performs must land in state partitioned by the closure's own
 // index parameters (out[i] = …, chunk-local accumulation over [lo,hi))
@@ -26,18 +26,15 @@ var parExecutors = map[string]bool{
 // (and therefore the bit pattern of float results) depend on goroutine
 // scheduling.
 //
-// The check is interprocedural: passing a captured value to a callee
-// whose summary says it mutates that parameter is a write too, and is
-// flagged unless the argument is sliced/indexed down to a partition
-// (fill(buf[lo:hi], …)) or the callee is steered by a partition index
-// through another argument (set(out, i, v)).
+// The check reads the closure body only. A write made by a callee the
+// closure calls is invisible to it; `go test -race` catches that one.
 //
 // The index-partition machinery itself lives in partitionScope
 // (partition.go).
 var ParSafety = &Analyzer{
 	Name:   "parsafety",
 	Doc:    "flag concurrent closures writing non-index-partitioned captured state",
-	Design: "§6, §10",
+	Design: "§6, §9.6",
 	Run:    runParSafety,
 }
 

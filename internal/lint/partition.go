@@ -216,59 +216,6 @@ func (sc *partitionScope) checkWrite(target ast.Expr, isDefine bool) {
 	}
 }
 
-// checkCall is the interprocedural leg: a captured value handed to a
-// callee that mutates it is a write from inside the closure. The call is
-// exempt when the argument itself is narrowed to a partition
-// (fill(buf[lo:hi])) or the callee is steered by a partition index
-// through an integer argument (set(out, i, v)).
-func (sc *partitionScope) checkCall(call *ast.CallExpr) {
-	callee := sc.pass.CalleeFunc(call)
-	if callee == nil {
-		return
-	}
-	sum := sc.pass.Prog.Summary(callee)
-	if sum == nil {
-		return
-	}
-	intArgSteered := func() bool {
-		for _, arg := range call.Args {
-			t := sc.pass.TypeOf(arg)
-			if t == nil {
-				continue
-			}
-			if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 && sc.mentionsDerived(arg) {
-				return true
-			}
-		}
-		return false
-	}
-	flagArg := func(e ast.Expr, what string) {
-		obj, free := sc.freeRoot(e)
-		if !free {
-			return
-		}
-		if sc.anyIndexDerived(e) || intArgSteered() {
-			return
-		}
-		sc.reportf(e.Pos(), "passes captured %q to %s, which its summary shows %s", obj.Name(), callee.Name(), what)
-	}
-	if sum.RecvMutated() {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			flagArg(sel.X, "mutates its receiver")
-		}
-	}
-	for i, arg := range call.Args {
-		if !sum.ArgMutated(i) {
-			continue
-		}
-		t := sc.pass.TypeOf(arg)
-		if t != nil && !typeAliases(t, 0) {
-			continue // value copy; the callee mutates its own copy
-		}
-		flagArg(arg, "writes through that parameter")
-	}
-}
-
 // walk runs the write checks over the closure body.
 func (sc *partitionScope) walk() {
 	ast.Inspect(sc.lit.Body, func(n ast.Node) bool {
@@ -279,8 +226,6 @@ func (sc *partitionScope) walk() {
 			}
 		case *ast.IncDecStmt:
 			sc.checkWrite(n.X, false)
-		case *ast.CallExpr:
-			sc.checkCall(n)
 		}
 		return true
 	})

@@ -9,8 +9,6 @@ func All() []*Analyzer {
 		FloatCompare,
 		EventRetention,
 		ParSafety,
-		UnitFlow,
-		DeepScratch,
 	}
 }
 

@@ -43,21 +43,6 @@ func TestParSafetyFixtures(t *testing.T) {
 	for _, dir := range []string{"bad", "good"} {
 		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.ParSafety, "testdata/parsafety/"+dir) })
 	}
-	t.Run("multipkg", func(t *testing.T) { linttest.RunMulti(t, lint.ParSafety, "testdata/parsafety/multipkg") })
-}
-
-func TestUnitFlowFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.UnitFlow, "testdata/unitflow/"+dir) })
-	}
-	t.Run("multipkg", func(t *testing.T) { linttest.RunMulti(t, lint.UnitFlow, "testdata/unitflow/multipkg") })
-}
-
-func TestDeepScratchFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.DeepScratch, "testdata/deepscratch/"+dir) })
-	}
-	t.Run("multipkg", func(t *testing.T) { linttest.RunMulti(t, lint.DeepScratch, "testdata/deepscratch/multipkg") })
 }
 
 // TestDirectives drives the //lint:ignore machinery programmatically:
@@ -136,13 +121,14 @@ func TestSuiteCleanOnModule(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages; pattern ./... should cover the module", len(pkgs))
 	}
-	// One program across all packages, exactly as the driver runs — the
-	// interprocedural analyzers see whole-module summaries.
-	diags, err := lint.RunProgram(pkgs, lint.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("%s", d)
+	// One package at a time, exactly as the driver runs.
+	for _, pkg := range pkgs {
+		diags, err := lint.Run(pkg, lint.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diags {
+			t.Errorf("%s", d)
+		}
 	}
 }

@@ -34,29 +34,6 @@ func derivedIndex(out []float64) {
 	})
 }
 
-func fill(dst []float64, v float64) {
-	for i := range dst {
-		dst[i] = v
-	}
-}
-
-func set(dst []float64, i int, v float64) { dst[i] = v }
-
-// A mutating callee is fine when its argument is narrowed to the
-// closure's partition…
-func partitionedCallee(out []float64) {
-	par.For(len(out), func(lo, hi int) {
-		fill(out[lo:hi], 1)
-	})
-}
-
-// …or when the callee is steered by the partition index itself.
-func steeredCallee(out []float64) {
-	par.Do(len(out), func(i int) {
-		set(out, i, 1)
-	})
-}
-
 // The slot-parameter go idiom: each writer owns the index it was
 // launched with.
 func pairEval(eval func() float64) (float64, float64) {
