@@ -24,7 +24,6 @@ import (
 
 	"qtenon/internal/bench"
 	"qtenon/internal/route"
-	"qtenon/internal/wallclock"
 )
 
 func main() {
@@ -124,14 +123,14 @@ func main() {
 	}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		sw := wallclock.Start()
+		start := time.Now()
 		out, err := bench.Run(name, sc)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qtenon-bench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
 		fmt.Print(out)
-		fmt.Printf("[%s completed in %v]\n\n", name, sw.Elapsed().Round(time.Millisecond))
+		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 	fmt.Println(bench.CacheStatsLine())
 }

@@ -77,6 +77,14 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	runQtenon, runBaseline, err := parseSystem(*sys)
+	if err != nil {
+		fail(err)
+	}
+	hostCore, err := parseCore(*core)
+	if err != nil {
+		fail(err)
+	}
 	w, err := vqa.New(kind, *qubits)
 	if err != nil {
 		fail(err)
@@ -98,8 +106,8 @@ func main() {
 
 	var qres, bres *report.RunResult
 	snapshots := map[string]metrics.Snapshot{}
-	if *sys == "qtenon" || *sys == "both" {
-		cfg := system.DefaultConfig(pickCore(*core))
+	if runQtenon {
+		cfg := system.DefaultConfig(hostCore)
 		cfg.Shots = *shots
 		if *noisy {
 			cfg.Noise = quantum.TypicalNISQ()
@@ -139,7 +147,7 @@ func main() {
 		}
 		snapshots["qtenon"] = qsys.Metrics().Snapshot()
 	}
-	if *sys == "baseline" || *sys == "both" {
+	if runBaseline {
 		cfg := baseline.DefaultConfig()
 		cfg.Shots = *shots
 		bsys, err := baseline.New(cfg, w)
@@ -181,11 +189,30 @@ func parseWorkload(name string) (vqa.Kind, error) {
 	}
 }
 
-func pickCore(name string) host.Core {
-	if strings.EqualFold(name, "rocket") {
-		return host.Rocket()
+// parseSystem reports which machines -system runs.
+func parseSystem(name string) (qtenon, baseline bool, err error) {
+	switch strings.ToLower(name) {
+	case "qtenon":
+		return true, false, nil
+	case "baseline":
+		return false, true, nil
+	case "both":
+		return true, true, nil
+	default:
+		return false, false, fmt.Errorf("unknown system %q (want qtenon|baseline|both)", name)
 	}
-	return host.BoomL()
+}
+
+// parseCore returns the Qtenon host core -core names.
+func parseCore(name string) (host.Core, error) {
+	switch strings.ToLower(name) {
+	case "rocket":
+		return host.Rocket(), nil
+	case "boom":
+		return host.BoomL(), nil
+	default:
+		return host.Core{}, fmt.Errorf("unknown core %q (want rocket|boom)", name)
+	}
 }
 
 func printRun(name string, res report.RunResult) {

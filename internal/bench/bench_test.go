@@ -8,10 +8,12 @@ import (
 )
 
 // All generators must run cleanly at Quick scale and emit their paper
-// reference lines.
+// reference lines, and the whole suite must render the same bytes every
+// time: neither the experiment order nor any table may follow map
+// iteration order.
 func TestAllGeneratorsQuick(t *testing.T) {
+	var first strings.Builder
 	for _, name := range Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			out, err := Run(name, QuickScale)
 			if err != nil {
@@ -23,7 +25,24 @@ func TestAllGeneratorsQuick(t *testing.T) {
 			if len(out) < 100 {
 				t.Errorf("suspiciously short report:\n%s", out)
 			}
+			first.WriteString(out)
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	for pass := 2; pass <= 3; pass++ {
+		var again strings.Builder
+		for _, name := range Names() {
+			out, err := Run(name, QuickScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again.WriteString(out)
+		}
+		if again.String() != first.String() {
+			t.Fatalf("pass %d rendered the quick suite differently from pass 1", pass)
+		}
 	}
 }
 

@@ -50,6 +50,12 @@ func TestSimplifyMergesRotations(t *testing.T) {
 	if s := Simplify(c); len(s.Gates) != 0 {
 		t.Errorf("RX(π)RX(π) not removed: %v", s.Gates)
 	}
+	// So do rotations summing to 0 up to rounding: the merged angle
+	// here is 5.55e-17, not 0.
+	c = NewBuilder(1).RZ(0, 0.1).RZ(0, 0.2).RZ(0, -0.3).MustBuild()
+	if s := Simplify(c); len(s.Gates) != 0 {
+		t.Errorf("RZ(0.1)RZ(0.2)RZ(-0.3) not removed: %v", s.Gates)
+	}
 	// RZZ merges regardless of operand order.
 	c = NewBuilder(2).RZZ(0, 1, 0.2).RZZ(1, 0, 0.3).MustBuild()
 	s = Simplify(c)

@@ -137,8 +137,6 @@ func matMul(a, b [4]complex128) [4]complex128 {
 // bit-for-bit zero may take it, so the check must not widen under a
 // tolerance (a near-diagonal matrix through the diagonal kernel would
 // silently drop its off-diagonal amplitude flow).
-//
-//lint:ignore floatcompare exact zero check selects a kernel; a tolerance would change numerics (DESIGN.md §9.4)
 func isDiagonal(m [4]complex128) bool { return m[1] == 0 && m[2] == 0 }
 
 // merge1Q folds a single-qubit matrix into the qubit's pending run.
@@ -340,11 +338,8 @@ type execScratch struct {
 // term only when every factor is bit-for-bit ±1. Exact comparison is
 // required — a factor merely close to ±1 must take the phase path or the
 // sweep's numerics would change.
-//
-//lint:ignore floatcompare exact ±1 check selects the parity kernel; a tolerance would change numerics (DESIGN.md §11.2)
 func termIsSign(f *[4]complex128) (lut uint8, ok bool) {
 	for p := 0; p < 4; p++ {
-		//lint:ignore floatcompare exact ±1 check selects the parity kernel; a tolerance would change numerics (DESIGN.md §11.2)
 		if imag(f[p]) != 0 {
 			return 0, false
 		}
@@ -488,9 +483,7 @@ func applyPhaseTermsRange(re, im []float64, terms []phaseTerm, lo, hi int) {
 			if end > hi {
 				end = hi
 			}
-			//lint:ignore floatcompare exact 1/0 factor tests select skip/real-scale fast paths; a tolerance would change numerics (DESIGN.md §11.2)
 			if ci == 0 {
-				//lint:ignore floatcompare exact 1 factor test selects the skip fast path; a tolerance would change numerics (DESIGN.md §11.2)
 				if cr == 1 {
 					continue
 				}

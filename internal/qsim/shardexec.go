@@ -163,9 +163,7 @@ func applyPhaseTermsChunk(re, im []float64, terms []phaseTerm, base int) {
 			p := ((g >> sA) & 1) | (((g >> sB) & 1) << 1)
 			cr, ci := t.fr[p], t.fi[p]
 			end := b + step
-			//lint:ignore floatcompare exact 1/0 factor tests select skip/real-scale fast paths; a tolerance would change numerics (DESIGN.md §11.2)
 			if ci == 0 {
-				//lint:ignore floatcompare exact 1 factor test selects the skip fast path; a tolerance would change numerics (DESIGN.md §11.2)
 				if cr == 1 {
 					continue
 				}

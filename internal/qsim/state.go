@@ -206,10 +206,7 @@ func (s *State) Fidelity(o *State) float64 {
 // whose imaginary parts are bit-for-bit zero qualify (RY/H/X products and
 // friends). The exact ==0 test is intentional — a tolerance would change
 // numerics by routing nearly-real matrices through the real kernel.
-//
-//lint:ignore floatcompare exact zero check selects a kernel; a tolerance would change numerics (DESIGN.md §11.2)
 func matIsReal(u *[4]complex128) bool {
-	//lint:ignore floatcompare exact zero check selects a kernel; a tolerance would change numerics (DESIGN.md §11.2)
 	return imag(u[0]) == 0 && imag(u[1]) == 0 && imag(u[2]) == 0 && imag(u[3]) == 0
 }
 

@@ -3,6 +3,7 @@ package quantum
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qtenon/internal/circuit"
@@ -254,5 +255,49 @@ func TestChipDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("chip not deterministic for fixed seed")
 		}
+	}
+}
+
+// Execution.Outcomes belongs to the caller: a later Execute on the same
+// chip must not write into a slice an earlier one returned, whichever
+// engine ran it.
+func TestExecuteOutcomesOwnedByCaller(t *testing.T) {
+	generic := circuit.NewBuilder(4).H(0).H(1).RY(2, 0.7).RX(3, 1.1).CX(0, 2).MeasureAll().MustBuild()
+	clifford := circuit.NewBuilder(4).H(0).H(1).H(2).H(3).CX(0, 1).S(2).MeasureAll().MustBuild()
+	for _, tc := range []struct {
+		method route.Method
+		c      *circuit.Circuit
+	}{
+		{route.Dense, generic},
+		{route.Sharded, generic},
+		{route.Product, generic},
+		{route.Clifford, clifford},
+	} {
+		t.Run(tc.method.String(), func(t *testing.T) {
+			chip, err := NewChip(4, 7, Noise{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			chip.ForceMethod(tc.method)
+			first, err := chip.Execute(tc.c, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := slices.Clone(first.Outcomes)
+			second, err := chip.Execute(tc.c, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := chip.Method(); got != tc.method {
+				t.Fatalf("ran %v, want %v", got, tc.method)
+			}
+			// Equal draws would hide an overwrite.
+			if slices.Equal(second.Outcomes, kept) {
+				t.Fatal("both executions drew the same outcomes")
+			}
+			if !slices.Equal(first.Outcomes, kept) {
+				t.Error("the second Execute changed the first Execute's outcomes")
+			}
+		})
 	}
 }

@@ -5,10 +5,10 @@
 // model's trajectory draws, the TileLink bus arbiter, SPSA's Rademacher
 // perturbations, the alias sampler's per-block sub-streams) must draw
 // from an explicitly seeded *rand.Rand obtained here, so a run is a pure
-// function of its configured seeds. The qtenon-lint determinism analyzer
-// forbids calling math/rand package-level functions — including
-// rand.New/rand.NewSource — anywhere else in the module; this package is
-// the one allowed implementation site.
+// function of its configured seeds. Outside tests, no other package
+// calls math/rand's package-level functions, rand.New or rand.NewSource.
+// The golden RunResults pin every stream (DESIGN.md §9): a stream drawn
+// from the global source, or seeded from the host, fails them.
 //
 // The streams are bit-for-bit identical to the pre-sweep inline
 // rand.New(rand.NewSource(seed)) constructions, so golden RunResults

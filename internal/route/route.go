@@ -115,9 +115,6 @@ type Router struct {
 	// DenseLimit is the widest register routed to the contiguous dense
 	// engine; 0 means DefaultDenseLimit.
 	DenseLimit int
-	// ShardedLimit is the widest register routed to the sharded dense
-	// engine; 0 means DefaultShardedLimit.
-	ShardedLimit int
 	// Force pins every circuit to one method (non-Auto); selection fails
 	// with an error when the forced method cannot run the circuit.
 	Force Method
@@ -131,13 +128,6 @@ func (r Router) denseLimit() int {
 		return r.DenseLimit
 	}
 	return DefaultDenseLimit
-}
-
-func (r Router) shardedLimit() int {
-	if r.ShardedLimit > 0 {
-		return r.ShardedLimit
-	}
-	return DefaultShardedLimit
 }
 
 // Select chooses a method for a bound circuit using the circuit's own
@@ -173,7 +163,7 @@ func (r Router) SelectWidth(c *circuit.Circuit, width int) (Method, Analysis, er
 		return Clifford, a, nil
 	case width <= r.denseLimit():
 		return Dense, a, nil
-	case width <= r.shardedLimit():
+	case width <= DefaultShardedLimit:
 		// Generic circuits past the contiguous window stay dense-exact
 		// on the sharded engine up to its window.
 		return Sharded, a, nil

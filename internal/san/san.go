@@ -1,9 +1,9 @@
 // Package san is the simsan runtime invariant sanitizer (DESIGN.md
-// §10): build-tag-gated dynamic checks that back up what qtenon-lint
-// proves statically. Build with `-tags=simsan` to arm it; in ordinary
-// builds the Enabled constant is false and every check — guarded at its
-// call site by `if san.Enabled` — is eliminated by the compiler, so the
-// hot paths carry zero overhead.
+// §10): build-tag-gated dynamic checks of invariants that a test cannot
+// observe from outside a component. Build with `-tags=simsan` to arm
+// it; in ordinary builds the Enabled constant is false and every check
+// — guarded at its call site by `if san.Enabled` — is eliminated by the
+// compiler, so the hot paths carry zero overhead.
 //
 // Three check families live behind the tag:
 //
