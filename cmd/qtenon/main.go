@@ -89,6 +89,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	cmap, err := parseCoupling(*coupling, *qubits)
+	if err != nil {
+		fail(err)
+	}
 	useSPSA := strings.EqualFold(*optimizer, "spsa")
 	if !useSPSA && !strings.EqualFold(*optimizer, "gd") {
 		fail(fmt.Errorf("unknown optimizer %q", *optimizer))
@@ -112,20 +116,7 @@ func main() {
 		if *noisy {
 			cfg.Noise = quantum.TypicalNISQ()
 		}
-		switch strings.ToLower(*coupling) {
-		case "all":
-		case "line":
-			cfg.Coupling = mapper.Line(*qubits)
-		case "grid":
-			rows := 1
-			for rows*rows < *qubits {
-				rows++
-			}
-			cols := (*qubits + rows - 1) / rows
-			cfg.Coupling = mapper.Grid(rows, cols)
-		default:
-			fail(fmt.Errorf("unknown coupling %q", *coupling))
-		}
+		cfg.Coupling = cmap
 		qsys, err := system.New(cfg, w)
 		if err != nil {
 			fail(err)
@@ -212,6 +203,27 @@ func parseCore(name string) (host.Core, error) {
 		return host.BoomL(), nil
 	default:
 		return host.Core{}, fmt.Errorf("unknown core %q (want rocket|boom)", name)
+	}
+}
+
+// parseCoupling returns the Qtenon coupling map -coupling names for a
+// register of the given width: nil (all-to-all) for "all", a line, or
+// the smallest near-square grid that holds every qubit. The width must
+// be positive.
+func parseCoupling(name string, qubits int) (*mapper.Coupling, error) {
+	switch strings.ToLower(name) {
+	case "all":
+		return nil, nil
+	case "line":
+		return mapper.Line(qubits), nil
+	case "grid":
+		rows := 1
+		for rows*rows < qubits {
+			rows++
+		}
+		return mapper.Grid(rows, (qubits+rows-1)/rows), nil
+	default:
+		return nil, fmt.Errorf("unknown coupling %q (want all|line|grid)", name)
 	}
 }
 

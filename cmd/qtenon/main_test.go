@@ -51,3 +51,36 @@ func TestParseCore(t *testing.T) {
 		}
 	}
 }
+
+func TestParseCoupling(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		qubits int
+		want   int // physical qubits; 0 for all-to-all (nil map)
+	}{
+		{"all", 5, 0},
+		{"ALL", 8, 0},
+		{"line", 5, 5},
+		{"Line", 8, 8},
+		{"grid", 5, 6},
+		{"GRID", 9, 9},
+	} {
+		got, err := parseCoupling(tc.name, tc.qubits)
+		if err != nil {
+			t.Errorf("parseCoupling(%q, %d): %v", tc.name, tc.qubits, err)
+			continue
+		}
+		n := 0
+		if got != nil {
+			n = got.NQubits()
+		}
+		if n != tc.want {
+			t.Errorf("parseCoupling(%q, %d) has %d physical qubits, want %d", tc.name, tc.qubits, n, tc.want)
+		}
+	}
+	for _, bad := range []string{"bogus", "", "ring"} {
+		if _, err := parseCoupling(bad, 5); err == nil {
+			t.Errorf("parseCoupling(%q) accepted", bad)
+		}
+	}
+}

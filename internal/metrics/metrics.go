@@ -18,6 +18,10 @@
 //   - Registries are never shared between machine instances: each
 //     factory-minted backend owns its own, so concurrent sweeps stay
 //     isolated. Instruments are individually race-safe regardless.
+//   - Counters only grow and timers observe non-negative durations.
+//     No code checks this: every instrument of a golden machine is in
+//     the snapshot whose digest internal/backend's goldens pin, so a
+//     negative delta fails TestGoldenEquivalence.
 package metrics
 
 import (
@@ -26,25 +30,18 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"qtenon/internal/san"
 )
 
 // Counter is a monotonically increasing accumulator.
 type Counter struct {
-	v    atomic.Int64
-	name string // registry name, for sanitizer diagnostics
+	v atomic.Int64
 }
 
-// Add increases the counter. Calling on a nil counter is a no-op.
-// Counters are monotone; under the simsan build tag a negative delta
-// panics naming the instrument.
+// Add increases the counter by d, which must not be negative. Calling
+// on a nil counter is a no-op.
 func (c *Counter) Add(d int64) {
 	if c == nil {
 		return
-	}
-	if san.Enabled && d < 0 {
-		san.Failf("metrics", "counter %q decremented by %d — counters are monotone", c.name, d)
 	}
 	c.v.Add(d)
 }
@@ -63,13 +60,10 @@ func (c *Counter) Value() int64 {
 // Gauge tracks an instantaneous level and its high-water mark.
 type Gauge struct {
 	v, high atomic.Int64
-	name    string // registry name, for sanitizer diagnostics
 }
 
 // Set records the current level and lifts the high-water mark if the
-// level exceeds it. Calling on a nil gauge is a no-op. Under the simsan
-// build tag each Set audits that the high-water mark ends at or above
-// the level just set.
+// level exceeds it. Calling on a nil gauge is a no-op.
 func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
@@ -79,11 +73,6 @@ func (g *Gauge) Set(v int64) {
 		h := g.high.Load()
 		if v <= h || g.high.CompareAndSwap(h, v) {
 			break
-		}
-	}
-	if san.Enabled {
-		if h := g.high.Load(); h < v {
-			san.Failf("metrics", "gauge %q high-water %d below the level %d just set", g.name, h, v)
 		}
 	}
 }
@@ -108,18 +97,13 @@ func (g *Gauge) High() int64 {
 // observe sim.Time picoseconds); the registry only sums and counts.
 type Timer struct {
 	count, total atomic.Int64
-	name         string // registry name, for sanitizer diagnostics
 }
 
-// Observe adds one duration sample. Calling on a nil timer is a no-op.
-// Durations are non-negative; under the simsan build tag a negative
-// sample panics naming the instrument.
+// Observe adds one duration sample, which must not be negative. Calling
+// on a nil timer is a no-op.
 func (t *Timer) Observe(d int64) {
 	if t == nil {
 		return
-	}
-	if san.Enabled && d < 0 {
-		san.Failf("metrics", "timer %q observed negative duration %d", t.name, d)
 	}
 	t.count.Add(1)
 	t.total.Add(d)
@@ -166,7 +150,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -184,7 +168,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
@@ -202,7 +186,7 @@ func (r *Registry) Timer(name string) *Timer {
 	}
 	t, ok := r.timers[name]
 	if !ok {
-		t = &Timer{name: name}
+		t = &Timer{}
 		r.timers[name] = t
 	}
 	return t

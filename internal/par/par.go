@@ -20,10 +20,12 @@
 //     a worker that is itself waiting, and the owner always participates
 //     in its own job, so every job completes.
 //
-// The pool is lazily spawned and persists for the life of the process.
-// Workers pull jobs from a shared queue; a job is a bag of chunks drained
-// through one atomic counter, which gives dynamic load balancing without
-// per-chunk goroutines.
+// The pool is lazily spawned and persists for the life of the process;
+// its workers are the module's only persistent goroutines, and
+// TestDispatchLeavesNoGoroutines fails when a dispatch leaves any other
+// goroutine running. Workers pull jobs from a shared queue; a job is a
+// bag of chunks drained through one atomic counter, which gives dynamic
+// load balancing without per-chunk goroutines.
 package par
 
 import (
@@ -136,29 +138,11 @@ func ensureSpawned(n int) {
 		if spawned.CompareAndSwap(cur, cur+1) {
 			go func() {
 				for j := range work {
-					if j == nil {
-						return // Shutdown poison: the pool is winding down
-					}
 					j.run()
 					j.wg.Done()
 				}
 			}()
 		}
-	}
-}
-
-// Shutdown winds the persistent pool down to zero goroutines: every
-// live worker is handed a nil poison job and the spawn count resets, so
-// the next parallel call respawns a fresh pool. It is a quiescence seam
-// for tests and the simsan goroutine-leak canary, not a serving-path
-// operation; the caller must ensure no dispatch is in flight.
-func Shutdown() {
-	n := int(spawned.Swap(0))
-	for i := 0; i < n; i++ {
-		// The queue's capacity exceeds any real worker count and, by the
-		// quiescence precondition, workers are parked receiving on it, so
-		// poison delivery is bounded.
-		work <- nil
 	}
 }
 

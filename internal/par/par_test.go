@@ -281,3 +281,36 @@ func TestPanicReleasesPool(t *testing.T) {
 		}
 	})
 }
+
+// The pool's workers are the module's only persistent goroutines, so a
+// warmed pool must leave the live goroutine count where it found it
+// after any mix of dispatches: top-level, nested, reducing and
+// panicking. A leaked goroutine can only raise the count and one still
+// exiting from an earlier test can only lower it, so the check polls
+// with backoff until the count settles at or below the warm-up count.
+func TestDispatchLeavesNoGoroutines(t *testing.T) {
+	SetWorkers(4)
+	defer SetWorkers(0)
+	const n = 2 * SerialThreshold
+	noop := func(lo, hi int) {}
+	For(n, noop)
+	warm := runtime.NumGoroutine()
+	const rounds = 100
+	for round := 0; round < rounds; round++ {
+		For(n, noop)
+		Do(4, func(int) { For(n, noop) })
+		SumFloat64(n, func(lo, hi int) float64 { return float64(hi - lo) })
+		func() {
+			defer func() { _ = recover() }()
+			Do(2, func(int) { panic("poison") })
+		}()
+	}
+	live := runtime.NumGoroutine()
+	for wait := time.Millisecond; live > warm && wait < time.Second; wait *= 2 {
+		time.Sleep(wait)
+		live = runtime.NumGoroutine()
+	}
+	if live > warm {
+		t.Fatalf("%d live goroutines after %d rounds of dispatch, %d after warm-up", live, rounds, warm)
+	}
+}

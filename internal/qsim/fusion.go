@@ -64,19 +64,24 @@ type diagTerm struct {
 	f      [4]complex128
 }
 
+// OpKind distinguishes the three fused-operation shapes a compiled
+// program contains.
+type OpKind uint8
+
+// The fused-op kinds.
+const (
+	Op1Q OpKind = iota
+	OpCX
+	OpDiag
+)
+
 // fusedOp is one compiled operation.
 type fusedOp struct {
-	kind  uint8 // op1Q, opCX or opDiag
+	kind  OpKind
 	q, q2 int
 	u     [4]complex128
 	terms []diagTerm
 }
-
-const (
-	op1Q uint8 = iota
-	opCX
-	opDiag
-)
 
 // fuser accumulates the fused program. It doubles as reusable scratch:
 // reset recycles the ops slice (including retired per-op term storage)
@@ -112,7 +117,7 @@ func (f *fuser) reset(nq int) {
 	f.batchQ, f.batchBlocked = 0, 0
 }
 
-// appendOp appends a term-free op (op1Q, opCX, or a placeholder),
+// appendOp appends a term-free op (Op1Q, OpCX, or a placeholder),
 // reusing slice capacity like append.
 func (f *fuser) appendOp(op fusedOp) {
 	n := len(f.ops)
@@ -177,7 +182,7 @@ func (f *fuser) flush(q int) {
 		f.openBatch(t, bit)
 		return
 	}
-	op := fusedOp{kind: op1Q, q: q, u: p}
+	op := fusedOp{kind: Op1Q, q: q, u: p}
 	if f.batch >= 0 && (f.batchQ|f.batchBlocked)&bit == 0 {
 		f.appendOp(fusedOp{})
 		copy(f.ops[f.batch+1:], f.ops[f.batch:])
@@ -200,9 +205,9 @@ func (f *fuser) openBatch(t diagTerm, qbits uint32) {
 	if n < cap(f.ops) {
 		f.ops = f.ops[:n+1]
 		terms := append(f.ops[n].terms[:0], t)
-		f.ops[n] = fusedOp{kind: opDiag, terms: terms}
+		f.ops[n] = fusedOp{kind: OpDiag, terms: terms}
 	} else {
-		f.ops = append(f.ops, fusedOp{kind: opDiag, terms: []diagTerm{t}})
+		f.ops = append(f.ops, fusedOp{kind: OpDiag, terms: []diagTerm{t}})
 	}
 	f.batch = n
 	f.batchQ, f.batchBlocked = qbits, 0
@@ -260,7 +265,7 @@ func fuse(gates []circuit.Gate, f *fuser) []fusedOp {
 		case circuit.CX:
 			f.flush(g.Qubit)
 			f.flush(g.Qubit2)
-			f.appendOp(fusedOp{kind: opCX, q: g.Qubit, q2: g.Qubit2})
+			f.appendOp(fusedOp{kind: OpCX, q: g.Qubit, q2: g.Qubit2})
 			if f.batch >= 0 {
 				f.batchBlocked |= uint32(1)<<g.Qubit | uint32(1)<<g.Qubit2
 			}
@@ -294,9 +299,9 @@ func minMax(a, b int) (int, int) {
 // and a diagonal sweep is elementwise (always tileable).
 func opTileable(op *fusedOp) bool {
 	switch op.kind {
-	case op1Q:
+	case Op1Q:
 		return 1<<(op.q+1) <= tileAmps
-	case opCX:
+	case OpCX:
 		return 1<<op.q2 < tileAmps
 	default:
 		return true
@@ -318,7 +323,7 @@ type phaseTerm struct {
 	fr, fi [4]float64
 }
 
-// diagPrep indexes one opDiag's classified terms inside execScratch's
+// diagPrep indexes one OpDiag's classified terms inside execScratch's
 // flat arrays.
 type diagPrep struct {
 	signOff, signLen   int
@@ -354,7 +359,7 @@ func termIsSign(f *[4]complex128) (lut uint8, ok bool) {
 	return lut, true
 }
 
-// prepare classifies every opDiag in the group into sign and phase
+// prepare classifies every OpDiag in the group into sign and phase
 // terms, preserving relative phase-term order. Reordering the exact ±1
 // sign factors after the phase factors is safe: multiplication by ±1 is
 // exact, so it commutes bit-for-bit with the other multiplies (up to the
@@ -368,7 +373,7 @@ func (x *execScratch) prepare(ops []fusedOp) []diagPrep {
 	x.signs = x.signs[:0]
 	x.phases = x.phases[:0]
 	for k := range ops {
-		if ops[k].kind != opDiag {
+		if ops[k].kind != OpDiag {
 			x.preps[k] = diagPrep{}
 			continue
 		}
@@ -412,9 +417,9 @@ func (s *State) applyFused(ops []fusedOp) {
 		}
 		op := &ops[i]
 		switch op.kind {
-		case op1Q:
+		case Op1Q:
 			s.apply1Q(op.q, op.u[0], op.u[1], op.u[2], op.u[3])
-		case opCX:
+		case OpCX:
 			s.applyCX(op.q, op.q2)
 		}
 		i++
@@ -441,7 +446,7 @@ func (s *State) applyTiled(ops []fusedOp) {
 			for k := range ops {
 				op := &ops[k]
 				switch op.kind {
-				case op1Q:
+				case Op1Q:
 					stride := 1 << op.q
 					// base is 2·stride-aligned, so the tile's pairs are
 					// exactly pair indices [base/2, end/2).
@@ -451,9 +456,9 @@ func (s *State) applyTiled(ops []fusedOp) {
 					} else {
 						apply1QCmplxPairs(re, im, stride, &op.u, base>>1, end>>1)
 					}
-				case opCX:
+				case OpCX:
 					applyCXRange(re, im, 1<<op.q, 1<<op.q2, base, end)
-				case opDiag:
+				case OpDiag:
 					p := preps[k]
 					applyPhaseTermsRange(re, im, phases[p.phaseOff:p.phaseOff+p.phaseLen], base, end)
 					applySignTermsRange(re, im, signs[p.signOff:p.signOff+p.signLen], base, end)

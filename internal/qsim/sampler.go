@@ -5,7 +5,6 @@ import (
 	qrng "qtenon/internal/rng"
 
 	"qtenon/internal/par"
-	"qtenon/internal/san"
 )
 
 // Measurement sampling. The old implementation rebuilt an O(2^n)
@@ -139,7 +138,8 @@ func (s *State) ensureSampler() *aliasTable {
 // Sample draws `shots` full-register measurement outcomes (basis-state
 // indices, qubit 0 in bit 0) without collapsing the state. The alias
 // table is cached on the State, so repeated sampling of an unchanged
-// state costs O(shots) after the first call.
+// state costs O(shots) after the first call. The returned slice is
+// freshly allocated and owned by the caller.
 //
 // rng must not be shared with other goroutines while Sample runs; it is
 // consumed only on the calling goroutine (one seed draw per shot block),
@@ -148,31 +148,8 @@ func (s *State) Sample(shots int, rng *rand.Rand) []uint64 {
 	if shots <= 0 {
 		return nil
 	}
-	return s.AppendSample(nil, shots, rng)
-}
-
-// AppendSample appends `shots` outcomes to dst and returns the extended
-// slice — the reuse-friendly form of Sample (pass a recycled dst[:0] to
-// make steady-state sampling allocation-free apart from the cached
-// table). The outcome stream is identical to Sample's for the same rng
-// state.
-func (s *State) AppendSample(dst []uint64, shots int, rng *rand.Rand) []uint64 {
-	if shots <= 0 {
-		return dst
-	}
-	if san.Enabled {
-		san.Verify("qsim.State.AppendSample", dst)
-	}
 	t := s.ensureSampler()
-	start := len(dst)
-	if tot := start + shots; tot <= cap(dst) {
-		dst = dst[:tot]
-	} else {
-		next := make([]uint64, tot)
-		copy(next, dst)
-		dst = next
-	}
-	out := dst[start:]
+	out := make([]uint64, shots)
 	nblocks := (shots + sampleBlock - 1) / sampleBlock
 	seeds := s.appendSeeds(nblocks, rng)
 	par.Do(nblocks, func(b int) {
@@ -186,10 +163,7 @@ func (s *State) AppendSample(dst []uint64, shots int, rng *rand.Rand) []uint64 {
 			out[k] = uint64(t.draw(sub))
 		}
 	})
-	if san.Enabled {
-		san.Plant("qsim.State.AppendSample", dst)
-	}
-	return dst
+	return out
 }
 
 // appendSeeds draws one sub-stream seed per block into a reusable

@@ -30,17 +30,6 @@ import (
 // outcome streams).
 const SampleBlock = sampleBlock
 
-// OpKind distinguishes the three fused-operation shapes a compiled
-// program contains.
-type OpKind uint8
-
-// The fused-op kinds, mirroring the private op1Q/opCX/opDiag tags.
-const (
-	Op1Q OpKind = iota
-	OpCX
-	OpDiag
-)
-
 // FusedProgram is a compiled fused-gate program plus the classified
 // diagonal terms the tiled executor would use — the exact op stream
 // State.applyFused runs, exposed for out-of-package executors. The
@@ -70,9 +59,9 @@ func (p *FusedProgram) NumOps() int { return len(p.ops) }
 func (p *FusedProgram) OpInfo(i int) (kind OpKind, q, q2 int) {
 	op := &p.ops[i]
 	switch op.kind {
-	case op1Q:
+	case Op1Q:
 		return Op1Q, op.q, -1
-	case opCX:
+	case OpCX:
 		return OpCX, op.q, op.q2
 	default:
 		return OpDiag, -1, -1

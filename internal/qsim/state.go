@@ -47,7 +47,6 @@ import (
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/par"
-	"qtenon/internal/san"
 )
 
 // MaxQubits bounds exact simulation; 2^24 amplitudes (256 MiB) is the
@@ -475,9 +474,6 @@ func (s *State) Probabilities() []float64 {
 // form of Probabilities (pass dst[:0] to recycle a prior snapshot's
 // storage).
 func (s *State) AppendProbabilities(dst []float64) []float64 {
-	if san.Enabled {
-		san.Verify("qsim.State.AppendProbabilities", dst)
-	}
 	re, im := s.re, s.im
 	start := len(dst)
 	dst = growFloat64(dst, len(re))
@@ -487,9 +483,6 @@ func (s *State) AppendProbabilities(dst []float64) []float64 {
 			p[i] = re[i]*re[i] + im[i]*im[i]
 		}
 	})
-	if san.Enabled {
-		san.Plant("qsim.State.AppendProbabilities", dst)
-	}
 	return dst
 }
 

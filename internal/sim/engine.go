@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"qtenon/internal/metrics"
-	"qtenon/internal/san"
-)
+import "qtenon/internal/metrics"
 
 // Engine is a discrete-event simulator. Events are closures scheduled at
 // absolute virtual times; Run executes them in timestamp order (FIFO
@@ -146,33 +143,12 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ev := e.heap.pop()
-	if san.Enabled {
-		e.sanCheckPop(&ev)
-	}
 	e.now = ev.at
 	e.nexec++
 	e.cEvents.Inc()
 	e.gDepth.Set(int64(e.Pending()))
 	ev.fn()
 	return true
-}
-
-// sanCheckPop audits the event-ordering invariants after each pop; it
-// runs only under the simsan build tag (the call site gates on
-// san.Enabled, so ordinary builds compile it away along with the call).
-// Two invariants: the popped event must not precede the clock
-// (causality — executing it would rewind time for its observers), and
-// the 4-ary heap must satisfy its shape property at every node.
-func (e *Engine) sanCheckPop(ev *event) {
-	if ev.at < e.now {
-		san.Failf("sim.Engine", "causality violation: popped event at t=%d (seq %d) precedes now=%d", int64(ev.at), ev.seq, int64(e.now))
-	}
-	for i := 1; i < len(e.heap); i++ {
-		if p := (i - 1) / 4; e.heap[i].before(&e.heap[p]) {
-			san.Failf("sim.Engine", "heap order violated: child %d (t=%d seq=%d) sorts before parent %d (t=%d seq=%d)",
-				i, int64(e.heap[i].at), e.heap[i].seq, p, int64(e.heap[p].at), e.heap[p].seq)
-		}
-	}
 }
 
 // Run executes events until the queue drains and returns the final

@@ -85,3 +85,27 @@ func TestRoutedCostStatisticallyConsistent(t *testing.T) {
 		t.Errorf("routed cost %v vs all-to-all %v differ by %v", r, a, diff)
 	}
 }
+
+// A coupling map wider than the workload routes onto more physical
+// qubits than the circuit has logical ones; every hardware structure,
+// the SLT bank included, is sized by the routed width.
+func TestSystemOnWiderCouplingMap(t *testing.T) {
+	w, err := vqa.New(vqa.QAOA, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(host.Rocket())
+	cfg.Shots = 200
+	cfg.Coupling = mapper.Grid(3, 2)
+	s, err := New(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost, err := s.Evaluate(w.InitialParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost > 0 {
+		t.Errorf("cost = %v, want ≤ 0", cost)
+	}
+}

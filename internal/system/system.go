@@ -224,7 +224,7 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	bank := slt.NewBank(w.NQubits(), cacheCfg.PulseEntries)
+	bank := slt.NewBank(exec.NQubits, cacheCfg.PulseEntries)
 	pcfg := pipeline.Config{
 		PGUs:       cfg.PGUs,
 		PGULatency: cfg.PGULatency,

@@ -1,10 +1,6 @@
 package tilelink
 
-import (
-	"fmt"
-
-	"qtenon/internal/san"
-)
+import "fmt"
 
 // TransferResult reports a completed multi-beat transfer.
 type TransferResult struct {
@@ -38,9 +34,6 @@ func TransferReuse(bus *Bus, rbq *RBQ, addr uint64, beats int, write bool, data,
 	}
 	if write && len(data) < beats {
 		return TransferResult{}, fmt.Errorf("tilelink: %d payload beats for %d-beat write", len(data), beats)
-	}
-	if san.Enabled {
-		san.Verify("tilelink.TransferReuse", dataBuf)
 	}
 	start := bus.Now()
 	var res TransferResult
@@ -89,9 +82,6 @@ func TransferReuse(bus *Bus, rbq *RBQ, addr uint64, beats int, write bool, data,
 		}
 	}
 	res.Cycles = bus.Now() - start
-	if san.Enabled {
-		san.Plant("tilelink.TransferReuse", res.Data)
-	}
 	return res, nil
 }
 
