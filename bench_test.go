@@ -17,7 +17,6 @@ import (
 	"qtenon/internal/opt"
 	"qtenon/internal/par"
 	"qtenon/internal/qsim"
-	"qtenon/internal/qsim/engine"
 	"qtenon/internal/slt"
 	"qtenon/internal/system"
 	"qtenon/internal/tilelink"
@@ -76,11 +75,7 @@ func BenchmarkStatevector12Qubit(b *testing.B) {
 func benchApply1Q(b *testing.B, workers int) {
 	par.SetWorkers(workers)
 	defer par.SetWorkers(0)
-	d, err := engine.NewDense(20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := d.State()
+	s := qsim.NewState(20)
 	g := circuit.Gate{Kind: circuit.H, Qubit: 9, Param: circuit.NoParam}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

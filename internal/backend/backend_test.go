@@ -48,8 +48,8 @@ func TestMetricsOf(t *testing.T) {
 
 // TestSnapshotCoversMachineLayers is the acceptance check for the
 // metrics registry: one optimization run on the Qtenon machine must
-// leave live (non-zero) counters from at least six distinct hardware/
-// software layers in a single snapshot.
+// leave a live (non-zero) count from every hardware/software layer in a
+// single snapshot.
 func TestSnapshotCoversMachineLayers(t *testing.T) {
 	w := goldenWorkload(t)
 	b, err := system.Factory{Cfg: system.DefaultConfig(host.Rocket())}.New(w)
@@ -60,23 +60,6 @@ func TestSnapshotCoversMachineLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := backend.MetricsOf(b).Snapshot()
-	components := snap.Components()
-	if len(components) < 6 {
-		t.Fatalf("snapshot covers %d components %v, want ≥ 6", len(components), components)
-	}
-	// Every layer named in the acceptance criteria must be present and
-	// must have actually counted something.
-	for _, want := range []string{"sim", "tilelink", "slt", "controller", "pulse", "host"} {
-		found := false
-		for _, c := range components {
-			if c == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("component %q missing from snapshot (have %v)", want, components)
-		}
-	}
 	live := map[string]int64{
 		"sim.events_executed":      snap.Counters["sim.events_executed"],
 		"tilelink.beats_issued":    snap.Counters["tilelink.beats_issued"],

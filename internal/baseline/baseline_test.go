@@ -95,14 +95,14 @@ func TestRunGDAndSPSA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gd.Evaluations != opt.GDEvaluationsPerRun(w.NumParams(), 2) {
+	if gd.Evaluations != (2*w.NumParams()+1)*2 {
 		t.Errorf("GD evals = %d", gd.Evaluations)
 	}
 	sp, err := backend.Run(Factory{Cfg: cfg}, w, backend.SPSA, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Evaluations != opt.SPSAEvaluationsPerRun(2) {
+	if sp.Evaluations != 3*2 {
 		t.Errorf("SPSA evals = %d", sp.Evaluations)
 	}
 	// GD runs more evaluations than SPSA here, so every category grows.

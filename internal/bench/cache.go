@@ -91,16 +91,6 @@ func CacheStats() (hits, misses int64) {
 	return cache.hits.Load(), cache.misses.Load()
 }
 
-// ResetCache drops all cached runs and zeroes the counters (tests, and
-// any caller that wants a cold regeneration).
-func ResetCache() {
-	cache.mu.Lock()
-	cache.entries = nil
-	cache.mu.Unlock()
-	cache.hits.Store(0)
-	cache.misses.Store(0)
-}
-
 // CacheStatsLine renders the counters for report footers and logs.
 func CacheStatsLine() string {
 	h, m := CacheStats()

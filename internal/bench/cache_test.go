@@ -14,6 +14,16 @@ import (
 	"qtenon/internal/vqa"
 )
 
+// resetCache drops all cached runs and zeroes the counters, so a test
+// starts from a cold cache.
+func resetCache() {
+	cache.mu.Lock()
+	cache.entries = nil
+	cache.mu.Unlock()
+	cache.hits.Store(0)
+	cache.misses.Store(0)
+}
+
 // TestRunCacheExactlyOnce hammers one key from many goroutines and
 // checks the run body executed exactly once, with every caller seeing
 // the same result.
@@ -139,8 +149,8 @@ func TestRunCacheKeysDiscriminate(t *testing.T) {
 // runs differing only in the pinned engine could be served one cached
 // result. They must execute as two unique runs.
 func TestMethodPinnedRunsDoNotShareCache(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
+	resetCache()
+	defer resetCache()
 	var results [2]report.RunResult
 	for i, sc := range [2]Scale{
 		{Quick: true},
@@ -172,8 +182,8 @@ func TestMethodPinnedRunsDoNotShareCache(t *testing.T) {
 // underlying run and checks the cache deduplicated it, while a cold
 // cache executes every unique run as a miss.
 func TestFiguresShareRuns(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
+	resetCache()
+	defer resetCache()
 	if _, err := Figure13(QuickScale); err != nil {
 		t.Fatal(err)
 	}

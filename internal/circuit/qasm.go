@@ -9,10 +9,11 @@ import (
 )
 
 // This file implements a pragmatic OpenQASM 2.0 subset — enough to
-// round-trip every circuit the workloads generate. The decoupled baseline
-// system compiles circuits through this textual form (the paper's baseline
-// pipeline is Qiskit → OpenQASM → FPGA binary), so its size and parse cost
-// are part of the baseline cost model.
+// round-trip every circuit the workloads generate. ParseQASM is the
+// reader `qtenon-asm -dump` runs. WriteQASM is its round-trip oracle:
+// the fuzz and round-trip tests check the parser against it, and no
+// program writes QASM. (The decoupled baseline sizes its upload from
+// the eQASM code internal/isa generates, not from this text.)
 
 // WriteQASM serializes a fully bound circuit (no free parameters) as
 // OpenQASM 2.0.

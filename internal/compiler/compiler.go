@@ -119,15 +119,9 @@ func (p *Program) TotalEntries() int {
 	return n
 }
 
-// RegfileImage renders a parameter vector as quantized .regfile contents.
-func (p *Program) RegfileImage(params []float64) ([]uint32, error) {
-	return p.AppendRegfileImage(nil, params)
-}
-
-// AppendRegfileImage appends the quantized .regfile image of params to
-// dst and returns the extended slice — the reuse-friendly form of
-// RegfileImage (pass a recycled dst[:0] to render images without
-// allocating).
+// AppendRegfileImage appends the quantized .regfile image of params —
+// one register per parameter — to dst and returns the extended slice
+// (pass a recycled dst[:0] to render images without allocating).
 func (p *Program) AppendRegfileImage(dst []uint32, params []float64) ([]uint32, error) {
 	if len(params) != len(p.ParamReg) {
 		return nil, fmt.Errorf("compiler: %d params for %d registers", len(params), len(p.ParamReg))

@@ -101,14 +101,14 @@ func TestCompileRejects(t *testing.T) {
 
 func TestRegfileImageAndDiff(t *testing.T) {
 	p, _, _ := compileSmall(t)
-	img, err := p.RegfileImage([]float64{0.25, 1.5})
+	img, err := p.AppendRegfileImage(nil, []float64{0.25, 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if img[0] != qcc.QuantizeAngle(0.25) || img[1] != qcc.QuantizeAngle(1.5) {
 		t.Errorf("image = %v", img)
 	}
-	if _, err := p.RegfileImage([]float64{1}); err == nil {
+	if _, err := p.AppendRegfileImage(nil, []float64{1}); err == nil {
 		t.Error("accepted wrong arity")
 	}
 

@@ -29,16 +29,18 @@ func (p *Program) Listing(cfg qcc.Config) string {
 //
 //	ry reg[3]            status=invalid
 //	rx 1.570796          status=valid qaddr=0x12
+//	h                    status=valid qaddr=0x3
 //	measure              status=valid
+//
+// Only the rotation kinds (circuit.Kind.Parameterized) print an angle.
 func FormatEntry(e qcc.ProgramEntry) string {
 	kind := circuit.Kind(e.Type)
 	var operand string
 	switch {
 	case kind == circuit.Measure:
-		operand = ""
 	case e.RegFlag:
 		operand = fmt.Sprintf(" reg[%d]", e.Data)
-	default:
+	case kind.Parameterized():
 		operand = fmt.Sprintf(" %.6f", qcc.DequantizeAngle(e.Data))
 	}
 	status := [...]string{"invalid", "valid", "pending"}[min(int(e.Status), 2)]

@@ -30,14 +30,19 @@ func TestListing(t *testing.T) {
 
 func TestFormatEntry(t *testing.T) {
 	tests := []struct {
-		e    qcc.ProgramEntry
-		want []string
+		e      qcc.ProgramEntry
+		want   []string
+		absent string // must not appear; "" checks nothing
 	}{
-		{qcc.ProgramEntry{Type: uint8(circuit.RY), RegFlag: true, Data: 3}, []string{"ry", "reg[3]", "status=invalid"}},
+		{qcc.ProgramEntry{Type: uint8(circuit.RY), RegFlag: true, Data: 3}, []string{"ry", "reg[3]", "status=invalid"}, ""},
 		{qcc.ProgramEntry{Type: uint8(circuit.RX), Data: qcc.QuantizeAngle(math.Pi / 2), Status: qcc.StatusValid, QAddr: 0x12},
-			[]string{"rx", "1.570796", "status=valid", "qaddr=0x12"}},
-		{qcc.ProgramEntry{Type: uint8(circuit.Measure), Status: qcc.StatusValid}, []string{"measure", "status=valid"}},
-		{qcc.ProgramEntry{Type: uint8(circuit.H), Status: qcc.StatusPending}, []string{"h", "status=pending"}},
+			[]string{"rx", "1.570796", "status=valid", "qaddr=0x12"}, ""},
+		{qcc.ProgramEntry{Type: uint8(circuit.Measure), Status: qcc.StatusValid}, []string{"measure", "status=valid"}, ""},
+		// Gates without an angle print none; a fixed rotation prints its
+		// angle even when it is zero.
+		{qcc.ProgramEntry{Type: uint8(circuit.H), Status: qcc.StatusPending}, []string{"h", "status=pending"}, "0.000000"},
+		{qcc.ProgramEntry{Type: uint8(circuit.CX), Status: qcc.StatusValid, QAddr: 0x7}, []string{"cx", "status=valid", "qaddr=0x7"}, "0.000000"},
+		{qcc.ProgramEntry{Type: uint8(circuit.RZ), Data: qcc.QuantizeAngle(0)}, []string{"rz", "0.000000", "status=invalid"}, ""},
 	}
 	for _, tt := range tests {
 		got := FormatEntry(tt.e)
@@ -45,6 +50,9 @@ func TestFormatEntry(t *testing.T) {
 			if !strings.Contains(got, w) {
 				t.Errorf("FormatEntry(%+v) = %q, missing %q", tt.e, got, w)
 			}
+		}
+		if tt.absent != "" && strings.Contains(got, tt.absent) {
+			t.Errorf("FormatEntry(%+v) = %q, contains %q", tt.e, got, tt.absent)
 		}
 	}
 }

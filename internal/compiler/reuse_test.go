@@ -50,7 +50,7 @@ func TestAppendRegfileImageMatchesFresh(t *testing.T) {
 	var scratch []uint32
 	for iter := 0; iter < 200; iter++ {
 		randomWalk(rng, params)
-		fresh, err := prog.RegfileImage(params)
+		fresh, err := prog.AppendRegfileImage(nil, params)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,10 +29,10 @@ func TestCoreTime(t *testing.T) {
 }
 
 func TestCoreConfigsMatchPaper(t *testing.T) {
-	if Rocket().Clock.Hz() != 1_000_000_000 {
+	if Rocket().Clock != sim.NewClock(1_000_000_000) {
 		t.Error("Rocket not at 1 GHz (Table 4)")
 	}
-	if BoomL().Clock.Hz() != 1_000_000_000 {
+	if BoomL().Clock != sim.NewClock(1_000_000_000) {
 		t.Error("Boom-L not at 1 GHz (Table 4)")
 	}
 }

@@ -2,7 +2,6 @@ package isa
 
 import (
 	"fmt"
-	"strings"
 
 	"qtenon/internal/circuit"
 )
@@ -22,9 +21,6 @@ type QuantumProgram struct {
 
 // Len reports the instruction count.
 func (p QuantumProgram) Len() int { return len(p.Instructions) }
-
-// Text renders the program.
-func (p QuantumProgram) Text() string { return strings.Join(p.Instructions, "\n") + "\n" }
 
 // GenerateEQASM lowers a bound circuit to eQASM-style code.
 //

@@ -23,7 +23,7 @@ func TestGenerateEQASMStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := p.Text()
+	text := strings.Join(p.Instructions, "\n")
 	for _, want := range []string{"init q0", "init q1", "h q0", "cx q0, q1", "rx q1,", "measz q0", "fmr r0, q0", "stop", "qwait"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("eQASM missing %q:\n%s", want, text)

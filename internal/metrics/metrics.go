@@ -13,8 +13,8 @@
 //     updated through the returned handle, keeping hot paths cheap.
 //   - Names follow `component.metric` (e.g. "slt.hits",
 //     "tilelink.beats_issued", "controller.instr.q_update"): the
-//     component prefix is everything before the first dot, which is how
-//     Snapshot.Components groups a run's coverage.
+//     component prefix, everything before the first dot, names the
+//     layer that reports the instrument.
 //   - Registries are never shared between machine instances: each
 //     factory-minted backend owns its own, so concurrent sweeps stay
 //     isolated. Instruments are individually race-safe regardless.
@@ -27,7 +27,6 @@ package metrics
 import (
 	"encoding/json"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -257,26 +256,6 @@ func (s Snapshot) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Components lists the distinct component prefixes (the part of each
-// name before the first dot), sorted — the coverage summary the
-// acceptance harness checks.
-func (s Snapshot) Components() []string {
-	seen := map[string]bool{}
-	for _, n := range s.Names() {
-		c := n
-		if i := strings.IndexByte(n, '.'); i >= 0 {
-			c = n[:i]
-		}
-		seen[c] = true
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // JSON renders the snapshot as indented JSON with deterministic key

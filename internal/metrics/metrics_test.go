@@ -27,9 +27,6 @@ func TestNilSafety(t *testing.T) {
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Timers) != 0 {
 		t.Error("nil registry produced a non-empty snapshot")
 	}
-	if got := snap.Components(); len(got) != 0 {
-		t.Errorf("nil registry components = %v", got)
-	}
 }
 
 func TestZeroValueRegistryReady(t *testing.T) {
@@ -106,10 +103,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 	wantNames := []string{"host.prep_ps", "sim.heap_depth", "slt.hits", "tilelink.beats_issued"}
 	if got := a.Names(); !reflect.DeepEqual(got, wantNames) {
 		t.Errorf("Names() = %v, want %v", got, wantNames)
-	}
-	wantComponents := []string{"host", "sim", "slt", "tilelink"}
-	if got := a.Components(); !reflect.DeepEqual(got, wantComponents) {
-		t.Errorf("Components() = %v, want %v", got, wantComponents)
 	}
 }
 

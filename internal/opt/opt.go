@@ -129,13 +129,3 @@ func SPSA(eval Evaluator, initial []float64, o Options) (Result, error) {
 	res.Params = params
 	return res, nil
 }
-
-// GDEvaluationsPerRun predicts the Evaluator call count of
-// GradientDescent: (2·P + 1) per iteration.
-func GDEvaluationsPerRun(nparams, iterations int) int {
-	return (2*nparams + 1) * iterations
-}
-
-// SPSAEvaluationsPerRun predicts SPSA's call count: 3 per iteration,
-// independent of the parameter count — the property §7.2 leans on.
-func SPSAEvaluationsPerRun(iterations int) int { return 3 * iterations }

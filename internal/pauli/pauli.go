@@ -138,15 +138,10 @@ func (s Str) BasisChange() []circuit.Gate {
 	return gates
 }
 
-// EigenSign returns the ±1 eigenvalue that basis-state outcome (after any
-// basis change) contributes: the parity of the measured bits on the
-// string's support.
-func (s Str) EigenSign(outcome uint64) float64 {
-	return maskSign(s.Mask(), outcome)
-}
-
-// maskSign is EigenSign with the support mask precomputed — the hot
-// loops hoist Mask() out of their per-outcome/per-amplitude iteration.
+// maskSign returns the ±1 eigenvalue that basis-state outcome (after
+// any basis change) contributes to a string with support mask: the
+// parity of the measured bits on the support. The hot loops hoist
+// Mask() out of their per-outcome/per-amplitude iteration.
 func maskSign(mask, outcome uint64) float64 {
 	if bits.OnesCount64(outcome&mask)&1 == 1 {
 		return -1

@@ -56,8 +56,8 @@ func TestStrBasics(t *testing.T) {
 	}
 }
 
-func TestEigenSign(t *testing.T) {
-	s := ZZ(0, 1)
+func TestMaskSign(t *testing.T) {
+	mask := ZZ(0, 1).Mask()
 	tests := []struct {
 		outcome uint64
 		want    float64
@@ -65,8 +65,8 @@ func TestEigenSign(t *testing.T) {
 		{0b00, 1}, {0b01, -1}, {0b10, -1}, {0b11, 1}, {0b111, 1}, {0b101, -1},
 	}
 	for _, tt := range tests {
-		if got := s.EigenSign(tt.outcome); got != tt.want {
-			t.Errorf("EigenSign(%b) = %v, want %v", tt.outcome, got, tt.want)
+		if got := maskSign(mask, tt.outcome); got != tt.want {
+			t.Errorf("maskSign(%b) = %v, want %v", tt.outcome, got, tt.want)
 		}
 	}
 }

@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"math/rand"
@@ -6,182 +6,64 @@ import (
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/qsim"
+	"qtenon/internal/qsim/engine"
 	"qtenon/internal/qsim/shard"
+	"qtenon/internal/route"
 )
 
-func build(t *testing.T, m Method, n int) Simulator {
-	t.Helper()
-	var (
-		s   Simulator
-		err error
-	)
-	switch m {
-	case methodDense:
-		s, err = NewDense(n)
-	case methodClifford:
-		s, err = NewClifford(n)
-	case methodProduct:
-		s, err = NewProduct(n)
-	case methodSharded:
-		s, err = NewSharded(n)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
+// methods lists the four engines behind Simulator; route.NewSimulator
+// is the one constructor the chip uses to build them.
+var methods = []route.Method{route.Dense, route.Clifford, route.Product, route.Sharded}
 
-// Method is test-local shorthand for the four concrete engines; the
-// routing enum lives in internal/route to keep engine dependency-light.
-type Method int
-
-const (
-	methodDense Method = iota
-	methodClifford
-	methodProduct
-	methodSharded
-)
-
-func (m Method) String() string {
-	return [...]string{"dense", "clifford", "product", "sharded"}[m]
-}
-
-// TestConformance runs every engine through the shared Simulator surface
-// on a circuit all three support (single-qubit X flips are exact in the
-// product surrogate too) and checks the common behavioral contract:
-// deterministic state, reusable Run, seed-deterministic Sample.
+// TestConformance runs every engine through the Simulator surface on a
+// circuit all four support exactly (single-qubit X flips are exact in
+// the product surrogate too): |101⟩ must sample as 5 on every shot, a
+// fixed seed must repeat its draw, and a second Run must reset first.
 func TestConformance(t *testing.T) {
 	c := circuit.NewBuilder(3).X(0).X(2).MeasureAll().MustBuild()
-	for _, m := range []Method{methodDense, methodClifford, methodProduct, methodSharded} {
+	for _, m := range methods {
 		t.Run(m.String(), func(t *testing.T) {
-			s := build(t, m, 3)
+			var s engine.Simulator
+			s, err := route.NewSimulator(m, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if s.NQubits() != 3 {
 				t.Fatalf("NQubits = %d", s.NQubits())
 			}
-			if err := s.Run(c); err != nil {
-				t.Fatal(err)
-			}
-			probs := s.Probabilities()
-			// |101⟩ ⇒ index 0b101 = 5.
-			for i, p := range probs {
-				want := 0.0
-				if i == 5 {
-					want = 1
+			for run := 0; run < 2; run++ {
+				if err := s.Run(c); err != nil {
+					t.Fatal(err)
 				}
-				if p != want {
-					t.Fatalf("probs[%d] = %g, want %g", i, p, want)
+				a := s.Sample(5, rand.New(rand.NewSource(7)))
+				b := s.Sample(5, rand.New(rand.NewSource(7)))
+				if len(a) != 5 || len(b) != 5 {
+					t.Fatalf("sample lengths %d/%d", len(a), len(b))
 				}
-			}
-			if z := s.ZExpectation(0); z != -1 {
-				t.Fatalf("ZExpectation(0) = %g, want -1", z)
-			}
-			if z := s.ZExpectation(1); z != 1 {
-				t.Fatalf("ZExpectation(1) = %g, want 1", z)
-			}
-			a := s.Sample(5, rand.New(rand.NewSource(7)))
-			b := s.Sample(5, rand.New(rand.NewSource(7)))
-			if len(a) != 5 || len(b) != 5 {
-				t.Fatalf("sample lengths %d/%d", len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("seeded samples diverge at %d: %d vs %d", i, a[i], b[i])
+				for i := range a {
+					if a[i] != 5 || b[i] != 5 {
+						t.Fatalf("run %d: shot %d sampled %d and %d, want 5", run, i, a[i], b[i])
+					}
 				}
-				if a[i] != 5 {
-					t.Fatalf("sample[%d] = %d, want 5", i, a[i])
-				}
-			}
-			// Run again (reuse) and re-check: engines must reset first.
-			if err := s.Run(c); err != nil {
-				t.Fatal(err)
-			}
-			if z := s.ZExpectation(2); z != -1 {
-				t.Fatalf("after rerun ZExpectation(2) = %g", z)
-			}
-			cl := s.Clone()
-			cl.Reset()
-			if z := s.ZExpectation(0); z != -1 {
-				t.Fatal("Reset of a clone mutated the original")
-			}
-			if z := cl.ZExpectation(0); z != 1 {
-				t.Fatalf("clone after Reset: ZExpectation(0) = %g", z)
 			}
 		})
 	}
 }
 
-// TestDenseRunMatchesQsim pins Dense.Run to the exact RunReuse numeric
-// stream: the adapter must not perturb a single bit of the statevector
-// relative to driving qsim directly.
-func TestDenseRunMatchesQsim(t *testing.T) {
-	c := circuit.NewBuilder(4).
-		H(0).RY(1, 0.37).CX(0, 1).RZ(2, 1.1).RZZ(2, 3, 0.5).
-		MeasureAll().MustBuild()
-	d, err := NewDense(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Run(c); err != nil {
-		t.Fatal(err)
-	}
-	ref := qsim.NewState(4)
-	if _, err := qsim.RunReuse(ref, c); err != nil {
-		t.Fatal(err)
-	}
-	got := d.Probabilities()
-	want := ref.Probabilities()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("probs diverge at %d: %g vs %g", i, got[i], want[i])
-		}
-	}
-}
-
+// TestConstructorValidation checks the width each engine rejects: 0
+// qubits for every method, and past the dense and sharded limits. A
+// rejected width yields a nil Simulator, never a typed nil pointer
+// inside one.
 func TestConstructorValidation(t *testing.T) {
-	if _, err := NewDense(qsim.MaxQubits + 1); err == nil {
-		t.Error("NewDense past MaxQubits")
-	}
-	if _, err := NewDense(0); err == nil {
-		t.Error("NewDense(0)")
-	}
-	if _, err := NewClifford(0); err == nil {
-		t.Error("NewClifford(0)")
-	}
-	if _, err := NewProduct(0); err == nil {
-		t.Error("NewProduct(0)")
-	}
-	if _, err := NewSharded(0); err == nil {
-		t.Error("NewSharded(0)")
-	}
-	if _, err := NewSharded(shard.MaxQubits + 1); err == nil {
-		t.Error("NewSharded past shard.MaxQubits")
-	}
-}
-
-// TestShardedRunMatchesQsim pins Sharded.Run to the dense numeric
-// stream through the adapter layer: same fused program, same kernels,
-// bit-for-bit equal probabilities (the deep equivalence fuzz lives in
-// internal/qsim/shard).
-func TestShardedRunMatchesQsim(t *testing.T) {
-	c := circuit.NewBuilder(4).
-		H(0).RY(1, 0.37).CX(0, 1).RZ(2, 1.1).RZZ(2, 3, 0.5).
-		MeasureAll().MustBuild()
-	s, err := NewSharded(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(c); err != nil {
-		t.Fatal(err)
-	}
-	ref := qsim.NewState(4)
-	if _, err := qsim.RunReuse(ref, c); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Probabilities()
-	want := ref.Probabilities()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("probs diverge at %d: %g vs %g", i, got[i], want[i])
+	for _, m := range methods {
+		if s, err := route.NewSimulator(m, 0); err == nil || s != nil {
+			t.Errorf("%v: NewSimulator(0) = (%v, %v), want a nil Simulator and an error", m, s, err)
 		}
+	}
+	if _, err := route.NewSimulator(route.Dense, qsim.MaxQubits+1); err == nil {
+		t.Error("dense simulator past qsim.MaxQubits")
+	}
+	if _, err := route.NewSimulator(route.Sharded, shard.MaxQubits+1); err == nil {
+		t.Error("sharded simulator past shard.MaxQubits")
 	}
 }

@@ -8,8 +8,8 @@
 // experiments measure (shot counts and parameter counts, not
 // entanglement fidelity). The substitution is documented in DESIGN.md.
 //
-// It implements qsim/engine.Simulator alongside the dense statevector
-// and the Clifford tableau.
+// It implements qsim/engine.Simulator alongside the dense and sharded
+// statevectors and the Clifford tableau.
 package product
 
 import (
@@ -46,14 +46,6 @@ func (ps *State) Reset() {
 		ps.a[i] = 1
 		ps.b[i] = 0
 	}
-}
-
-// Clone returns an independent copy of the state (scratch excluded).
-func (ps *State) Clone() *State {
-	cp := &State{a: make([]complex128, len(ps.a)), b: make([]complex128, len(ps.b))}
-	copy(cp.a, ps.a)
-	copy(cp.b, ps.b)
-	return cp
 }
 
 // P1 returns qubit q's |1⟩ probability.
@@ -162,33 +154,6 @@ func (ps *State) Sample(shots int, rng *rand.Rand) []uint64 {
 			}
 		}
 		out[s] = v
-	}
-	return out
-}
-
-// Probabilities returns the 2^n basis-state distribution implied by the
-// product structure (the tensor product of per-qubit marginals). Only
-// meaningful for small registers; n is capped to keep the output
-// allocatable.
-func (ps *State) Probabilities() []float64 {
-	n := len(ps.a)
-	if n > 24 {
-		panic(fmt.Sprintf("product: Probabilities on %d qubits exceeds the 24-qubit dense window", n))
-	}
-	p1 := make([]float64, n)
-	for q := range p1 {
-		p1[q] = ps.P1(q)
-	}
-	out := make([]float64, 1<<n)
-	out[0] = 1
-	size := 1
-	for q := 0; q < n; q++ {
-		for i := 0; i < size; i++ {
-			v := out[i]
-			out[i] = v * (1 - p1[q])
-			out[i|size] = v * p1[q]
-		}
-		size <<= 1
 	}
 	return out
 }

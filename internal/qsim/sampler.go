@@ -36,20 +36,22 @@ type aliasTable struct {
 	alias []int32
 }
 
-// aliasBuildScratch is the reusable working memory of newAliasTable:
-// everything the build touches that does not escape into the table.
-type aliasBuildScratch struct {
+// AliasScratch is the reusable working memory of an alias-table build:
+// everything the build touches that does not escape into the table. One
+// scratch serves one build at a time; its buffers are recycled across
+// builds, so a warmed scratch grows no further.
+type AliasScratch struct {
 	scaled       []float64
 	small, large []int32
 }
 
 // newAliasTable builds the table in O(N) from an (approximately
-// normalized) distribution. Exact zeros stay impossible: a zero-weight
-// slot keeps probability 0 and always forwards to its alias. scratch
-// may be nil; when provided, its buffers are recycled across builds.
-// spare, when non-nil and unshared, donates its prob/alias storage to
-// the new table (every slot is overwritten by the build).
-func newAliasTable(p []float64, scratch *aliasBuildScratch, spare *aliasTable) *aliasTable {
+// normalized) distribution through scratch. Exact zeros stay
+// impossible: a zero-weight slot keeps probability 0 and always
+// forwards to its alias. spare, when non-nil and unshared, donates its
+// prob/alias storage to the new table (every slot is overwritten by the
+// build).
+func newAliasTable(p []float64, scratch *AliasScratch, spare *aliasTable) *aliasTable {
 	n := len(p)
 	total := par.SumFloat64(n, func(lo, hi int) float64 {
 		var t float64
@@ -60,10 +62,6 @@ func newAliasTable(p []float64, scratch *aliasBuildScratch, spare *aliasTable) *
 	})
 	if total <= 0 {
 		total = 1
-	}
-	var local aliasBuildScratch
-	if scratch == nil {
-		scratch = &local
 	}
 	t := spare
 	if t == nil || cap(t.prob) < n {

@@ -31,10 +31,11 @@
 // # Concurrency and determinism
 //
 // Shard-parallel dispatch writes disjoint chunks (or disjoint chunk
-// pairs), so sweeps are race-free by construction; reductions fold
-// per-shard partials in shard-index order and sampling uses the same
-// fixed block/seed discipline as the contiguous sampler, so results are
-// identical at any GOMAXPROCS. A *State is not safe for concurrent use.
+// pairs), so sweeps are race-free by construction; the sampler's
+// top-level table is built over per-shard masses in shard-index order,
+// and sampling uses the same fixed block/seed discipline as the
+// contiguous sampler, so results are identical at any GOMAXPROCS. A
+// *State is not safe for concurrent use.
 package shard
 
 import (
@@ -66,12 +67,8 @@ type State struct {
 	shardBits int // log2 amplitudes per shard
 	re, im    [][]float64
 
-	// prog is the reusable compiled program Run executes; applyProg is a
-	// second program used by single-gate Apply so it never clobbers an
-	// in-flight Run compilation.
-	prog      qsim.FusedProgram
-	applyProg qsim.FusedProgram
-	applyBuf  [1]circuit.Gate
+	// prog is the reusable compiled program Run executes.
+	prog qsim.FusedProgram
 
 	// Two-level sampler cache: top picks a shard by its probability
 	// mass, sub[s] picks an amplitude within shard s. Invalidated by
@@ -82,11 +79,10 @@ type State struct {
 	topProbs     []float64
 	probScratch  [][]float64
 	seedScratch  []int64
-
-	// zScratch holds per-shard expectation partials, recycled across
-	// ExpectationZ calls so the reduction is allocation-free in steady
-	// state. Excluded from Clone like every other scratch field.
-	zScratch []float64
+	// buildScratch holds one alias-build scratch per concurrent group of
+	// shard-table builds (see ensureSampler), not one per shard: a
+	// scratch is about 1 MiB for a 2^16-amplitude shard.
+	buildScratch []qsim.AliasScratch
 }
 
 // New returns |0…0⟩ over n qubits with the production shard size.
@@ -123,12 +119,6 @@ func NewWithShardBits(n, k int) (*State, error) {
 // NQubits reports the register width.
 func (s *State) NQubits() int { return s.n }
 
-// ShardBits reports log2 of the per-shard amplitude count.
-func (s *State) ShardBits() int { return s.shardBits }
-
-// NumShards reports the shard count.
-func (s *State) NumShards() int { return len(s.re) }
-
 // Amp returns the amplitude of basis state i as (re, im) — the exact
 // SoA storage values, for equivalence tests against the contiguous
 // engine.
@@ -140,15 +130,6 @@ func (s *State) Amp(i int) (re, im float64) {
 
 // invalidate drops the cached sampler; every mutating path calls it.
 func (s *State) invalidate() { s.samplerValid = false }
-
-// growScratch returns dst resized to n, reallocating only when capacity
-// is exhausted, so a warmed arena grows no further.
-func growScratch(dst []float64, n int) []float64 {
-	if n <= cap(dst) {
-		return dst[:n]
-	}
-	return make([]float64, n)
-}
 
 // Reset restores |0…0⟩ in place, keeping all shard storage.
 func (s *State) Reset() {
@@ -163,19 +144,6 @@ func (s *State) Reset() {
 		}
 	})
 	s.re[0][0] = 1
-}
-
-// Clone returns an independent deep copy (the sampler cache is not
-// carried over; the clone rebuilds on first Sample).
-func (s *State) Clone() *State {
-	c := &State{n: s.n, shardBits: s.shardBits}
-	c.re = make([][]float64, len(s.re))
-	c.im = make([][]float64, len(s.im))
-	for i := range s.re {
-		c.re[i] = append([]float64(nil), s.re[i]...)
-		c.im[i] = append([]float64(nil), s.im[i]...)
-	}
-	return c
 }
 
 // Run resets the state and executes a bound circuit through the fused
@@ -195,15 +163,6 @@ func (s *State) Run(c *circuit.Circuit) error {
 	s.prog.Compile(c.Gates)
 	s.execute(&s.prog)
 	return nil
-}
-
-// Apply executes one bound gate in place (Measure and identity gates
-// are no-ops, matching the contiguous engine's terminal-measurement
-// convention).
-func (s *State) Apply(g circuit.Gate) {
-	s.applyBuf[0] = g
-	s.applyProg.Compile(s.applyBuf[:])
-	s.execute(&s.applyProg)
 }
 
 // execute runs a compiled program: maximal runs of shard-local ops are
@@ -329,48 +288,6 @@ func (s *State) Probabilities() []float64 {
 	return out
 }
 
-// ExpectationZ returns ⟨Z_q⟩: per-shard partial sums folded in
-// shard-index order (deterministic at any GOMAXPROCS). A global qubit's
-// sign is constant per shard and read from the shard index.
-func (s *State) ExpectationZ(q int) float64 {
-	s.zScratch = growScratch(s.zScratch, len(s.re))
-	partial := s.zScratch
-	if q < s.shardBits {
-		m := 1 << q
-		par.Do(len(s.re), func(sh int) {
-			re, im := s.re[sh], s.im[sh]
-			var e float64
-			for i := range re {
-				p := re[i]*re[i] + im[i]*im[i]
-				if i&m == 0 {
-					e += p
-				} else {
-					e -= p
-				}
-			}
-			partial[sh] = e
-		})
-	} else {
-		sb := 1 << (q - s.shardBits)
-		par.Do(len(s.re), func(sh int) {
-			re, im := s.re[sh], s.im[sh]
-			var e float64
-			for i := range re {
-				e += re[i]*re[i] + im[i]*im[i]
-			}
-			if sh&sb != 0 {
-				e = -e
-			}
-			partial[sh] = e
-		})
-	}
-	var sum float64
-	for _, v := range partial {
-		sum += v
-	}
-	return sum
-}
-
 // ensureSampler builds the two-level alias sampler: a per-shard table
 // over the shard's amplitudes plus a top-level table over shard masses.
 // Build cost is O(2^n) once per mutation, amortized across shots like
@@ -388,24 +305,34 @@ func (s *State) ensureSampler() {
 	s.sub = s.sub[:numShards]
 	s.probScratch = s.probScratch[:numShards]
 	s.topProbs = s.topProbs[:numShards]
-	par.Do(numShards, func(sh int) {
-		re, im := s.re[sh], s.im[sh]
-		probs := s.probScratch[sh]
-		if cap(probs) < len(re) {
-			probs = make([]float64, len(re))
+	// The shard tables are built in one contiguous group per worker,
+	// each group through its own recycled scratch; the top-level table
+	// reuses the first group's.
+	groups := min(par.Workers(), numShards)
+	if len(s.buildScratch) < groups {
+		s.buildScratch = append(s.buildScratch, make([]qsim.AliasScratch, groups-len(s.buildScratch))...)
+	}
+	par.Do(groups, func(g int) {
+		scratch := &s.buildScratch[g]
+		for sh := g * numShards / groups; sh < (g+1)*numShards/groups; sh++ {
+			re, im := s.re[sh], s.im[sh]
+			probs := s.probScratch[sh]
+			if cap(probs) < len(re) {
+				probs = make([]float64, len(re))
+			}
+			probs = probs[:len(re)]
+			var mass float64
+			for i := range re {
+				p := re[i]*re[i] + im[i]*im[i]
+				probs[i] = p
+				mass += p
+			}
+			s.probScratch[sh] = probs
+			s.topProbs[sh] = mass
+			s.sub[sh] = qsim.NewAlias(probs, s.sub[sh], scratch)
 		}
-		probs = probs[:len(re)]
-		var mass float64
-		for i := range re {
-			p := re[i]*re[i] + im[i]*im[i]
-			probs[i] = p
-			mass += p
-		}
-		s.probScratch[sh] = probs
-		s.topProbs[sh] = mass
-		s.sub[sh] = qsim.NewAlias(probs, s.sub[sh])
 	})
-	s.top = qsim.NewAlias(s.topProbs, s.top)
+	s.top = qsim.NewAlias(s.topProbs, s.top, &s.buildScratch[0])
 	s.samplerValid = true
 }
 

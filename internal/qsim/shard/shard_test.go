@@ -164,27 +164,6 @@ func TestShardedCXPlacements(t *testing.T) {
 	}
 }
 
-// TestShardedApplyMatchesRun checks the single-gate Apply path agrees
-// with the batch path gate for gate.
-func TestShardedApplyMatchesRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := randomCircuit(rng, 8, 50)
-	s, err := NewWithShardBits(8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range c.Gates {
-		s.Apply(g)
-	}
-	ref := qsim.NewState(8)
-	for _, g := range c.Gates {
-		ref.Apply(g)
-	}
-	// Gate-at-a-time execution fuses nothing on either side, so the
-	// streams stay exact.
-	requireExactMatch(t, s, ref, "apply")
-}
-
 // TestShardedSamplerDeterminism pins the sampler contract: fixed seed ⇒
 // identical outcome stream at any worker count, and outcomes follow the
 // state (deterministic circuit ⇒ deterministic outcomes).
@@ -214,8 +193,8 @@ func TestShardedSamplerDeterminism(t *testing.T) {
 }
 
 // TestShardedStateSurface covers the remaining engine-contract surface:
-// expectations on local and global qubits, Reset, Clone independence,
-// and constructor validation.
+// shard geometry, a Run that flips a local and a global qubit, and
+// constructor and Run validation.
 func TestShardedStateSurface(t *testing.T) {
 	c := circuit.NewBuilder(6).X(1).X(4).MeasureAll().MustBuild()
 	s, err := NewWithShardBits(6, 2)
@@ -225,21 +204,11 @@ func TestShardedStateSurface(t *testing.T) {
 	if err := s.Run(c); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumShards() != 16 || s.ShardBits() != 2 {
-		t.Fatalf("geometry %d shards / %d bits", s.NumShards(), s.ShardBits())
+	if len(s.re) != 16 || s.shardBits != 2 {
+		t.Fatalf("geometry %d shards / %d bits", len(s.re), s.shardBits)
 	}
-	for q, want := range map[int]float64{0: 1, 1: -1, 3: 1, 4: -1, 5: 1} {
-		if z := s.ExpectationZ(q); z != want {
-			t.Fatalf("Z[%d] = %g, want %g", q, z, want)
-		}
-	}
-	cl := s.Clone()
-	cl.Reset()
-	if z := s.ExpectationZ(1); z != -1 {
-		t.Fatal("clone Reset mutated the original")
-	}
-	if z := cl.ExpectationZ(1); z != 1 {
-		t.Fatalf("clone after Reset: Z[1] = %g", z)
+	if re, im := s.Amp(1<<1 | 1<<4); re != 1 || im != 0 {
+		t.Fatalf("amplitude of |010010⟩ = (%g, %g), want (1, 0)", re, im)
 	}
 
 	if _, err := New(0); err == nil {
@@ -260,60 +229,6 @@ func TestShardedStateSurface(t *testing.T) {
 	narrow, _ := NewWithShardBits(4, 2)
 	if err := narrow.Run(tooWide); err == nil {
 		t.Error("circuit wider than the state accepted")
-	}
-}
-
-// --- Benchmarks ---------------------------------------------------------
-//
-// The PR's throughput gate: a 2^20-amplitude Apply1Q sweep on the
-// sharded layout must be no slower than the contiguous engine at
-// GOMAXPROCS=1 (EXPERIMENTS.md EXP-8 records the measured pair). The
-// benchmarks pin par to one worker so layout, not parallelism, is
-// measured.
-
-func benchGate(q int) circuit.Gate {
-	return circuit.Gate{Kind: circuit.RY, Qubit: q, Theta: 0.3, Param: circuit.NoParam}
-}
-
-func BenchmarkApply1QDense20(b *testing.B) {
-	par.SetWorkers(1)
-	defer par.SetWorkers(0)
-	st := qsim.NewState(20)
-	g := benchGate(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Apply(g)
-	}
-}
-
-func BenchmarkApply1QSharded20Local(b *testing.B) {
-	par.SetWorkers(1)
-	defer par.SetWorkers(0)
-	st, err := New(20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := benchGate(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Apply(g)
-	}
-}
-
-func BenchmarkApply1QSharded20Global(b *testing.B) {
-	par.SetWorkers(1)
-	defer par.SetWorkers(0)
-	st, err := New(20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := benchGate(19) // stride spans shards: cross-shard butterfly
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Apply(g)
 	}
 }
 

@@ -253,10 +253,12 @@ type Alias struct {
 }
 
 // NewAlias builds an alias table over an (approximately normalized)
-// distribution. When spare holds a retired table of sufficient capacity
-// its storage is recycled, so steady-state rebuilds allocate nothing.
-func NewAlias(p []float64, spare Alias) Alias {
-	return Alias{t: newAliasTable(p, nil, spare.t)}
+// distribution through scratch. When spare holds a retired table of
+// sufficient capacity its storage is recycled, and a warmed scratch
+// grows no further, so steady-state rebuilds allocate nothing.
+// Concurrent builds need a scratch each.
+func NewAlias(p []float64, spare Alias, scratch *AliasScratch) Alias {
+	return Alias{t: newAliasTable(p, scratch, spare.t)}
 }
 
 // Draw returns one index from the table's distribution: O(1), two RNG

@@ -78,7 +78,7 @@ type State struct {
 	// execution paths. They never escape the State and are excluded from
 	// Clone, so reuse is safe even when clones share a cached sampler.
 	probScratch  []float64
-	buildScratch aliasBuildScratch
+	buildScratch AliasScratch
 	seedScratch  []int64
 	fuseScratch  fuser
 	execScratch  execScratch
@@ -430,37 +430,38 @@ func (s *State) Apply(g circuit.Gate) {
 	}
 }
 
-// Run executes a fully bound circuit starting from |0…0⟩ and returns the
-// final (pre-measurement) state. Gates are run through the fusion pass
-// (see fusion.go): runs of single-qubit gates collapse into one 2×2
-// apply and batches of diagonal gates into one phase sweep.
+// Run executes a fully bound circuit starting from |0…0⟩ on a freshly
+// allocated State and returns the final (pre-measurement) state.
 func Run(c *circuit.Circuit) (*State, error) {
-	return RunReuse(nil, c)
-}
-
-// RunReuse is Run over recycled storage: when st is non-nil and matches
-// the circuit's register width, its amplitude arrays (and sampler
-// scratch) are reset and reused instead of allocating a fresh 2^n
-// statevector; otherwise a new State is allocated. The returned state is
-// numerically identical to Run's either way. Callers own st exclusively:
-// the previous contents (including any cached sampler) are destroyed.
-func RunReuse(st *State, c *circuit.Circuit) (*State, error) {
-	if c.NumParams != 0 {
-		return nil, fmt.Errorf("qsim: circuit has %d unbound parameters", c.NumParams)
+	if c.NQubits <= 0 || c.NQubits > MaxQubits {
+		return nil, fmt.Errorf("qsim: %d qubits outside the exact-simulation window (0,%d]", c.NQubits, MaxQubits)
 	}
-	if c.NQubits > MaxQubits {
-		return nil, fmt.Errorf("qsim: %d qubits exceeds exact-simulation limit %d", c.NQubits, MaxQubits)
-	}
-	if err := c.Validate(); err != nil {
+	s := NewState(c.NQubits)
+	if err := s.Run(c); err != nil {
 		return nil, err
 	}
-	if st == nil || st.n != c.NQubits {
-		st = NewState(c.NQubits)
-	} else {
-		st.Reset()
+	return s, nil
+}
+
+// Run resets s to |0…0⟩ and executes a fully bound circuit of the same
+// width on it, reusing the amplitude arrays and sampler scratch instead
+// of allocating a fresh 2^n statevector. Gates are run through the
+// fusion pass (see fusion.go): runs of single-qubit gates collapse into
+// one 2×2 apply and batches of diagonal gates into one phase sweep. The
+// previous contents, including any cached sampler, are destroyed.
+func (s *State) Run(c *circuit.Circuit) error {
+	if c.NumParams != 0 {
+		return fmt.Errorf("qsim: circuit has %d unbound parameters", c.NumParams)
 	}
-	st.applyFused(fuse(c.Gates, &st.fuseScratch))
-	return st, nil
+	if c.NQubits != s.n {
+		return fmt.Errorf("qsim: circuit has %d qubits, state %d", c.NQubits, s.n)
+	}
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	s.Reset()
+	s.applyFused(fuse(c.Gates, &s.fuseScratch))
+	return nil
 }
 
 // Probabilities returns the measurement distribution over all basis

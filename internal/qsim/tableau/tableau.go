@@ -447,15 +447,6 @@ func (t *Tableau) MeasureQubit(q int, rng *rand.Rand) int {
 	return outcome
 }
 
-// ZExpectation returns ⟨Z_q⟩ ∈ {−1, 0, +1}: 0 when the outcome is
-// random, ±1 when deterministic. The state is not collapsed.
-func (t *Tableau) ZExpectation(q int) float64 {
-	if t.randomStabilizer(q) >= 0 {
-		return 0
-	}
-	return 1 - 2*float64(t.deterministicOutcome(q))
-}
-
 // ZExpectationMask returns the expectation of the Z-string over the
 // qubits in mask (bit q ⇒ Z_q), covering the first 64 qubits — the
 // pauli cost window. Stabilizer-state values are exactly {−1, 0, +1}.

@@ -113,21 +113,6 @@ func TestRandomMeasurementCollapses(t *testing.T) {
 	}
 }
 
-func TestZExpectation(t *testing.T) {
-	tb := mustNew(t, 2)
-	if got := tb.ZExpectation(0); got != 1 {
-		t.Fatalf("⟨Z⟩ on |0⟩ = %v, want exactly 1", got)
-	}
-	tb.X(0)
-	if got := tb.ZExpectation(0); got != -1 {
-		t.Fatalf("⟨Z⟩ on |1⟩ = %v, want exactly -1", got)
-	}
-	tb.H(1)
-	if got := tb.ZExpectation(1); got != 0 {
-		t.Fatalf("⟨Z⟩ on |+⟩ = %v, want exactly 0", got)
-	}
-}
-
 func TestZExpectationMask(t *testing.T) {
 	// Bell state: ⟨Z0⟩ = ⟨Z1⟩ = 0 but ⟨Z0Z1⟩ = +1 exactly.
 	tb := mustNew(t, 2)
@@ -341,7 +326,7 @@ func TestCloneIndependence(t *testing.T) {
 	cp.X(1)
 	rng := rand.New(rand.NewSource(1))
 	cp.MeasureQubit(0, rng)
-	if got := tb.ZExpectation(1); got != 1 {
+	if got := tb.ZExpectationMask(1 << 1); got != 1 {
 		t.Fatalf("clone mutation leaked: ⟨Z1⟩ = %v", got)
 	}
 }

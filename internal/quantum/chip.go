@@ -42,9 +42,6 @@ type Execution struct {
 	ShotTime sim.Time // critical-path duration of one shot
 }
 
-// TotalTime is shots × per-shot duration.
-func (e Execution) TotalTime() sim.Time { return sim.Time(len(e.Outcomes)) * e.ShotTime }
-
 // Chip executes bound circuits and samples measurements, under its
 // error model when it has one. Each Execute routes its
 // circuit to a simulation method; the per-method simulator arenas are

@@ -100,9 +100,6 @@ func TestExecuteTiming(t *testing.T) {
 	if ex.ShotTime != 660*sim.Nanosecond {
 		t.Errorf("ShotTime = %v, want 660ns", ex.ShotTime)
 	}
-	if ex.TotalTime() != 100*660*sim.Nanosecond {
-		t.Errorf("TotalTime = %v", ex.TotalTime())
-	}
 	if len(ex.Outcomes) != 100 {
 		t.Errorf("outcomes = %d", len(ex.Outcomes))
 	}

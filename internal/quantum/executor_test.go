@@ -4,18 +4,7 @@ import (
 	"testing"
 
 	"qtenon/internal/circuit"
-	"qtenon/internal/sim"
 )
-
-func TestExecutionTotalTime(t *testing.T) {
-	e := Execution{Outcomes: make([]uint64, 7), ShotTime: 3 * sim.Microsecond}
-	if e.TotalTime() != 21*sim.Microsecond {
-		t.Errorf("TotalTime = %v", e.TotalTime())
-	}
-	if (Execution{}).TotalTime() != 0 {
-		t.Error("empty execution nonzero total")
-	}
-}
 
 func TestSurrogateDeterministicAcrossRuns(t *testing.T) {
 	// Identical circuits on identically seeded chips: identical outcomes

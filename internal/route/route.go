@@ -29,6 +29,7 @@ import (
 	"qtenon/internal/circuit"
 	"qtenon/internal/qsim"
 	"qtenon/internal/qsim/engine"
+	"qtenon/internal/qsim/product"
 	"qtenon/internal/qsim/shard"
 	"qtenon/internal/qsim/tableau"
 )
@@ -120,22 +121,11 @@ type Router struct {
 	Force Method
 }
 
-// Default returns the stock router.
-func Default() Router { return Router{} }
-
 func (r Router) denseLimit() int {
 	if r.DenseLimit > 0 {
 		return r.DenseLimit
 	}
 	return DefaultDenseLimit
-}
-
-// Select chooses a method for a bound circuit using the circuit's own
-// width. Chips should use SelectWidth with their register width so a
-// narrow circuit on a wide chip routes like the chip (the pre-router
-// exact/surrogate split keyed on chip width).
-func (r Router) Select(c *circuit.Circuit) (Method, Analysis, error) {
-	return r.SelectWidth(c, c.NQubits)
 }
 
 // SelectWidth chooses a method for a bound circuit executing on a
@@ -214,17 +204,32 @@ func (r Router) feasible(m Method, a Analysis, width int) error {
 	return nil
 }
 
-// NewSimulator constructs the engine for a resolved (non-Auto) method.
+// NewSimulator constructs the engine for a resolved (non-Auto) method
+// over n qubits. On error the Simulator is a nil interface.
 func NewSimulator(m Method, n int) (engine.Simulator, error) {
 	switch m {
 	case Dense:
-		return engine.NewDense(n)
+		if n <= 0 || n > qsim.MaxQubits {
+			return nil, fmt.Errorf("route: qubit count %d outside the dense window (0,%d]", n, qsim.MaxQubits)
+		}
+		return qsim.NewState(n), nil
 	case Clifford:
-		return engine.NewClifford(n)
+		t, err := tableau.New(n)
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
 	case Product:
-		return engine.NewProduct(n)
+		if n <= 0 {
+			return nil, fmt.Errorf("route: non-positive qubit count %d", n)
+		}
+		return product.New(n), nil
 	case Sharded:
-		return engine.NewSharded(n)
+		s, err := shard.New(n)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
 	default:
 		return nil, fmt.Errorf("route: no engine for method %v", m)
 	}

@@ -11,7 +11,7 @@ import (
 
 func sel(t *testing.T, r Router, c *circuit.Circuit) (Method, Analysis) {
 	t.Helper()
-	m, a, err := r.Select(c)
+	m, a, err := r.SelectWidth(c, c.NQubits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestMethodNames(t *testing.T) {
 
 func TestCliffordCircuitRoutesTableau(t *testing.T) {
 	c := circuit.NewBuilder(30).H(0).CX(0, 1).RZ(2, math.Pi).MeasureAll().MustBuild()
-	m, a := sel(t, Default(), c)
+	m, a := sel(t, Router{}, c)
 	if a.NonClifford != 0 || m != Clifford {
 		t.Fatalf("NonClifford %d method %v, want 0/clifford", a.NonClifford, m)
 	}
@@ -40,7 +40,7 @@ func TestCliffordCircuitRoutesTableau(t *testing.T) {
 
 func TestGenericSmallRoutesDense(t *testing.T) {
 	c := circuit.NewBuilder(8).RY(0, 0.3).MeasureAll().MustBuild()
-	if m, _ := sel(t, Default(), c); m != Dense {
+	if m, _ := sel(t, Router{}, c); m != Dense {
 		t.Fatalf("routed %v, want dense", m)
 	}
 }
@@ -51,7 +51,7 @@ func TestGenericHugeRoutesProduct(t *testing.T) {
 		b.RY(q, 0.1*float64(q+1))
 	}
 	c := b.MeasureAll().MustBuild()
-	if m, _ := sel(t, Default(), c); m != Product {
+	if m, _ := sel(t, Router{}, c); m != Product {
 		t.Fatalf("routed %v, want product", m)
 	}
 }
@@ -71,7 +71,7 @@ func TestZeroParameterCircuits(t *testing.T) {
 	if c.NumParams != 0 {
 		t.Fatal("graph state has parameters")
 	}
-	m, a := sel(t, Default(), c)
+	m, a := sel(t, Router{}, c)
 	if m != Clifford {
 		t.Fatalf("0-param 26q Clifford circuit routed %v, want clifford", m)
 	}
@@ -80,7 +80,7 @@ func TestZeroParameterCircuits(t *testing.T) {
 	}
 
 	empty := circuit.New(4)
-	if m, _ := sel(t, Default(), empty); m != Clifford {
+	if m, _ := sel(t, Router{}, empty); m != Clifford {
 		t.Fatalf("empty circuit routed %v, want clifford (identity)", m)
 	}
 }
@@ -89,7 +89,7 @@ func TestZeroParameterCircuits(t *testing.T) {
 // non-Clifford (angles unknown until Bind).
 func TestUnboundParamsAreNonClifford(t *testing.T) {
 	c := circuit.NewBuilder(4).H(0).RXP(1, 0).MeasureAll().MustBuild()
-	_, a := sel(t, Default(), c)
+	_, a := sel(t, Router{}, c)
 	if a.NonClifford != 1 {
 		t.Fatalf("NonClifford = %d, want 1 (unbound RX)", a.NonClifford)
 	}
@@ -101,7 +101,7 @@ func TestMidMeasureForcesDense(t *testing.T) {
 	b := circuit.NewBuilder(20)
 	b.H(0).Measure(0).X(0) // X after the measure ⇒ mid-circuit
 	c := b.MustBuild()
-	m, a := sel(t, Default(), c)
+	m, a := sel(t, Router{}, c)
 	if !a.MidMeasure {
 		t.Fatal("mid-circuit measurement not detected")
 	}
@@ -111,27 +111,27 @@ func TestMidMeasureForcesDense(t *testing.T) {
 
 	// Terminal measures are NOT mid-circuit.
 	term := circuit.NewBuilder(2).H(0).MeasureAll().MustBuild()
-	if _, a := sel(t, Default(), term); a.MidMeasure {
+	if _, a := sel(t, Router{}, term); a.MidMeasure {
 		t.Fatal("terminal measure flagged mid-circuit")
 	}
 
 	// A two-qubit gate is mid-circuit through its second operand too.
 	second := circuit.NewBuilder(2)
 	second.Measure(1).CZ(0, 1)
-	if _, a := sel(t, Default(), second.MustBuild()); !a.MidMeasure {
+	if _, a := sel(t, Router{}, second.MustBuild()); !a.MidMeasure {
 		t.Fatal("CZ after measuring its second operand not flagged mid-circuit")
 	}
 	// A later gate on a different qubit is not.
 	other := circuit.NewBuilder(2)
 	other.Measure(0).X(1)
-	if _, a := sel(t, Default(), other.MustBuild()); a.MidMeasure {
+	if _, a := sel(t, Router{}, other.MustBuild()); a.MidMeasure {
 		t.Fatal("gate on an unmeasured qubit flagged mid-circuit")
 	}
 
 	// Past the dense window there is no engine that can collapse.
 	wide := circuit.NewBuilder(qsim.MaxQubits + 1)
 	wide.H(0).Measure(0).X(0)
-	if _, _, err := Default().Select(wide.MustBuild()); err == nil {
+	if _, _, err := (Router{}).SelectWidth(wide.MustBuild(), qsim.MaxQubits+1); err == nil {
 		t.Error("mid-measure past MaxQubits did not error")
 	}
 }
@@ -148,7 +148,7 @@ func TestSingleTGateDemotes(t *testing.T) {
 	}
 	b.T(3)
 	c := b.MeasureAll().MustBuild()
-	m, a := sel(t, Default(), c)
+	m, a := sel(t, Router{}, c)
 	if a.NonClifford != 1 {
 		t.Fatalf("NonClifford = %d, want 1", a.NonClifford)
 	}
@@ -165,7 +165,7 @@ func TestSingleTGateDemotes(t *testing.T) {
 		wb.CZ(q, q+1)
 	}
 	wb.T(3)
-	if m, _ := sel(t, Default(), wb.MeasureAll().MustBuild()); m != Product {
+	if m, _ := sel(t, Router{}, wb.MeasureAll().MustBuild()); m != Product {
 		t.Fatalf("64q Clifford+T routed %v, want product", m)
 	}
 }
@@ -203,17 +203,17 @@ func TestGenericWideRoutesSharded(t *testing.T) {
 		return b.MeasureAll().MustBuild()
 	}
 	for _, n := range []int{DefaultDenseLimit + 1, 24, shard.MaxQubits} {
-		if m, _ := sel(t, Default(), wide(n)); m != Sharded {
+		if m, _ := sel(t, Router{}, wide(n)); m != Sharded {
 			t.Fatalf("%dq generic routed %v, want sharded", n, m)
 		}
 	}
-	if m, _ := sel(t, Default(), wide(shard.MaxQubits+1)); m != Product {
+	if m, _ := sel(t, Router{}, wide(shard.MaxQubits+1)); m != Product {
 		t.Fatalf("%dq generic routed %v, want product", shard.MaxQubits+1, m)
 	}
 	// The chip-width rule applies to the sharded window too: a narrow
 	// generic circuit on a 24-qubit chip routes sharded.
 	narrow := circuit.NewBuilder(4).RY(0, 0.3).MeasureAll().MustBuild()
-	m, _, err := Default().SelectWidth(narrow, 24)
+	m, _, err := (Router{}).SelectWidth(narrow, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,26 +234,26 @@ func TestShardedForceFeasibility(t *testing.T) {
 		}
 		return b.MeasureAll().MustBuild()
 	}()
-	if m, _, err := (Router{Force: Sharded}).Select(generic24); err != nil || m != Sharded {
+	if m, _, err := (Router{Force: Sharded}).SelectWidth(generic24, generic24.NQubits); err != nil || m != Sharded {
 		t.Errorf("force sharded on 24q = (%v,%v)", m, err)
 	}
-	if _, _, err := (Router{Force: Dense}).Select(generic24); err == nil {
+	if _, _, err := (Router{Force: Dense}).SelectWidth(generic24, generic24.NQubits); err == nil {
 		t.Error("forced dense on 24 qubits (past the contiguous window) did not error")
 	}
 	tooWide := circuit.NewBuilder(shard.MaxQubits+2).RY(0, 0.3).MeasureAll().MustBuild()
-	if _, _, err := (Router{Force: Sharded}).Select(tooWide); err == nil {
+	if _, _, err := (Router{Force: Sharded}).SelectWidth(tooWide, tooWide.NQubits); err == nil {
 		t.Error("forced sharded past shard.MaxQubits did not error")
 	}
 	mid := circuit.NewBuilder(4)
 	mid.H(0).Measure(0).X(0)
-	if _, _, err := (Router{Force: Sharded}).Select(mid.MustBuild()); err == nil {
+	if _, _, err := (Router{Force: Sharded}).SelectWidth(mid.MustBuild(), 4); err == nil {
 		t.Error("forced sharded on a mid-measure circuit did not error")
 	}
 	// Mid-circuit measurement keeps forced dense's wider allowance: it
 	// is the only collapse-capable engine, exactly as in auto selection.
 	mid20 := circuit.NewBuilder(20)
 	mid20.H(0).Measure(0).X(0)
-	if m, _, err := (Router{Force: Dense}).Select(mid20.MustBuild()); err != nil || m != Dense {
+	if m, _, err := (Router{Force: Dense}).SelectWidth(mid20.MustBuild(), 20); err != nil || m != Dense {
 		t.Errorf("forced dense on 20q mid-measure = (%v,%v), want dense", m, err)
 	}
 }
@@ -262,17 +262,17 @@ func TestForceFeasibility(t *testing.T) {
 	clifford := circuit.NewBuilder(4).H(0).CX(0, 1).MeasureAll().MustBuild()
 	generic := circuit.NewBuilder(4).RY(0, 0.3).MeasureAll().MustBuild()
 
-	if m, _, err := (Router{Force: Dense}).Select(clifford); err != nil || m != Dense {
+	if m, _, err := (Router{Force: Dense}).SelectWidth(clifford, clifford.NQubits); err != nil || m != Dense {
 		t.Errorf("force dense = (%v,%v)", m, err)
 	}
-	if m, _, err := (Router{Force: Product}).Select(generic); err != nil || m != Product {
+	if m, _, err := (Router{Force: Product}).SelectWidth(generic, generic.NQubits); err != nil || m != Product {
 		t.Errorf("force product = (%v,%v)", m, err)
 	}
-	if _, _, err := (Router{Force: Clifford}).Select(generic); err == nil {
+	if _, _, err := (Router{Force: Clifford}).SelectWidth(generic, generic.NQubits); err == nil {
 		t.Error("forced clifford on a generic circuit did not error")
 	}
 	wide := circuit.NewBuilder(qsim.MaxQubits + 2).H(0).MeasureAll().MustBuild()
-	if _, _, err := (Router{Force: Dense}).Select(wide); err == nil {
+	if _, _, err := (Router{Force: Dense}).SelectWidth(wide, wide.NQubits); err == nil {
 		t.Error("forced dense past MaxQubits did not error")
 	}
 }

@@ -1,42 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-// Property: Cycles and CyclesIn are inverse for any cycle count, and
-// CyclesCeil(Cycles(n)) == n exactly (no off-by-one at boundaries).
-func TestClockInverseProperty(t *testing.T) {
-	clocks := []Clock{
-		NewClock(1_000_000_000),
-		NewClock(2_000_000_000),
-		NewClock(200_000_000),
-		NewClock(5_000_000_000),
-	}
-	f := func(nRaw uint32) bool {
-		n := int64(nRaw % 1_000_000)
-		for _, c := range clocks {
-			d := c.Cycles(n)
-			if c.CyclesIn(d) != n {
-				return false
-			}
-			if c.CyclesCeil(d) != n {
-				return false
-			}
-			if n > 0 && c.CyclesCeil(d-1) != n {
-				return false
-			}
-			if c.CyclesCeil(d+1) != n+1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
+import "testing"
 
 // Time formatting covers negative values (used when printing deltas).
 func TestTimeStringNegative(t *testing.T) {
@@ -45,15 +9,5 @@ func TestTimeStringNegative(t *testing.T) {
 	}
 	if got := (-3 * Microsecond).String(); got != "-3µs" {
 		t.Errorf("String = %q", got)
-	}
-}
-
-func TestDurationConversion(t *testing.T) {
-	if got := (1500 * Nanosecond).Duration().Nanoseconds(); got != 1500 {
-		t.Errorf("Duration = %d ns", got)
-	}
-	// Sub-nanosecond truncates toward zero.
-	if got := (500 * Picosecond).Duration().Nanoseconds(); got != 0 {
-		t.Errorf("sub-ns Duration = %d", got)
 	}
 }

@@ -13,10 +13,7 @@
 // produce identical traces.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point (or span) of simulated time measured in picoseconds.
 //
@@ -33,10 +30,6 @@ const (
 	Millisecond      = 1000 * Microsecond
 	Second           = 1000 * Millisecond
 )
-
-// Duration converts a simulated span to a time.Duration (nanosecond
-// resolution, rounding toward zero).
-func (t Time) Duration() time.Duration { return time.Duration(t/Nanosecond) * time.Nanosecond }
 
 // Nanoseconds reports t as a floating-point number of nanoseconds.
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
@@ -74,7 +67,6 @@ func FromNanoseconds(ns float64) Time { return Time(ns*float64(Nanosecond) + 0.5
 // running at a fixed frequency. The zero Clock is invalid; use NewClock.
 type Clock struct {
 	period Time // duration of one cycle
-	hz     int64
 }
 
 // NewClock returns a clock with the given frequency in hertz.
@@ -87,14 +79,8 @@ func NewClock(hz int64) Clock {
 	if int64(Second)%hz != 0 {
 		panic(fmt.Sprintf("sim: clock frequency %d Hz does not divide 1s evenly", hz))
 	}
-	return Clock{period: Time(int64(Second) / hz), hz: hz}
+	return Clock{period: Time(int64(Second) / hz)}
 }
-
-// Hz reports the clock frequency in hertz.
-func (c Clock) Hz() int64 { return c.hz }
-
-// Period reports the duration of a single cycle.
-func (c Clock) Period() Time { return c.period }
 
 // Cycles converts a cycle count to a duration.
 func (c Clock) Cycles(n int64) Time { return Time(n) * c.period }
@@ -102,13 +88,5 @@ func (c Clock) Cycles(n int64) Time { return Time(n) * c.period }
 // CyclesFloat converts a fractional cycle count to a duration,
 // truncating to the enclosing picosecond — the bridge for rate-derived
 // counts like instructions/IPC, so callers never multiply raw cycle
-// floats by Period themselves.
+// floats by the clock period themselves.
 func (c Clock) CyclesFloat(n float64) Time { return Time(n * float64(c.period)) }
-
-// CyclesIn reports how many full cycles fit in d.
-func (c Clock) CyclesIn(d Time) int64 { return int64(d / c.period) }
-
-// CyclesCeil reports the number of cycles needed to cover d, rounding up.
-func (c Clock) CyclesCeil(d Time) int64 {
-	return int64((d + c.period - 1) / c.period)
-}

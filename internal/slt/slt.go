@@ -13,11 +13,7 @@
 // pulses that outlived their SLT entry are still reused.
 package slt
 
-import (
-	"fmt"
-
-	"qtenon/internal/metrics"
-)
+import "qtenon/internal/metrics"
 
 // Geometry and field widths from Table 2 / Figure 7.
 const (
@@ -120,11 +116,6 @@ const (
 	HitQSpace                // SLT missed; QSpace had the mapping
 	Allocated                // first sighting; new pulse slot allocated
 )
-
-// String names the outcome.
-func (o Outcome) String() string {
-	return [...]string{"slt-hit", "qspace-hit", "allocated"}[o]
-}
 
 // Result reports one lookup.
 type Result struct {
@@ -363,15 +354,4 @@ func (st Stats) HitRate() float64 {
 		return 0
 	}
 	return float64(st.Hits+st.QSpaceHits) / float64(st.Lookups)
-}
-
-// SanityCheckGeometry validates the constants against Table 2.
-func SanityCheckGeometry() error {
-	if 1<<IndexBits != 128 {
-		return fmt.Errorf("slt: index space %d, want 128", 1<<IndexBits)
-	}
-	if QSpaceBytesPerQubit != 4*1024*1024 {
-		return fmt.Errorf("slt: QSpace %d bytes/qubit, want 4 MB", QSpaceBytesPerQubit)
-	}
-	return nil
 }

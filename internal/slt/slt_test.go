@@ -5,9 +5,13 @@ import (
 	"testing"
 )
 
+// TestGeometry checks the constants against Table 2.
 func TestGeometry(t *testing.T) {
-	if err := SanityCheckGeometry(); err != nil {
-		t.Fatal(err)
+	if 1<<IndexBits != 128 {
+		t.Errorf("index space %d, want 128", 1<<IndexBits)
+	}
+	if QSpaceBytesPerQubit != 4*1024*1024 {
+		t.Errorf("QSpace %d bytes/qubit, want 4 MB", QSpaceBytesPerQubit)
 	}
 }
 

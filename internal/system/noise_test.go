@@ -76,8 +76,8 @@ func TestTraceRecordsEvaluationSpans(t *testing.T) {
 		t.Errorf("trace quantum busy %v != accounted %v", got, want)
 	}
 	// The virtual clock equals the total accounted time.
-	if s.Now() != s.Result().Breakdown.Total() {
-		t.Errorf("Now %v != breakdown total %v", s.Now(), s.Result().Breakdown.Total())
+	if s.now != s.Result().Breakdown.Total() {
+		t.Errorf("now %v != breakdown total %v", s.now, s.Result().Breakdown.Total())
 	}
 	// Disabling the tracer stops recording.
 	s.SetTrace(nil)

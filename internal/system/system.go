@@ -513,10 +513,6 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 // out on a virtual timeline that advances by each evaluation's duration.
 func (s *System) SetTrace(r *trace.Recorder) { s.tracer = r }
 
-// Now reports the virtual timeline position (total simulated time of all
-// evaluations so far).
-func (s *System) Now() sim.Time { return s.now }
-
 // Result reports everything accumulated so far as one report.RunResult —
 // the Backend accounting surface. History is the optimizer's to fill
 // (backend.RunOn overwrites it); Evaluations here counts Evaluate calls,

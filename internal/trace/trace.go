@@ -21,9 +21,6 @@ type Span struct {
 	End      sim.Time
 }
 
-// Duration reports the span length.
-func (s Span) Duration() sim.Time { return s.End - s.Start }
-
 // Recorder accumulates spans. The zero Recorder is ready; a nil
 // *Recorder is a valid no-op sink, so instrumented code never needs nil
 // checks.
@@ -64,14 +61,6 @@ func (r *Recorder) Add(resource, label string, start, end sim.Time) {
 	}
 	r.byResource[resource] = append(r.byResource[resource], len(r.spans))
 	r.spans = append(r.spans, Span{Resource: resource, Label: label, Start: start, End: end})
-}
-
-// Spans returns recorded spans in insertion order.
-func (r *Recorder) Spans() []Span {
-	if r == nil {
-		return nil
-	}
-	return r.spans
 }
 
 // Len reports the span count.

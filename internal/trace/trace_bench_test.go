@@ -12,7 +12,7 @@ import (
 // span by resource, sort, merge — as the benchmark reference.
 func naiveBusy(r *Recorder, resource string) sim.Time {
 	var filtered []Span
-	for _, s := range r.Spans() {
+	for _, s := range r.spans {
 		if s.Resource == resource {
 			filtered = append(filtered, s)
 		}

@@ -12,7 +12,7 @@ func ns(n int64) sim.Time { return sim.Time(n) * sim.Nanosecond }
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	r.Add("x", "y", 0, ns(10)) // must not panic
-	if r.Len() != 0 || r.Spans() != nil || r.Busy("x") != 0 || r.Resources() != nil {
+	if r.Len() != 0 || r.Busy("x") != 0 || r.Resources() != nil {
 		t.Error("nil recorder not inert")
 	}
 }
@@ -24,13 +24,13 @@ func TestAddAndSpans(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	s := r.Spans()[1]
-	if s.Resource != "quantum" || s.Duration() != ns(100) {
+	s := r.spans[1]
+	if s.Resource != "quantum" || s.End-s.Start != ns(100) {
 		t.Errorf("span = %+v", s)
 	}
 	// Reversed bounds are normalized.
 	r.Add("host", "oops", ns(50), ns(40))
-	last := r.Spans()[2]
+	last := r.spans[2]
 	if last.Start != ns(40) || last.End != ns(50) {
 		t.Errorf("reversed span not normalized: %+v", last)
 	}
