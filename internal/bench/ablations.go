@@ -68,7 +68,7 @@ func Ablations(sc Scale) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		rbq := tilelink.NewRBQ(tags, 8, 1<<16)
+		rbq := tilelink.NewRBQ(tags, 8, tags*(8+1))
 		res, err := tilelink.Transfer(bus, rbq, 0, 1000, false, nil)
 		if err != nil {
 			return "", err

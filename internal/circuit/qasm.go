@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -133,6 +134,9 @@ func parseGateLine(line string) (Gate, error) {
 		theta, err = strconv.ParseFloat(name[open+1:close], 64)
 		if err != nil {
 			return Gate{}, fmt.Errorf("bad angle in %q: %v", line, err)
+		}
+		if math.IsNaN(theta) || math.IsInf(theta, 0) {
+			return Gate{}, fmt.Errorf("non-finite angle in %q", line)
 		}
 		name = name[:open]
 	}

@@ -48,6 +48,9 @@ func TestParseQASMErrors(t *testing.T) {
 		{"bad qubit ref", "qreg q[1];\nh q0;"},
 		{"arity mismatch", "qreg q[2];\ncx q[0];"},
 		{"out of range", "qreg q[1];\nh q[5];"},
+		{"nan angle", "qreg q[1];\nrx(nan) q[0];"},
+		{"inf angle", "qreg q[1];\nry(inf) q[0];"},
+		{"-inf angle", "qreg q[2];\nrz(-inf) q[1];"},
 	}
 	for _, tt := range tests {
 		if _, err := ParseQASM(strings.NewReader(tt.src)); err == nil {

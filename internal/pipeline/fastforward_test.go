@@ -9,15 +9,13 @@ import (
 	"qtenon/internal/circuit"
 	"qtenon/internal/hw"
 	"qtenon/internal/metrics"
-	"qtenon/internal/pulse"
 	"qtenon/internal/qcc"
 	"qtenon/internal/slt"
 )
 
 // runCycleByCycle is the pipeline loop as it was before quiet cycles were
-// fast-forwarded: one loop iteration per simulated cycle. It writes pulses
-// through the uncached pulse.Synthesize path and is kept frozen as the
-// reference Run must match exactly.
+// fast-forwarded: one loop iteration per simulated cycle. It is kept
+// frozen as the reference Run must match exactly.
 func runCycleByCycle(p *Pipeline, items []WorkItem, limit int64) (Result, error) {
 	var res Result
 	if len(items) == 0 {
@@ -31,7 +29,7 @@ func runCycleByCycle(p *Pipeline, items []WorkItem, limit int64) (Result, error)
 
 	var s2 WorkItem
 	var s2v bool
-	var s3 job
+	var s3 WorkItem
 	var s3v bool
 	var s2stall int64
 
@@ -58,11 +56,7 @@ func runCycleByCycle(p *Pipeline, items []WorkItem, limit int64) (Result, error)
 			reqs[i] = pgus[i].done
 		}
 		if g := arb.Grant(reqs); g >= 0 {
-			j := pgus[g].current
-			if err := writePulseUncached(p, j); err != nil {
-				return res, err
-			}
-			if err := p.setStatus(j, qcc.StatusValid); err != nil {
+			if err := p.setStatus(pgus[g].current, qcc.StatusValid); err != nil {
 				return res, err
 			}
 			pgus[g] = pguState{}
@@ -104,14 +98,14 @@ func runCycleByCycle(p *Pipeline, items []WorkItem, limit int64) (Result, error)
 			s2stall--
 			res.QSpaceCycles++
 		} else if !stalled && s2v && !s3v {
-			j, generate, extra, err := p.decode(s2)
+			generate, extra, err := p.decode(s2)
 			if err != nil {
 				return res, err
 			}
 			res.Processed++
 			s2stall = extra
 			if generate {
-				s3, s3v = j, true
+				s3, s3v = s2, true
 			} else {
 				res.Skipped++
 			}
@@ -132,18 +126,6 @@ func runCycleByCycle(p *Pipeline, items []WorkItem, limit int64) (Result, error)
 	p.cQSpaceStall.Add(res.QSpaceCycles)
 	p.cCycles.Add(res.Cycles)
 	return res, nil
-}
-
-func writePulseUncached(p *Pipeline, j job) error {
-	durNs := p.cfg.Timing.GateDuration(j.kind).Nanoseconds()
-	wf := pulse.Synthesize(j.kind, qcc.DequantizeAngle(j.data), durNs, pulse.DefaultParams())
-	for i, e := range pulse.PackEntries(wf) {
-		idx := (int(j.qaddr) + i) % p.cache.Config().PulseEntries
-		if err := p.cache.WritePulse(j.qubit, idx, e, qcc.HardwareAccess); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // twin is one instrumented pipeline of a differential pair.
@@ -171,8 +153,8 @@ func newTwin(t *testing.T, nq int, cfg Config) twin {
 	return twin{p: p, cache: cache, bank: bank, reg: reg}
 }
 
-// sameState reports the first difference between the two twins' cache
-// contents, SLT statistics and metrics.
+// sameState reports the first difference between the two twins' program
+// entries, SLT statistics and metrics.
 func sameState(a, b twin, nq, entries int) error {
 	for q := 0; q < nq; q++ {
 		for i := 0; i < entries; i++ {
@@ -180,13 +162,6 @@ func sameState(a, b twin, nq, entries int) error {
 			eb, _ := b.cache.ReadProgram(q, i, qcc.HostAccess)
 			if ea != eb {
 				return fmt.Errorf("program[%d][%d]: %+v vs %+v", q, i, ea, eb)
-			}
-		}
-		for i := 0; i < a.cache.Config().PulseEntries; i++ {
-			pa, _ := a.cache.ReadPulse(q, i, qcc.HardwareAccess)
-			pb, _ := b.cache.ReadPulse(q, i, qcc.HardwareAccess)
-			if pa != pb {
-				return fmt.Errorf(".pulse[%d][%d] differs", q, i)
 			}
 		}
 		if sa, sb := a.bank.Qubit(q).Stats, b.bank.Qubit(q).Stats; sa != sb {
@@ -203,8 +178,9 @@ func sameState(a, b twin, nq, entries int) error {
 // cycle-by-cycle loop over random geometries and several rounds of
 // shuffled, partly reloaded programs, so that SLT hits, evictions,
 // QSpace hits and status-valid skips all occur, and demands identical
-// results, errors, metrics and cache contents. A quarter of the runs use
-// a random livelock limit, which both must trip at the same cycle.
+// results, errors, metrics, program entries and SLT statistics. A
+// quarter of the runs use a random livelock limit, which both must trip
+// at the same cycle.
 func TestFastForwardMatchesCycleByCycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	kinds := []circuit.Kind{circuit.RX, circuit.RY, circuit.RZ, circuit.H, circuit.CZ}
@@ -219,7 +195,6 @@ func TestFastForwardMatchesCycleByCycle(t *testing.T) {
 			PGULatency:    1 + rng.Int63n(1200),
 			UseSLT:        rng.Intn(4) != 0,
 			QSpaceLatency: rng.Int63n(151),
-			Timing:        circuit.DefaultTiming(),
 		}
 		nq := 1 + rng.Intn(4)
 		entries := 1 + rng.Intn(24)

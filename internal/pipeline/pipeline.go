@@ -5,15 +5,17 @@
 //	Stage 2  decode; fetch Regfile if R=1; query the SLT when Status=0
 //	Stage 3  dispatch to a free PGU via priority encoder (stall S1/S2
 //	         when all PGUs are busy; S4 is decoupled by ready/valid)
-//	Stage 4  arbitrate PGU completions and write pulses to the pulse cache
+//	Stage 4  arbitrate PGU completions and write back their program entries
 //
-// The model is cycle-exact with real data flowing through: program
-// entries are read from and written back to the quantum controller cache,
-// SLT lookups hit the slt.Bank, and completed PGUs store genuine
-// synthesized pulse entries. Run steps cycle by cycle while any stage can
-// act and jumps over quiet stretches, where the only changes are PGU
-// countdowns and the cycle and stall counters, in one step; host cost
-// therefore follows pipeline events, not simulated cycles.
+// The model is cycle-exact over real program data: entries are read from
+// and written back to the quantum controller cache, and SLT lookups hit
+// the slt.Bank. As in the paper (§7.1), a PGU is a black box that holds a
+// job for PGULatency cycles; it synthesizes no waveform, because every
+// result counts pulses and cycles, never samples. Run steps cycle by
+// cycle while any stage can act and jumps over quiet stretches, where the
+// only changes are PGU countdowns and the cycle and stall counters, in
+// one step; host cost therefore follows pipeline events, not simulated
+// cycles.
 package pipeline
 
 import (
@@ -22,7 +24,6 @@ import (
 	"qtenon/internal/circuit"
 	"qtenon/internal/hw"
 	"qtenon/internal/metrics"
-	"qtenon/internal/pulse"
 	"qtenon/internal/qcc"
 	"qtenon/internal/slt"
 )
@@ -42,23 +43,25 @@ type Config struct {
 	// consults QSpace over datapath ❸ — a DRAM-class access (Figure 7
 	// steps ❷–❸). Evictions add the same cost again for the write-back.
 	QSpaceLatency int64
-	Timing        circuit.Timing
+	// Timing is read by nothing: a PGU takes PGULatency cycles whatever
+	// the gate. The field stays only because perfbench's replay sets it.
+	Timing circuit.Timing
 }
 
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
-	return Config{PGUs: 8, PGULatency: 1000, UseSLT: true, QSpaceLatency: 100, Timing: circuit.DefaultTiming()}
+	return Config{PGUs: 8, PGULatency: 1000, UseSLT: true, QSpaceLatency: 100}
 }
 
 // Result reports one pipeline run.
 type Result struct {
 	Cycles       int64 // total cycles from first fetch to last writeback
 	Processed    int   // entries examined
-	Generated    int   // pulses actually synthesized (SLT misses)
+	Generated    int   // pulses generated (SLT misses)
 	Skipped      int   // entries resolved without generation
 	StallCycles  int64 // cycles stages 1–2 were stalled on busy PGUs
 	QSpaceCycles int64 // stage-2 stalls on QSpace accesses (datapath ❸)
-	Writebacks   int   // pulse cache writes
+	Writebacks   int   // PGU completions written back (program entry marked valid)
 }
 
 // Pipeline binds the hardware resources the four stages touch.
@@ -66,14 +69,11 @@ type Pipeline struct {
 	cfg   Config
 	cache *qcc.Cache
 	bank  *slt.Bank
-	pgu   *pulse.PGU
 
-	// Per-run scratch (PGU states, the stage-3/4 request vectors and the
-	// packed pulse of a write-back), recycled across Run calls so the
-	// per-cycle loop does not allocate.
-	pguScratch   []pguState
-	boolScratch  []bool
-	pulseScratch []pulse.Entry
+	// Per-run scratch (PGU states and the stage-3/4 request vectors),
+	// recycled across Run calls so the per-cycle loop does not allocate.
+	pguScratch  []pguState
+	boolScratch []bool
 
 	cProcessed, cGenerated, cSkipped *metrics.Counter
 	cStall, cQSpaceStall, cCycles    *metrics.Counter
@@ -108,30 +108,21 @@ func New(cfg Config, cache *qcc.Cache, bank *slt.Bank) (*Pipeline, error) {
 	if cache.Config().NQubits != bank.NQubits() {
 		return nil, fmt.Errorf("pipeline: cache has %d qubits, SLT bank %d", cache.Config().NQubits, bank.NQubits())
 	}
-	p := &Pipeline{cfg: cfg, cache: cache, bank: bank, pgu: pulse.NewPGU()}
-	p.pgu.LatencyCycle = cfg.PGULatency
-	return p, nil
+	return &Pipeline{cfg: cfg, cache: cache, bank: bank}, nil
 }
 
-// job is the payload flowing from stage 2 to a PGU.
-type job struct {
-	qubit int
-	index int // program entry index (for status writeback)
-	kind  circuit.Kind
-	data  uint32 // quantized angle after regfile resolution
-	qaddr uint32 // pulse slot
-}
-
+// pguState is one PGU; current names the program entry whose pulse it
+// generates, for the stage-4 status write-back.
 type pguState struct {
 	busy    bool
 	remain  int64
-	current job
+	current WorkItem
 	done    bool
 }
 
 // Run processes the work items in order and returns cycle-accurate
 // results. It mutates the cache: program entries get their QAddr/Status
-// fields updated and generated pulses land in the .pulse segment.
+// fields updated.
 func (p *Pipeline) Run(items []WorkItem) (Result, error) {
 	return p.run(items, p.cycleLimit(len(items)))
 }
@@ -170,7 +161,7 @@ func (p *Pipeline) run(items []WorkItem, limit int64) (Result, error) {
 	// Stage latches (value + valid flag, so latching never allocates).
 	var s2 WorkItem // fetched, awaiting decode
 	var s2v bool
-	var s3 job // decoded, awaiting PGU dispatch
+	var s3 WorkItem // decoded, awaiting PGU dispatch
 	var s3v bool
 	var s2stall int64 // stage-2 QSpace stall countdown
 
@@ -235,16 +226,12 @@ func (p *Pipeline) run(items []WorkItem, limit int64) (Result, error) {
 			return res, fmt.Errorf("pipeline: livelock after %d cycles", cycles)
 		}
 
-		// Stage 4: arbitrate one completed PGU and write back its pulse.
+		// Stage 4: arbitrate one completed PGU and mark its entry valid.
 		for i := range pgus {
 			reqs[i] = pgus[i].done
 		}
 		if g := arb.Grant(reqs); g >= 0 {
-			j := pgus[g].current
-			if err := p.writePulse(j); err != nil {
-				return res, err
-			}
-			if err := p.setStatus(j, qcc.StatusValid); err != nil {
+			if err := p.setStatus(pgus[g].current, qcc.StatusValid); err != nil {
 				return res, err
 			}
 			pgus[g] = pguState{}
@@ -289,14 +276,14 @@ func (p *Pipeline) run(items []WorkItem, limit int64) (Result, error) {
 			s2stall--
 			res.QSpaceCycles++
 		} else if !stalled && s2v && !s3v {
-			j, generate, extra, err := p.decode(s2)
+			generate, extra, err := p.decode(s2)
 			if err != nil {
 				return res, err
 			}
 			res.Processed++
 			s2stall = extra
 			if generate {
-				s3, s3v = j, true
+				s3, s3v = s2, true
 			} else {
 				res.Skipped++
 			}
@@ -323,41 +310,34 @@ func (p *Pipeline) run(items []WorkItem, limit int64) (Result, error) {
 // decode performs the stage-2 work for one entry. It reports whether a
 // pulse must be generated and how many extra cycles stage 2 stalls on
 // QSpace traffic (datapath ❸).
-func (p *Pipeline) decode(it WorkItem) (job, bool, int64, error) {
+func (p *Pipeline) decode(it WorkItem) (bool, int64, error) {
 	e, err := p.cache.ReadProgram(it.Qubit, it.Index, qcc.HardwareAccess)
 	if err != nil {
-		return job{}, false, 0, err
+		return false, 0, err
 	}
 	data := e.Data
 	if e.RegFlag {
 		v, err := p.cache.ReadReg(int(e.Data), qcc.HardwareAccess)
 		if err != nil {
-			return job{}, false, 0, err
+			return false, 0, err
 		}
 		data = v & qcc.MaxEntryData
 	}
-	j := job{qubit: it.Qubit, index: it.Index, kind: circuit.Kind(e.Type), data: data}
 
 	if e.Status == qcc.StatusValid && !e.RegFlag {
 		// QAddress already valid and the parameter cannot have changed:
 		// nothing to do.
-		return j, false, 0, nil
+		return false, 0, nil
 	}
 
 	if !p.cfg.UseSLT {
 		// Ablation: always allocate a fresh slot and generate.
-		slot := p.bank.Qubit(it.Qubit).AllocateAlways()
-		j.qaddr = slot
-		e.QAddr = slot & qcc.MaxEntryQAddr
+		e.QAddr = p.bank.Qubit(it.Qubit).AllocateAlways() & qcc.MaxEntryQAddr
 		e.Status = qcc.StatusPending
-		if err := p.cache.WriteProgram(it.Qubit, it.Index, e, qcc.HardwareAccess); err != nil {
-			return j, false, 0, err
-		}
-		return j, true, 0, nil
+		return true, 0, p.cache.WriteProgram(it.Qubit, it.Index, e, qcc.HardwareAccess)
 	}
 
 	res := p.bank.Qubit(it.Qubit).Lookup(e.Type, data)
-	j.qaddr = res.QAddr
 	e.QAddr = res.QAddr & qcc.MaxEntryQAddr
 	// SLT hits resolve in the pipeline cycle. A QSpace HIT must wait for
 	// the DRAM read (the stored QAddress is needed before linking), so it
@@ -367,41 +347,21 @@ func (p *Pipeline) decode(it WorkItem) (job, bool, int64, error) {
 	if res.Outcome == slt.HitQSpace {
 		extra += p.cfg.QSpaceLatency
 	}
-	if res.Outcome == slt.Allocated {
+	generate := res.Outcome == slt.Allocated
+	if generate {
 		e.Status = qcc.StatusPending
-		if err := p.cache.WriteProgram(it.Qubit, it.Index, e, qcc.HardwareAccess); err != nil {
-			return j, false, 0, err
-		}
-		return j, true, extra, nil
+	} else {
+		// Hit (SLT or QSpace): pulse exists; just link the address.
+		e.Status = qcc.StatusValid
 	}
-	// Hit (SLT or QSpace): pulse exists; just link the address.
-	e.Status = qcc.StatusValid
-	if err := p.cache.WriteProgram(it.Qubit, it.Index, e, qcc.HardwareAccess); err != nil {
-		return j, false, 0, err
-	}
-	return j, false, extra, nil
+	return generate, extra, p.cache.WriteProgram(it.Qubit, it.Index, e, qcc.HardwareAccess)
 }
 
-// writePulse synthesizes the job's pulse and stores its entries from the
-// allocated slot on.
-func (p *Pipeline) writePulse(j job) error {
-	durNs := p.cfg.Timing.GateDuration(j.kind).Nanoseconds()
-	p.pulseScratch = p.pgu.AppendGenerate(p.pulseScratch[:0], j.kind, qcc.DequantizeAngle(j.data), durNs)
-	cfg := p.cache.Config()
-	for i, e := range p.pulseScratch {
-		idx := (int(j.qaddr) + i) % cfg.PulseEntries
-		if err := p.cache.WritePulse(j.qubit, idx, e, qcc.HardwareAccess); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *Pipeline) setStatus(j job, status uint8) error {
-	e, err := p.cache.ReadProgram(j.qubit, j.index, qcc.HardwareAccess)
+func (p *Pipeline) setStatus(it WorkItem, status uint8) error {
+	e, err := p.cache.ReadProgram(it.Qubit, it.Index, qcc.HardwareAccess)
 	if err != nil {
 		return err
 	}
 	e.Status = status
-	return p.cache.WriteProgram(j.qubit, j.index, e, qcc.HardwareAccess)
+	return p.cache.WriteProgram(it.Qubit, it.Index, e, qcc.HardwareAccess)
 }

@@ -154,6 +154,15 @@ func TestDistinctAnglesAllGenerate(t *testing.T) {
 	if res.Generated != 8 {
 		t.Errorf("generated = %d, want 8", res.Generated)
 	}
+	// Each distinct angle owns its own pulse slot.
+	slots := map[uint32]int{}
+	for i := range items {
+		e, _ := cache.ReadProgram(0, i, qcc.HostAccess)
+		if j, ok := slots[e.QAddr]; ok {
+			t.Errorf("entries %d and %d share QAddr %d", j, i, e.QAddr)
+		}
+		slots[e.QAddr] = i
+	}
 }
 
 func TestPGUParallelism(t *testing.T) {
@@ -277,28 +286,6 @@ func TestNoSLTAblationAlwaysGenerates(t *testing.T) {
 	}
 	if res.Generated != 5 {
 		t.Errorf("no-SLT generated = %d, want 5", res.Generated)
-	}
-}
-
-func TestPulseWrittenToCache(t *testing.T) {
-	p, cache, _ := rig(t, 1, DefaultConfig())
-	loadGate(t, cache, 0, 0, circuit.RX, circuit.Pi/2)
-	if _, err := p.Run([]WorkItem{{0, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := cache.ReadProgram(0, 0, qcc.HostAccess)
-	pe, err := cache.ReadPulse(0, int(e.QAddr), qcc.HardwareAccess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonzero := false
-	for _, w := range pe {
-		if w != 0 {
-			nonzero = true
-		}
-	}
-	if !nonzero {
-		t.Error("pulse entry is all zeros; synthesis did not land")
 	}
 }
 

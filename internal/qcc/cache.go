@@ -1,15 +1,12 @@
 package qcc
 
-import (
-	"fmt"
-
-	"qtenon/internal/pulse"
-)
+import "fmt"
 
 // AccessClass distinguishes who is touching the cache: the host CPU over
 // the public datapaths (❶❷) or controller-internal hardware (datapath ❸
-// and the pulse pipeline). Private segments reject host access — the
-// hardware-isolation property of §5.1.
+// and the pulse pipeline). The cache stores only public segments, so no
+// access is refused and no accessor reads the class. It stays only
+// because perfbench's replay passes it; it goes when that replay does.
 type AccessClass uint8
 
 // Access classes.
@@ -19,25 +16,15 @@ const (
 )
 
 // Cache is the storage model of a quantum controller cache instance. It
-// holds real contents for all five segments so the pipeline, SLT and
-// system model operate on actual data rather than placeholders.
+// holds the contents of .program, .measure and .regfile. It keeps only
+// the geometry of .pulse and .slt: no program reads pulse samples, and
+// SLT state lives in slt.Bank.
 type Cache struct {
 	cfg Config
 
 	program [][]ProgramEntry // [qubit][entry]
-	pulses  [][]pulse.Entry  // [qubit][entry]
 	measure []uint64
 	regfile []uint32
-
-	// Stats counts accesses per segment for the experiment harness.
-	Stats Stats
-}
-
-// Stats tallies cache traffic.
-type Stats struct {
-	Reads  [numSegments]int64
-	Writes [numSegments]int64
-	Denied int64 // host accesses rejected by the privacy check
 }
 
 // NewCache allocates a cache with the given geometry.
@@ -47,10 +34,8 @@ func NewCache(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{cfg: cfg}
 	c.program = make([][]ProgramEntry, cfg.NQubits)
-	c.pulses = make([][]pulse.Entry, cfg.NQubits)
 	for q := 0; q < cfg.NQubits; q++ {
 		c.program[q] = make([]ProgramEntry, cfg.ProgramEntries)
-		c.pulses[q] = make([]pulse.Entry, cfg.PulseEntries)
 	}
 	c.measure = make([]uint64, cfg.MeasureEntries)
 	c.regfile = make([]uint32, cfg.RegfileEntries)
@@ -60,25 +45,9 @@ func NewCache(cfg Config) (*Cache, error) {
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) check(loc Location, who AccessClass, write bool) error {
-	if who == HostAccess && !loc.Segment.Public() {
-		c.Stats.Denied++
-		return fmt.Errorf("qcc: host access to private segment %v denied", loc.Segment)
-	}
-	if write {
-		c.Stats.Writes[loc.Segment]++
-	} else {
-		c.Stats.Reads[loc.Segment]++
-	}
-	return nil
-}
-
 // ReadProgram reads one program entry.
 func (c *Cache) ReadProgram(q, idx int, who AccessClass) (ProgramEntry, error) {
 	if err := c.bounds(SegProgram, q, idx); err != nil {
-		return ProgramEntry{}, err
-	}
-	if err := c.check(Location{SegProgram, q, idx}, who, false); err != nil {
 		return ProgramEntry{}, err
 	}
 	return c.program[q][idx], nil
@@ -89,33 +58,7 @@ func (c *Cache) WriteProgram(q, idx int, e ProgramEntry, who AccessClass) error 
 	if err := c.bounds(SegProgram, q, idx); err != nil {
 		return err
 	}
-	if err := c.check(Location{SegProgram, q, idx}, who, true); err != nil {
-		return err
-	}
 	c.program[q][idx] = e
-	return nil
-}
-
-// ReadPulse reads one pulse entry (hardware only).
-func (c *Cache) ReadPulse(q, idx int, who AccessClass) (pulse.Entry, error) {
-	if err := c.bounds(SegPulse, q, idx); err != nil {
-		return pulse.Entry{}, err
-	}
-	if err := c.check(Location{SegPulse, q, idx}, who, false); err != nil {
-		return pulse.Entry{}, err
-	}
-	return c.pulses[q][idx], nil
-}
-
-// WritePulse writes one pulse entry (hardware only).
-func (c *Cache) WritePulse(q, idx int, e pulse.Entry, who AccessClass) error {
-	if err := c.bounds(SegPulse, q, idx); err != nil {
-		return err
-	}
-	if err := c.check(Location{SegPulse, q, idx}, who, true); err != nil {
-		return err
-	}
-	c.pulses[q][idx] = e
 	return nil
 }
 
@@ -124,18 +67,12 @@ func (c *Cache) ReadMeasure(idx int, who AccessClass) (uint64, error) {
 	if err := c.bounds(SegMeasure, 0, idx); err != nil {
 		return 0, err
 	}
-	if err := c.check(Location{SegMeasure, -1, idx}, who, false); err != nil {
-		return 0, err
-	}
 	return c.measure[idx], nil
 }
 
 // WriteMeasure writes a measurement word.
 func (c *Cache) WriteMeasure(idx int, v uint64, who AccessClass) error {
 	if err := c.bounds(SegMeasure, 0, idx); err != nil {
-		return err
-	}
-	if err := c.check(Location{SegMeasure, -1, idx}, who, true); err != nil {
 		return err
 	}
 	c.measure[idx] = v
@@ -147,18 +84,12 @@ func (c *Cache) ReadReg(idx int, who AccessClass) (uint32, error) {
 	if err := c.bounds(SegRegfile, 0, idx); err != nil {
 		return 0, err
 	}
-	if err := c.check(Location{SegRegfile, -1, idx}, who, false); err != nil {
-		return 0, err
-	}
 	return c.regfile[idx], nil
 }
 
 // WriteReg writes a register-file word — the target of q_update.
 func (c *Cache) WriteReg(idx int, v uint32, who AccessClass) error {
 	if err := c.bounds(SegRegfile, 0, idx); err != nil {
-		return err
-	}
-	if err := c.check(Location{SegRegfile, -1, idx}, who, true); err != nil {
 		return err
 	}
 	c.regfile[idx] = v
@@ -170,10 +101,6 @@ func (c *Cache) bounds(s Segment, q, idx int) error {
 	case SegProgram:
 		if q < 0 || q >= c.cfg.NQubits || idx < 0 || idx >= c.cfg.ProgramEntries {
 			return fmt.Errorf("qcc: program[%d][%d] out of range", q, idx)
-		}
-	case SegPulse:
-		if q < 0 || q >= c.cfg.NQubits || idx < 0 || idx >= c.cfg.PulseEntries {
-			return fmt.Errorf("qcc: pulse[%d][%d] out of range", q, idx)
 		}
 	case SegMeasure:
 		if idx < 0 || idx >= c.cfg.MeasureEntries {

@@ -5,16 +5,14 @@
 // segments (.program, .pulse, .measure, .slt, .regfile; Table 2); the
 // second divides per-qubit segments into qubit chunks with dedicated
 // address ranges ("QAddresses"), so program entries never need to carry a
-// qubit index — it is encoded by the address. The .slt and .pulse
-// segments are private (hardware-managed); .program, .regfile and
-// .measure are public.
+// qubit index — it is encoded by the address. In the paper the .slt and
+// .pulse segments are private (hardware-managed) and .program, .regfile
+// and .measure are public. Cache stores the three public segments; .pulse
+// and .slt exist here as geometry only (sizes and the address map), and
+// SLT state lives in slt.Bank.
 package qcc
 
-import (
-	"fmt"
-
-	"qtenon/internal/pulse"
-)
+import "fmt"
 
 // Segment names one of the five quantum controller cache segments.
 type Segment uint8
@@ -39,23 +37,12 @@ func (s Segment) String() string {
 	return fmt.Sprintf("segment(%d)", uint8(s))
 }
 
-// Public reports whether the segment is user-accessible. The paper keeps
-// .slt and .pulse private: the SLT has no QAddress mapping at all and the
-// pulse store would otherwise need three-way synchronization with
-// .program and .slt (§5.1).
-func (s Segment) Public() bool {
-	switch s {
-	case SegProgram, SegMeasure, SegRegfile:
-		return true
-	default:
-		return false
-	}
-}
-
 // Per-entry bit widths from Table 2.
 const (
 	ProgramEntryBits = 4 + 1 + 27 + 3 + 30 // type + reg_flag + data + status + qaddr = 65
-	PulseEntryBits   = pulse.EntryBits     // 640
+	// PulseEntryBits is ten 64-bit words: 20 I/Q pairs of 16-bit DAC
+	// samples, or 10 ns of drive at 2 GS/s (§5.2).
+	PulseEntryBits   = 640
 	MeasureEntryBits = 64
 	SLTEntryBits     = 20 + 30 + 1 + 5 // tag + qaddr + valid + count = 56
 	RegfileEntryBits = 32
@@ -162,11 +149,4 @@ func (c Config) MeasureBase() int64 {
 func (c Config) PulseBase(q int) int64 {
 	base := roundUp(c.MeasureBase()+int64(c.MeasureEntries), baseAlign)
 	return base + int64(q)*int64(c.PulseEntries)
-}
-
-// Location identifies one cache entry by segment, qubit chunk and index.
-type Location struct {
-	Segment Segment
-	Qubit   int // -1 for shared segments
-	Index   int // entry index within the chunk/segment
 }

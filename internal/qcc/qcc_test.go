@@ -50,18 +50,6 @@ func TestEntryBitWidths(t *testing.T) {
 	}
 }
 
-func TestSegmentPrivacy(t *testing.T) {
-	public := map[Segment]bool{
-		SegProgram: true, SegMeasure: true, SegRegfile: true,
-		SegPulse: false, SegSLT: false,
-	}
-	for s, want := range public {
-		if s.Public() != want {
-			t.Errorf("%v.Public() = %v, want %v", s, s.Public(), want)
-		}
-	}
-}
-
 func TestFigure4AddressMap(t *testing.T) {
 	c := DefaultConfig(64)
 	// The figure's constants for the 64-qubit design.
@@ -128,22 +116,6 @@ func TestCacheAccessControl(t *testing.T) {
 	}
 	if v, err := cache.ReadMeasure(3, HostAccess); err != nil || v != 42 {
 		t.Errorf("host measure read = %d, %v", v, err)
-	}
-	// Private segment rejects host access but allows hardware.
-	if _, err := cache.ReadPulse(0, 0, HostAccess); err == nil {
-		t.Error("host read of .pulse allowed")
-	}
-	if err := cache.WritePulse(0, 0, [10]uint64{1}, HostAccess); err == nil {
-		t.Error("host write of .pulse allowed")
-	}
-	if err := cache.WritePulse(0, 0, [10]uint64{1}, HardwareAccess); err != nil {
-		t.Errorf("hw pulse write: %v", err)
-	}
-	if p, err := cache.ReadPulse(0, 0, HardwareAccess); err != nil || p[0] != 1 {
-		t.Errorf("hw pulse read = %v, %v", p, err)
-	}
-	if cache.Stats.Denied != 2 {
-		t.Errorf("Denied = %d, want 2", cache.Stats.Denied)
 	}
 }
 

@@ -33,8 +33,8 @@ import (
 )
 
 // ExactLimit is the largest register simulated dense-exactly for
-// generic (non-Clifford) circuits — the router's DenseLimit.
-const ExactLimit = 16
+// generic (non-Clifford) circuits: the router's default DenseLimit.
+const ExactLimit = route.DefaultDenseLimit
 
 // Execution reports one q_run-style batch.
 type Execution struct {
@@ -80,7 +80,7 @@ func NewChip(n int, seed int64, noise Noise) (*Chip, error) {
 		nqubits: n,
 		timing:  circuit.DefaultTiming(),
 		rng:     rng.New(seed),
-		router:  route.Router{DenseLimit: ExactLimit},
+		router:  route.Router{},
 		noise:   noise,
 	}
 	if noise.Enabled() {

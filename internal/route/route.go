@@ -71,10 +71,9 @@ func ParseMethod(name string) (Method, error) {
 }
 
 // DefaultDenseLimit is the widest register the router sends to the
-// contiguous dense engine — quantum.ExactLimit's pre-router value, kept
-// here so the split survives the Chip refactor. Generic circuits past
-// it route to the sharded engine (up to DefaultShardedLimit), then the
-// product surrogate.
+// contiguous dense engine (quantum.ExactLimit names the same value).
+// Generic circuits past it route to the sharded engine (up to
+// DefaultShardedLimit), then the product surrogate.
 const DefaultDenseLimit = 16
 
 // DefaultShardedLimit is the widest register the router sends to the

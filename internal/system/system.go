@@ -229,7 +229,6 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 		PGUs:       cfg.PGUs,
 		PGULatency: cfg.PGULatency,
 		UseSLT:     cfg.UseSLT,
-		Timing:     circuit.DefaultTiming(),
 	}
 	pipe, err := pipeline.New(pcfg, cache, bank)
 	if err != nil {
@@ -259,7 +258,7 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 		pipe:           pipe,
 		chip:           chip,
 		bus:            bus,
-		rbq:            tilelink.NewRBQ(busCfg.Tags, 8, 1<<20),
+		rbq:            tilelink.NewRBQ(busCfg.Tags, 8, busCfg.Tags*(8+1)),
 		barrier:        tilelink.NewBarrier(),
 		prog:           prog,
 		exec:           exec,

@@ -26,7 +26,10 @@ func (r *RBQ) Instrument(reg *metrics.Registry) {
 }
 
 // NewRBQ builds an RBQ for `tags` tag values with per-tag queue depth
-// `depth` and an order queue of capacity `orderDepth`.
+// `depth` and an order queue of capacity `orderDepth`. On a bus with
+// `tags` tags, every issued but unpopped beat holds either a bus tag (in
+// flight) or a slot in its tag's queue (delivered), so the order queue
+// never holds more than tags*(depth+1) entries; that capacity suffices.
 func NewRBQ(tags, depth, orderDepth int) *RBQ {
 	r := &RBQ{
 		perTag: make([]*hw.Queue[uint64], tags),

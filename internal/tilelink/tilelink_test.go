@@ -306,3 +306,39 @@ func TestStreamCyclesEdge(t *testing.T) {
 		t.Error("zero beats nonzero estimate")
 	}
 }
+
+// TestRBQOrderCapacityBound drives long writes through an RBQ whose order
+// queue holds exactly tags*(depth+1) entries, the bound NewRBQ states,
+// over tag counts, latency windows and seeds. No transfer may fail, and
+// the tilelink.rbq_pending high-water must stay within that capacity.
+func TestRBQOrderCapacityBound(t *testing.T) {
+	const depth, beats = 8, 2000
+	data := make([]uint64, beats)
+	windows := [][2]int{{1, 1}, {12, 28}, {1, 200}, {50, 400}}
+	var highest float64
+	for _, tags := range []int{1, 2, 8, 32} {
+		for _, w := range windows {
+			for seed := int64(1); seed <= 5; seed++ {
+				cfg := Config{Tags: tags, BeatBytes: 32, MinLatency: w[0], MaxLatency: w[1], Seed: seed}
+				bus, err := NewBus(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				capacity := tags * (depth + 1)
+				rbq := NewRBQ(tags, depth, capacity)
+				reg := metrics.NewRegistry()
+				rbq.Instrument(reg)
+				if _, err := Transfer(bus, rbq, 0, beats, true, data); err != nil {
+					t.Fatalf("tags %d, latency %v, seed %d: %v", tags, w, seed, err)
+				}
+				high := reg.Gauge("tilelink.rbq_pending").High()
+				if high > int64(capacity) {
+					t.Fatalf("tags %d, latency %v, seed %d: rbq_pending high-water %d above capacity %d",
+						tags, w, seed, high, capacity)
+				}
+				highest = max(highest, float64(high)/float64(capacity))
+			}
+		}
+	}
+	t.Logf("highest rbq_pending high-water: %.0f%% of capacity", 100*highest)
+}
