@@ -12,6 +12,7 @@ package backend
 
 import (
 	"fmt"
+	"math"
 
 	"qtenon/internal/metrics"
 	"qtenon/internal/opt"
@@ -41,7 +42,9 @@ func (a Algorithm) String() string {
 // Backend is one executor instance bound to one workload. Evaluate is an
 // opt.Evaluator with full machine accounting behind it; Result reports
 // everything accumulated so far. Backends are stateful and serial: one
-// optimization run per instance, minted fresh from a Factory.
+// optimization run per instance, minted fresh from a Factory. Evaluate
+// rejects a non-finite parameter (CheckParams) before it touches any
+// state.
 type Backend interface {
 	Evaluate(params []float64) (float64, error)
 	Result() report.RunResult
@@ -69,6 +72,19 @@ type Instrumented interface {
 // serial events on one machine timeline).
 type Batcher interface {
 	EvaluateBatch(sets [][]float64, out []float64) error
+}
+
+// CheckParams returns an error naming the first NaN or infinite
+// parameter. A non-finite angle has no quantized value, so a machine
+// that took one would report a cost for some other angle, and an
+// optimizer that diverged would run on without noticing.
+func CheckParams(params []float64) error {
+	for i, p := range params {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return fmt.Errorf("parameter %d is %v, not finite", i, p)
+		}
+	}
+	return nil
 }
 
 // BatchOf returns b's batch evaluator when it implements Batcher, else

@@ -1,12 +1,17 @@
 package backend_test
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"qtenon/internal/backend"
 	"qtenon/internal/baseline"
 	"qtenon/internal/host"
 	"qtenon/internal/system"
+	"qtenon/internal/vqa"
 )
 
 func TestAlgorithmString(t *testing.T) {
@@ -92,6 +97,79 @@ func TestBaselineSnapshotLive(t *testing.T) {
 	for _, name := range []string{"system.evaluations", "host.jit_compiles", "host.messages", "controller.instructions", "quantum.shots", "pulse.generated"} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("%s = 0, want live count", name)
+		}
+	}
+}
+
+// TestEvaluateRejectsNonFiniteParams requires both machines to reject a
+// NaN or infinite parameter with an error naming its index, and to
+// leave no trace of the call: the RunResult, the metrics snapshot and
+// the next valid cost must equal those of a machine that never saw it.
+// It covers the first and last index, on a fresh machine and after one
+// valid evaluation (when the incremental compiler holds diff state).
+func TestEvaluateRejectsNonFiniteParams(t *testing.T) {
+	w, err := vqa.New(vqa.VQE, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := append([]float64(nil), w.InitialParams...)
+	next[0] += 0.25
+	snapshot := func(b backend.Backend) string {
+		js, err := backend.MetricsOf(b).Snapshot().JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js)
+	}
+	last := len(w.InitialParams) - 1
+	for mach, f := range goldenFactories {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, idx := range []int{0, last} {
+				for _, warm := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%v/param%d/warm=%v", mach, bad, idx, warm)
+					ref, err := f.New(w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := f.New(w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if warm {
+						for _, m := range []backend.Backend{ref, b} {
+							if _, err := m.Evaluate(w.InitialParams); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					params := append([]float64(nil), w.InitialParams...)
+					params[idx] = bad
+					cost, err := b.Evaluate(params)
+					if err == nil {
+						t.Fatalf("%s: Evaluate returned cost %v and no error", name, cost)
+					}
+					if want := fmt.Sprintf("parameter %d ", idx); !strings.Contains(err.Error(), want) {
+						t.Errorf("%s: error %q does not name %q", name, err, want)
+					}
+					if got, want := b.Result(), ref.Result(); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: after the rejected call Result = %+v, want %+v", name, got, want)
+					}
+					got, err := b.Evaluate(next)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ref.Evaluate(next)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("%s: next cost %v, want %v", name, got, want)
+					}
+					if !reflect.DeepEqual(b.Result(), ref.Result()) || snapshot(b) != snapshot(ref) {
+						t.Errorf("%s: the rejected call changed the accounting or the metrics", name)
+					}
+				}
+			}
 		}
 	}
 }

@@ -61,7 +61,7 @@ func MolecularSurrogate(n int) *Hamiltonian {
 func MaxCut(n int, edges [][2]int, weight float64) *Hamiltonian {
 	h := NewHamiltonian(n)
 	for _, e := range edges {
-		h.Offset -= weight / 2
+		h.Offset -= float64(weight / 2)
 		h.MustAdd(weight/2, ZZ(e[0], e[1]))
 	}
 	return h

@@ -193,7 +193,7 @@ func (h *Hamiltonian) Expectation(st *qsim.State) float64 {
 	}
 	e := h.Offset
 	for _, t := range h.Terms {
-		e += t.Coeff * expectStr(st, t.Str)
+		e += float64(t.Coeff * expectStr(st, t.Str))
 	}
 	return e
 }
@@ -215,7 +215,7 @@ func (h *Hamiltonian) ExpectationTableau(t *tableau.Tableau) (float64, error) {
 		if term.Str.MaxQubit() >= 64 {
 			return 0, fmt.Errorf("pauli: term %v outside the 64-qubit mask window", term.Str)
 		}
-		e += term.Coeff * t.ZExpectationMask(term.Str.Mask())
+		e += float64(term.Coeff * t.ZExpectationMask(term.Str.Mask()))
 	}
 	return e, nil
 }
@@ -236,28 +236,96 @@ func expectStr(st *qsim.State, s Str) float64 {
 	re, im := work.ReIm()
 	var e float64
 	for i := range re {
-		p := re[i]*re[i] + im[i]*im[i]
-		e += p * maskSign(mask, uint64(i))
+		p := float64(re[i]*re[i]) + float64(im[i]*im[i])
+		e += float64(p * maskSign(mask, uint64(i)))
 	}
 	return e
 }
 
-// EstimateFromCounts estimates ⟨P⟩ from measurement outcomes taken in the
-// string's measurement basis. The support mask is computed once, not per
-// outcome — this runs once per Hamiltonian term per cost evaluation over
-// every shot.
-func EstimateFromCounts(s Str, outcomes []uint64) float64 {
+// termChunk is the number of strings whose odd-parity counts one pass
+// over the outcomes gathers. Their masks and counts live in stack
+// arrays of this length, so an estimate allocates nothing.
+const termChunk = 128
+
+// oddCounts sets odd[i] to the number of outcomes whose bits under
+// masks[i] have odd parity, for each i < len(masks). It copies each block
+// of 64 outcome words into a stack array and transposes it as a 64×64
+// bit matrix, so word q holds qubit q's bit of each of the block's shots.
+// A mask's odd count for the block is then the popcount of the XOR of
+// its qubits' words. The last block is padded with zero rows, which add
+// no parity.
+func oddCounts(outcomes, masks []uint64, odd []int) {
+	odd = odd[:len(masks)]
+	clear(odd)
+	var blk [64]uint64
+	for lo := 0; lo < len(outcomes); lo += 64 {
+		clear(blk[copy(blk[:], outcomes[lo:]):])
+		transpose64(&blk)
+		for i, m := range masks {
+			var x uint64
+			for ; m != 0; m &= m - 1 {
+				x ^= blk[bits.TrailingZeros64(m)&63]
+			}
+			odd[i] += bits.OnesCount64(x)
+		}
+	}
+}
+
+// transpose64 transposes a 64×64 bit matrix in place: bit j of word i
+// moves to bit i of word j. Each round swaps the off-diagonal blocks of
+// every 2j×2j tile (Warren, Hacker's Delight §7-3).
+func transpose64(a *[64]uint64) {
+	m := uint64(1<<32 - 1)
+	for j := 32; j != 0; j, m = j>>1, m^m<<(j>>1) {
+		for k := 0; k < 64; k += 2 * j {
+			for i := k; i < k+j; i++ {
+				t := (a[i]>>j ^ a[i+j]) & m
+				a[i+j] ^= t
+				a[i] ^= t << j
+			}
+		}
+	}
+}
+
+// estimate is ⟨P⟩ over shots outcomes of which odd have odd parity on
+// P's support: (shots − 2·odd)/shots, or 0 without outcomes. It equals
+// the mean of the shots' ±1 eigenvalues bit for bit, since every partial
+// sum of ±1 terms is an integer below 2⁵³ and so exact.
+func estimate(odd, shots int) float64 {
+	if shots == 0 {
+		return 0
+	}
+	return float64(shots-2*odd) / float64(shots)
+}
+
+// addEstimates returns e plus coeff·⟨P⟩ for the terms term(0), …,
+// term(n−1), added in that order, with ⟨P⟩ estimated from outcomes
+// measured in the term's basis.
+func addEstimates(e float64, n int, term func(i int) *Term, outcomes []uint64) float64 {
+	var masks [termChunk]uint64
+	var odd [termChunk]int
+	for lo := 0; lo < n; lo += termChunk {
+		c := min(n-lo, termChunk)
+		for i := range c {
+			masks[i] = term(lo + i).Str.Mask()
+		}
+		oddCounts(outcomes, masks[:c], odd[:c])
+		for i := range c {
+			e += float64(term(lo+i).Coeff * estimate(odd[i], len(outcomes)))
+		}
+	}
+	return e
+}
+
+// EstimateDiagonal estimates a Z-diagonal Hamiltonian from
+// computational-basis outcomes: the offset plus each term's coefficient
+// times its estimate, added in term order. It returns 0 without
+// outcomes.
+func (h *Hamiltonian) EstimateDiagonal(outcomes []uint64) float64 {
 	if len(outcomes) == 0 {
 		return 0
 	}
-	mask := s.Mask()
-	var sum float64
-	for _, o := range outcomes {
-		// Branch-free ±1: outcomes are effectively random, so a
-		// conditional here mispredicts half the time.
-		sum += 1 - 2*float64(bits.OnesCount64(o&mask)&1)
-	}
-	return sum / float64(len(outcomes))
+	return addEstimates(h.Offset, len(h.Terms), func(i int) *Term { return &h.Terms[i] }, outcomes)
 }
 
 // Group is a set of term indices measurable simultaneously (their strings
@@ -323,9 +391,8 @@ func (g Group) BasisChange() []circuit.Gate {
 func (h *Hamiltonian) EstimateFromGroupCounts(groups []Group, outcomes [][]uint64) float64 {
 	e := h.Offset
 	for gi, g := range groups {
-		for _, ti := range g.TermIdx {
-			e += h.Terms[ti].Coeff * EstimateFromCounts(h.Terms[ti].Str, outcomes[gi])
-		}
+		term := func(i int) *Term { return &h.Terms[g.TermIdx[i]] }
+		e = addEstimates(e, len(g.TermIdx), term, outcomes[gi])
 	}
 	return e
 }

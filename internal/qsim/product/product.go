@@ -24,7 +24,6 @@ import (
 // State is the mean-field surrogate over n qubits.
 type State struct {
 	a, b []complex128 // per-qubit amplitudes of |0⟩ and |1⟩
-	p1   []float64    // Sample's per-qubit probability scratch
 }
 
 // New returns |0…0⟩.
@@ -50,16 +49,25 @@ func (ps *State) Reset() {
 
 // P1 returns qubit q's |1⟩ probability.
 func (ps *State) P1(q int) float64 {
-	return real(ps.b[q])*real(ps.b[q]) + imag(ps.b[q])*imag(ps.b[q])
+	re, im := real(ps.b[q]), imag(ps.b[q])
+	return float64(re*re) + float64(im*im)
 }
 
 // ZExp returns ⟨Z_q⟩ = 1 − 2·P1.
-func (ps *State) ZExp(q int) float64 { return 1 - 2*ps.P1(q) }
+func (ps *State) ZExp(q int) float64 { return 1 - float64(2*ps.P1(q)) }
 
 func (ps *State) apply1Q(q int, u00, u01, u10, u11 complex128) {
 	a, b := ps.a[q], ps.b[q]
-	ps.a[q] = u00*a + u01*b
-	ps.b[q] = u10*a + u11*b
+	ps.a[q] = mul(u00, a) + mul(u01, b)
+	ps.b[q] = mul(u10, a) + mul(u11, b)
+}
+
+// mul is x*y as Go's complex128 multiply is written (xr·yr − xi·yi,
+// xr·yi + xi·yr), with each product rounded before the sum so that no
+// GOARCH fuses it (DESIGN.md §11.2).
+func mul(x, y complex128) complex128 {
+	xr, xi, yr, yi := real(x), imag(x), real(y), imag(y)
+	return complex(float64(xr*yr)-float64(xi*yi), float64(xr*yi)+float64(xi*yr))
 }
 
 func (ps *State) rz(q int, theta float64) {
@@ -134,26 +142,62 @@ func (ps *State) Run(c *circuit.Circuit) error {
 // first 64 qubits; wider registers sample all qubits (the RNG stream
 // advances identically) but report the 64-qubit cost window — see
 // DESIGN.md on >64-qubit cost evaluation.
+//
+// The draws are those of rng.Float64() < P1(q), shot-major and
+// qubit-minor, made with integers: each draw is an Int63 x, drawn again
+// while x ≥ redraw (where Float64 would round to 1 and draw again), and
+// the bit is set when x < threshold(P1(q)), branch-free. DESIGN.md §14
+// gives the argument; TestSampleMatchesFloat64Draw checks the words.
 func (ps *State) Sample(shots int, rng *rand.Rand) []uint64 {
 	n := len(ps.a)
-	p1 := ps.p1
-	if cap(p1) < n {
-		p1 = make([]float64, n)
-	}
-	p1 = p1[:n]
-	ps.p1 = p1
-	for q := range p1 {
-		p1[q] = ps.P1(q)
+	w := min(n, 64)
+	var k [64]int64
+	for q := range w {
+		k[q] = threshold(ps.P1(q))
 	}
 	out := make([]uint64, shots)
 	for s := range out {
 		var v uint64
-		for q := 0; q < n; q++ {
-			if rng.Float64() < p1[q] && q < 64 {
-				v |= 1 << q
-			}
+		for q, kq := range k[:w] {
+			v |= uint64(draw(rng)-kq) >> 63 << q
+		}
+		for range n - w {
+			draw(rng) // qubits past the word still advance the stream
 		}
 		out[s] = v
 	}
 	return out
+}
+
+// redraw is the least Int63 that math/rand's Float64 rounds to 1 and so
+// draws again: float64(x)/2⁶³ == 1 exactly when x ≥ 2⁶³−512, since
+// float64 spacing below 2⁶³ is 1024 and a tie rounds to even.
+const redraw = 1<<63 - 512
+
+// draw returns the next Int63 of rng that Float64 would not discard.
+func draw(rng *rand.Rand) int64 {
+	for {
+		if x := rng.Int63(); x < redraw {
+			return x
+		}
+	}
+}
+
+// threshold returns the least x in [0, redraw] with
+// !(float64(x)/2⁶³ < p), so that for every accepted draw x,
+// float64(x)/2⁶³ < p exactly when x < threshold(p). Rounding to float64
+// is monotone, so the predicate holds on a prefix and bisection finds
+// its end exactly. p ≤ 0 and NaN give 0 (never set); p ≥ 1 gives
+// redraw (always set).
+func threshold(p float64) int64 {
+	lo, hi := int64(0), int64(redraw)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) < p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }

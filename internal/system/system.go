@@ -346,8 +346,12 @@ func (s *System) EvaluateBatch(sets [][]float64, out []float64) error {
 }
 
 // Evaluate runs one cost evaluation with full Qtenon accounting. It is an
-// opt.Evaluator.
+// opt.Evaluator. A non-finite parameter is an error before any state
+// changes (backend.CheckParams).
 func (s *System) Evaluate(params []float64) (float64, error) {
+	if err := backend.CheckParams(params); err != nil {
+		return 0, fmt.Errorf("system: %w", err)
+	}
 	s.evals++
 	s.m.evaluations.Inc()
 	nq := s.exec.NQubits

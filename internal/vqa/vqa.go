@@ -129,34 +129,13 @@ func NewQAOA(nqubits, layers int) (*Workload, error) {
 	ham := pauli.MaxCut(nqubits, edges, 1)
 	init := make([]float64, c.NumParams)
 	for i := range init {
-		init[i] = 0.1 + 0.05*float64(i) // deterministic, symmetric-breaking
-	}
-	// Measurement words carry 64 qubits; beyond that the cost is
-	// evaluated on the window's edges (the timing experiments at >64
-	// qubits depend on traffic shape, not objective fidelity).
-	costEdges := edges
-	if nqubits > CostWindow {
-		costEdges = nil
-		for _, e := range edges {
-			if e[0] < CostWindow && e[1] < CostWindow {
-				costEdges = append(costEdges, e)
-			}
-		}
+		init[i] = 0.1 + float64(0.05*float64(i)) // deterministic, symmetric-breaking
 	}
 	return &Workload{
-		Kind:    QAOA,
-		Name:    fmt.Sprintf("QAOA-%dq-%dl", nqubits, layers),
-		Circuit: c,
-		Cost: func(outcomes []uint64) float64 {
-			if len(outcomes) == 0 {
-				return 0
-			}
-			var sum float64
-			for _, o := range outcomes {
-				sum -= float64(pauli.CutValue(costEdges, o))
-			}
-			return sum / float64(len(outcomes))
-		},
+		Kind:          QAOA,
+		Name:          fmt.Sprintf("QAOA-%dq-%dl", nqubits, layers),
+		Circuit:       c,
+		Cost:          maxCutCost(edges),
 		Hamiltonian:   ham,
 		InitialParams: init,
 		Edges:         edges,
@@ -205,15 +184,13 @@ func NewVQE(nqubits, layers int) (*Workload, error) {
 	}
 	init := make([]float64, c.NumParams)
 	for i := range init {
-		init[i] = 0.2 + 0.03*float64(i%7)
+		init[i] = 0.2 + float64(0.03*float64(i%7))
 	}
 	return &Workload{
-		Kind:    VQE,
-		Name:    fmt.Sprintf("VQE-%dq-%dl", nqubits, layers),
-		Circuit: c,
-		Cost: func(outcomes []uint64) float64 {
-			return estimateDiagonal(diag, outcomes)
-		},
+		Kind:            VQE,
+		Name:            fmt.Sprintf("VQE-%dq-%dl", nqubits, layers),
+		Circuit:         c,
+		Cost:            diag.EstimateDiagonal,
 		Hamiltonian:     diag,
 		FullHamiltonian: full,
 		InitialParams:   init,
@@ -230,7 +207,7 @@ func NewQNN(nqubits, layers int) (*Workload, error) {
 	}
 	b := circuit.NewBuilder(nqubits)
 	for q := 0; q < nqubits; q++ {
-		b.RY(q, 0.3+0.1*float64(q%5)) // input feature encoding
+		b.RY(q, 0.3+float64(0.1*float64(q%5))) // input feature encoding
 	}
 	p := 0
 	for l := 0; l < layers; l++ {
@@ -252,7 +229,7 @@ func NewQNN(nqubits, layers int) (*Workload, error) {
 	}
 	init := make([]float64, c.NumParams)
 	for i := range init {
-		init[i] = 0.15 + 0.04*float64(i%5)
+		init[i] = 0.15 + float64(0.04*float64(i%5))
 	}
 	const target = 1.0 // class label in ⟨Z⟩ convention
 	return &Workload{
@@ -303,45 +280,39 @@ func NewStabilizer(nqubits int) (*Workload, error) {
 		return nil, err
 	}
 	ham := pauli.MaxCut(nqubits, edges, 1)
-	costEdges := edges
-	if nqubits > CostWindow {
-		costEdges = nil
-		for _, e := range edges {
-			if e[0] < CostWindow && e[1] < CostWindow {
-				costEdges = append(costEdges, e)
-			}
-		}
-	}
 	return &Workload{
-		Kind:    Stabilizer,
-		Name:    fmt.Sprintf("Stabilizer-%dq", nqubits),
-		Circuit: c,
-		Cost: func(outcomes []uint64) float64 {
-			if len(outcomes) == 0 {
-				return 0
-			}
-			var sum float64
-			for _, o := range outcomes {
-				sum -= float64(pauli.CutValue(costEdges, o))
-			}
-			return sum / float64(len(outcomes))
-		},
+		Kind:          Stabilizer,
+		Name:          fmt.Sprintf("Stabilizer-%dq", nqubits),
+		Circuit:       c,
+		Cost:          maxCutCost(edges),
 		Hamiltonian:   ham,
 		InitialParams: []float64{},
 		Edges:         edges,
 	}, nil
 }
 
-// estimateDiagonal evaluates a Z-diagonal Hamiltonian on outcomes.
-func estimateDiagonal(h *pauli.Hamiltonian, outcomes []uint64) float64 {
-	if len(outcomes) == 0 {
-		return 0
+// maxCutCost is the MaxCut objective of QAOA and Stabilizer: minus the
+// mean cut size of the outcomes. Measurement words carry 64 qubits;
+// beyond that the cost is evaluated on the window's edges (the timing
+// experiments at >64 qubits depend on traffic shape, not objective
+// fidelity).
+func maxCutCost(edges [][2]int) func(outcomes []uint64) float64 {
+	var window [][2]int
+	for _, e := range edges {
+		if e[0] < CostWindow && e[1] < CostWindow {
+			window = append(window, e)
+		}
 	}
-	e := h.Offset
-	for _, t := range h.Terms {
-		e += t.Coeff * pauli.EstimateFromCounts(t.Str, outcomes)
+	return func(outcomes []uint64) float64 {
+		if len(outcomes) == 0 {
+			return 0
+		}
+		var sum float64
+		for _, o := range outcomes {
+			sum -= float64(pauli.CutValue(window, o))
+		}
+		return sum / float64(len(outcomes))
 	}
-	return e
 }
 
 // New dispatches on Kind with the paper's layer defaults: QAOA 5 layers,
