@@ -43,8 +43,8 @@ func (a Algorithm) String() string {
 // opt.Evaluator with full machine accounting behind it; Result reports
 // everything accumulated so far. Backends are stateful and serial: one
 // optimization run per instance, minted fresh from a Factory. Evaluate
-// rejects a non-finite parameter (CheckParams) before it touches any
-// state.
+// rejects a parameter vector of the wrong length or with a non-finite
+// value (CheckParams) before it touches any state.
 type Backend interface {
 	Evaluate(params []float64) (float64, error)
 	Result() report.RunResult
@@ -74,11 +74,15 @@ type Batcher interface {
 	EvaluateBatch(sets [][]float64, out []float64) error
 }
 
-// CheckParams returns an error naming the first NaN or infinite
+// CheckParams returns an error when params does not hold the want
+// values a workload binds, or one naming the first NaN or infinite
 // parameter. A non-finite angle has no quantized value, so a machine
 // that took one would report a cost for some other angle, and an
 // optimizer that diverged would run on without noticing.
-func CheckParams(params []float64) error {
+func CheckParams(params []float64, want int) error {
+	if len(params) != want {
+		return fmt.Errorf("%d parameters, want %d", len(params), want)
+	}
 	for i, p := range params {
 		if math.IsNaN(p) || math.IsInf(p, 0) {
 			return fmt.Errorf("parameter %d is %v, not finite", i, p)

@@ -102,11 +102,12 @@ func TestBaselineSnapshotLive(t *testing.T) {
 }
 
 // TestEvaluateRejectsNonFiniteParams requires both machines to reject a
-// NaN or infinite parameter with an error naming its index, and to
-// leave no trace of the call: the RunResult, the metrics snapshot and
-// the next valid cost must equal those of a machine that never saw it.
-// It covers the first and last index, on a fresh machine and after one
-// valid evaluation (when the incremental compiler holds diff state).
+// NaN or infinite parameter with an error naming its index, and a vector
+// one short or one long with an error naming both lengths, and to leave
+// no trace of the call: the RunResult, the metrics snapshot and the next
+// valid cost must equal those of a machine that never saw it. It covers
+// the first and last index, on a fresh machine and after one valid
+// evaluation (when the incremental compiler holds diff state).
 func TestEvaluateRejectsNonFiniteParams(t *testing.T) {
 	w, err := vqa.New(vqa.VQE, 4)
 	if err != nil {
@@ -121,53 +122,66 @@ func TestEvaluateRejectsNonFiniteParams(t *testing.T) {
 		}
 		return string(js)
 	}
-	last := len(w.InitialParams) - 1
+	type badParams struct {
+		name, msg string
+		params    []float64
+	}
+	var cases []badParams
+	n := len(w.InitialParams)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, idx := range []int{0, n - 1} {
+			params := append([]float64(nil), w.InitialParams...)
+			params[idx] = bad
+			cases = append(cases, badParams{fmt.Sprintf("%v/param%d", bad, idx), fmt.Sprintf("parameter %d ", idx), params})
+		}
+	}
+	for _, l := range []int{n - 1, n + 1} {
+		params := make([]float64, l)
+		copy(params, w.InitialParams)
+		cases = append(cases, badParams{fmt.Sprintf("len%d", l), fmt.Sprintf("%d parameters, want %d", l, n), params})
+	}
 	for mach, f := range goldenFactories {
-		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			for _, idx := range []int{0, last} {
-				for _, warm := range []bool{false, true} {
-					name := fmt.Sprintf("%s/%v/param%d/warm=%v", mach, bad, idx, warm)
-					ref, err := f.New(w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := f.New(w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if warm {
-						for _, m := range []backend.Backend{ref, b} {
-							if _, err := m.Evaluate(w.InitialParams); err != nil {
-								t.Fatal(err)
-							}
+		for _, bc := range cases {
+			for _, warm := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/warm=%v", mach, bc.name, warm)
+				ref, err := f.New(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := f.New(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if warm {
+					for _, m := range []backend.Backend{ref, b} {
+						if _, err := m.Evaluate(w.InitialParams); err != nil {
+							t.Fatal(err)
 						}
 					}
-					params := append([]float64(nil), w.InitialParams...)
-					params[idx] = bad
-					cost, err := b.Evaluate(params)
-					if err == nil {
-						t.Fatalf("%s: Evaluate returned cost %v and no error", name, cost)
-					}
-					if want := fmt.Sprintf("parameter %d ", idx); !strings.Contains(err.Error(), want) {
-						t.Errorf("%s: error %q does not name %q", name, err, want)
-					}
-					if got, want := b.Result(), ref.Result(); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: after the rejected call Result = %+v, want %+v", name, got, want)
-					}
-					got, err := b.Evaluate(next)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := ref.Evaluate(next)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Errorf("%s: next cost %v, want %v", name, got, want)
-					}
-					if !reflect.DeepEqual(b.Result(), ref.Result()) || snapshot(b) != snapshot(ref) {
-						t.Errorf("%s: the rejected call changed the accounting or the metrics", name)
-					}
+				}
+				cost, err := b.Evaluate(bc.params)
+				if err == nil {
+					t.Fatalf("%s: Evaluate returned cost %v and no error", name, cost)
+				}
+				if !strings.Contains(err.Error(), bc.msg) {
+					t.Errorf("%s: error %q does not name %q", name, err, bc.msg)
+				}
+				if got, want := b.Result(), ref.Result(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: after the rejected call Result = %+v, want %+v", name, got, want)
+				}
+				got, err := b.Evaluate(next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.Evaluate(next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s: next cost %v, want %v", name, got, want)
+				}
+				if !reflect.DeepEqual(b.Result(), ref.Result()) || snapshot(b) != snapshot(ref) {
+					t.Errorf("%s: the rejected call changed the accounting or the metrics", name)
 				}
 			}
 		}

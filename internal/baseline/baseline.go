@@ -182,10 +182,11 @@ func (s *System) EvaluateBatch(sets [][]float64, out []float64) error {
 }
 
 // Evaluate runs one cost evaluation with full baseline accounting. It is
-// an opt.Evaluator. A non-finite parameter is an error before any state
-// changes (backend.CheckParams).
+// an opt.Evaluator. A parameter vector of the wrong length or with a
+// non-finite value is an error before any state changes
+// (backend.CheckParams).
 func (s *System) Evaluate(params []float64) (float64, error) {
-	if err := backend.CheckParams(params); err != nil {
+	if err := backend.CheckParams(params, s.workload.NumParams()); err != nil {
 		return 0, fmt.Errorf("baseline: %w", err)
 	}
 	s.evals++

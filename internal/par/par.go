@@ -1,8 +1,7 @@
 // Package par is the repository's shared parallel-execution engine: a
 // persistent worker pool with chunked parallel-for and deterministic
-// reductions, used by the statevector kernels (internal/qsim and
-// internal/qsim/shard) and the benchmark sweep generators
-// (internal/bench).
+// reductions, used by the statevector kernels (internal/qsim) and the
+// benchmark sweep generators (internal/bench).
 //
 // Design constraints, in order:
 //

@@ -101,10 +101,16 @@ func (s Str) MaxQubit() int {
 	return s.Factors[len(s.Factors)-1].Qubit
 }
 
-// Mask returns the bitmask of qubits the string acts on.
+// Mask returns the bitmask of qubits the string acts on. It panics on a
+// factor at qubit 64 or above: no mask or outcome word holds that qubit,
+// and a factor dropped from the mask would make every estimate read the
+// term as +1 there.
 func (s Str) Mask() uint64 {
 	var m uint64
 	for _, f := range s.Factors {
+		if f.Qubit >= 64 {
+			panic(fmt.Sprintf("pauli: %s acts on qubit %d, outside the 64-qubit mask", s.String(), f.Qubit))
+		}
 		m |= 1 << f.Qubit
 	}
 	return m

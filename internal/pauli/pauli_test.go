@@ -1,8 +1,10 @@
 package pauli
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"qtenon/internal/circuit"
@@ -53,6 +55,28 @@ func TestStrBasics(t *testing.T) {
 	}
 	if (Str{}).String() != "I" {
 		t.Error("identity String != I")
+	}
+}
+
+// TestMaskPanicsPastQubit63 requires Mask, and so EstimateDiagonal, to
+// panic on a factor no 64-bit outcome word holds: on a 70-qubit
+// Hamiltonian, Z(68) would otherwise drop out of its mask and estimate
+// as +1 whatever the outcomes.
+func TestMaskPanicsPastQubit63(t *testing.T) {
+	h := NewHamiltonian(70)
+	h.MustAdd(1, Z(68))
+	for name, f := range map[string]func(){
+		"Mask":             func() { Z(68).Mask() },
+		"EstimateDiagonal": func() { h.EstimateDiagonal([]uint64{^uint64(0)}) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Z68") {
+					t.Errorf("%s: recovered %v, want a panic naming Z68", name, r)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

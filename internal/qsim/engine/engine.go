@@ -1,8 +1,8 @@
 // Package engine defines the Simulator interface the simulation methods
-// implement — the dense SoA statevector (internal/qsim), the CHP
-// stabilizer tableau (internal/qsim/tableau), the mean-field product
-// surrogate (internal/qsim/product), and the sharded dense statevector
-// (internal/qsim/shard) — so quantum.Chip can request "a simulator" from
+// implement — the dense SoA statevector and the sharded dense
+// statevector (internal/qsim), the CHP stabilizer tableau
+// (internal/qsim/tableau) and the mean-field product surrogate
+// (internal/qsim/product) — so quantum.Chip can request "a simulator" from
 // the method router (internal/route) instead of constructing one engine
 // directly (DESIGN.md §12). It declares exactly the calls the chip makes.
 package engine

@@ -7,7 +7,6 @@ import (
 	"qtenon/internal/circuit"
 	"qtenon/internal/qsim"
 	"qtenon/internal/qsim/engine"
-	"qtenon/internal/qsim/shard"
 	"qtenon/internal/route"
 )
 
@@ -63,7 +62,7 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := route.NewSimulator(route.Dense, qsim.MaxQubits+1); err == nil {
 		t.Error("dense simulator past qsim.MaxQubits")
 	}
-	if _, err := route.NewSimulator(route.Sharded, shard.MaxQubits+1); err == nil {
-		t.Error("sharded simulator past shard.MaxQubits")
+	if _, err := route.NewSimulator(route.Sharded, qsim.ShardedMaxQubits+1); err == nil {
+		t.Error("sharded simulator past qsim.ShardedMaxQubits")
 	}
 }

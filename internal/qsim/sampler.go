@@ -22,8 +22,8 @@ import (
 // Memory discipline: the alias build works out of the owning State's
 // scratch arena (probability snapshot, scaling array, worklists), so
 // rebuilding the table after a state mutation reuses the previous
-// build's storage. Only the table itself (prob/alias) is freshly
-// allocated — it outlives the build and may be shared by clones.
+// build's storage, and the table itself (prob/alias) reuses the storage
+// of the table the mutation retired.
 
 // sampleBlock is the per-worker shot granularity.
 const sampleBlock = 4096
@@ -36,11 +36,11 @@ type aliasTable struct {
 	alias []int32
 }
 
-// AliasScratch is the reusable working memory of an alias-table build:
+// aliasScratch is the reusable working memory of an alias-table build:
 // everything the build touches that does not escape into the table. One
 // scratch serves one build at a time; its buffers are recycled across
 // builds, so a warmed scratch grows no further.
-type AliasScratch struct {
+type aliasScratch struct {
 	scaled       []float64
 	small, large []int32
 }
@@ -48,10 +48,9 @@ type AliasScratch struct {
 // newAliasTable builds the table in O(N) from an (approximately
 // normalized) distribution through scratch. Exact zeros stay
 // impossible: a zero-weight slot keeps probability 0 and always
-// forwards to its alias. spare, when non-nil and unshared, donates its
-// prob/alias storage to the new table (every slot is overwritten by the
-// build).
-func newAliasTable(p []float64, scratch *AliasScratch, spare *aliasTable) *aliasTable {
+// forwards to its alias. spare, when non-nil, donates its prob/alias
+// storage to the new table (every slot is overwritten by the build).
+func newAliasTable(p []float64, scratch *aliasScratch, spare *aliasTable) *aliasTable {
 	n := len(p)
 	total := par.SumFloat64(n, func(lo, hi int) float64 {
 		var t float64
@@ -128,7 +127,6 @@ func (s *State) ensureSampler() *aliasTable {
 		t = newAliasTable(s.probScratch, &s.buildScratch, s.spareTable)
 		s.spareTable = nil
 		s.sampler = t
-		s.samplerShared = false
 	}
 	return t
 }
@@ -149,7 +147,8 @@ func (s *State) Sample(shots int, rng *rand.Rand) []uint64 {
 	t := s.ensureSampler()
 	out := make([]uint64, shots)
 	nblocks := (shots + sampleBlock - 1) / sampleBlock
-	seeds := s.appendSeeds(nblocks, rng)
+	s.seedScratch = appendSeeds(s.seedScratch[:0], nblocks, rng)
+	seeds := s.seedScratch
 	par.Do(nblocks, func(b int) {
 		sub := qrng.New(seeds[b])
 		lo := b * sampleBlock
@@ -164,14 +163,11 @@ func (s *State) Sample(shots int, rng *rand.Rand) []uint64 {
 	return out
 }
 
-// appendSeeds draws one sub-stream seed per block into a reusable
-// State-owned buffer (the draws happen serially on the caller's rng,
-// exactly as before).
-func (s *State) appendSeeds(nblocks int, rng *rand.Rand) []int64 {
-	seeds := s.seedScratch[:0]
+// appendSeeds appends one sub-stream seed per shot block to seeds,
+// drawn serially from the caller's rng.
+func appendSeeds(seeds []int64, nblocks int, rng *rand.Rand) []int64 {
 	for i := 0; i < nblocks; i++ {
 		seeds = append(seeds, rng.Int63())
 	}
-	s.seedScratch = seeds
 	return seeds
 }

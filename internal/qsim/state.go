@@ -6,10 +6,11 @@
 //
 // The state of n qubits is a dense vector of 2^n amplitudes. Qubit 0 is
 // the least-significant bit of the basis-state index (the same
-// convention OpenQASM uses for its classical registers). Exact simulation
-// is practical to roughly 20 qubits; larger experiments use the surrogate
-// sampler in internal/quantum, which this package also underpins at small
-// scale for cross-validation.
+// convention OpenQASM uses for its classical registers). Two engines
+// hold it: State in one contiguous allocation, and Sharded in separately
+// allocated 2^16-amplitude shards, which runs generic circuits of up to
+// 28 qubits (DESIGN.md §13). Both run circuits through one chunk
+// executor (exec.go), so they compute the same bits.
 //
 // # Memory layout
 //
@@ -17,9 +18,8 @@
 // slices rather than one []complex128 (DESIGN.md §11). The gate kernels
 // are plain float loops over the two arrays, which keeps them branch-free,
 // lets matrices with exactly-zero imaginary parts take halved-flop real
-// kernels, and reduces ±1 phase batches to integer parity sweeps. The
-// complex128 view is still available through Amplitudes(), which
-// materializes (and caches) a conversion snapshot.
+// kernels, and reduces ±1 phase batches to integer parity sweeps.
+// Amplitudes() returns a complex128 copy for tests.
 //
 // # Parallel execution
 //
@@ -58,30 +58,22 @@ const MaxQubits = 24
 type State struct {
 	n      int
 	re, im []float64
-	// view is the cached complex128 conversion snapshot Amplitudes()
-	// hands out; any mutating operation invalidates it alongside the
-	// sampler. It never feeds back into the kernels.
-	view      []complex128
-	viewValid bool
 	// sampler caches the alias-method table for Sample; any mutating
 	// operation invalidates it, so repeated sampling of an unchanged
-	// state pays the O(2^n) build exactly once.
-	sampler *aliasTable
-	// samplerShared records that a Clone may also reference the cached
-	// table; a shared table must never be recycled. spareTable holds the
-	// most recently retired unshared table so rebuilds after a mutation
-	// reuse its prob/alias storage.
-	samplerShared bool
-	spareTable    *aliasTable
-	// probScratch, buildScratch, seedScratch, fuseScratch and execScratch
-	// are reusable working memory for the sampler, fusion and tiled-
-	// execution paths. They never escape the State and are excluded from
-	// Clone, so reuse is safe even when clones share a cached sampler.
-	probScratch  []float64
-	buildScratch AliasScratch
-	seedScratch  []int64
-	fuseScratch  fuser
-	execScratch  execScratch
+	// state pays the O(2^n) build exactly once. spareTable holds the most
+	// recently retired table so rebuilds after a mutation reuse its
+	// prob/alias storage.
+	sampler    *aliasTable
+	spareTable *aliasTable
+	// probScratch, buildScratch, seedScratch and prog are reusable
+	// working memory for the sampler and Run; tileRe and tileIm are the
+	// executor's 2^tileBits-amplitude views of re and im. None escapes
+	// the State, and Clone copies none.
+	probScratch    []float64
+	buildScratch   aliasScratch
+	seedScratch    []int64
+	prog           program
+	tileRe, tileIm [][]float64
 }
 
 // NewState returns |0...0⟩ over n qubits.
@@ -97,26 +89,14 @@ func NewState(n int) *State {
 // NQubits reports the register width.
 func (s *State) NQubits() int { return s.n }
 
-// Amplitudes returns the amplitudes as one complex128 slice — a cached
-// conversion view over the structure-of-arrays storage. Callers must not
-// modify it; it is exposed for tests and expectation computations, and is
-// valid until the next mutating operation. Hot paths should prefer ReIm,
-// which is allocation- and conversion-free.
+// Amplitudes returns a fresh complex128 copy of the amplitudes, for
+// tests. Hot paths read ReIm, which copies nothing.
 func (s *State) Amplitudes() []complex128 {
-	if !s.viewValid {
-		if cap(s.view) < len(s.re) {
-			s.view = make([]complex128, len(s.re))
-		}
-		s.view = s.view[:len(s.re)]
-		re, im, view := s.re, s.im, s.view
-		par.For(len(re), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				view[i] = complex(re[i], im[i])
-			}
-		})
-		s.viewValid = true
+	out := make([]complex128, len(s.re))
+	for i := range out {
+		out[i] = complex(s.re[i], s.im[i])
 	}
-	return s.view
+	return out
 }
 
 // ReIm exposes the structure-of-arrays amplitude storage: re[i] + i·im[i]
@@ -125,30 +105,22 @@ func (s *State) Amplitudes() []complex128 {
 // computations use.
 func (s *State) ReIm() (re, im []float64) { return s.re, s.im }
 
-// Clone returns an independent copy. The cached sampler, if any, is
-// shared: alias tables are immutable once built, and each copy
-// invalidates only its own reference on mutation.
+// Clone returns an independent copy of the amplitudes.
 func (s *State) Clone() *State {
-	c := &State{n: s.n, re: make([]float64, len(s.re)), im: make([]float64, len(s.im)), sampler: s.sampler}
-	if s.sampler != nil {
-		// Both sides now reference the table; neither may recycle it.
-		s.samplerShared = true
-		c.samplerShared = true
-	}
+	c := &State{n: s.n, re: make([]float64, len(s.re)), im: make([]float64, len(s.im))}
 	copy(c.re, s.re)
 	copy(c.im, s.im)
 	return c
 }
 
-// invalidate drops the cached sampler and conversion view; every mutating
-// kernel calls it. An unshared table retires into spareTable so the next
-// rebuild reuses its storage instead of allocating 2^n table entries.
+// invalidate drops the cached sampler; every mutating kernel calls it.
+// The table retires into spareTable so the next rebuild reuses its
+// storage instead of allocating 2^n table entries.
 func (s *State) invalidate() {
-	if s.sampler != nil && !s.samplerShared {
+	if s.sampler != nil {
 		s.spareTable = s.sampler
 	}
 	s.sampler = nil
-	s.viewValid = false
 }
 
 // Reset returns the state to |0…0⟩ in place, keeping the amplitude
@@ -448,6 +420,8 @@ func Run(c *circuit.Circuit) (*State, error) {
 // of allocating a fresh 2^n statevector. Gates are run through the
 // fusion pass (see fusion.go): runs of single-qubit gates collapse into
 // one 2×2 apply and batches of diagonal gates into one phase sweep. The
+// fused program runs through the chunk executor (exec.go) over the
+// state's 2^12-amplitude tiles, or one tile below 12 qubits. The
 // previous contents, including any cached sampler, are destroyed.
 func (s *State) Run(c *circuit.Circuit) error {
 	if c.NumParams != 0 {
@@ -460,7 +434,17 @@ func (s *State) Run(c *circuit.Circuit) error {
 		return err
 	}
 	s.Reset()
-	s.applyFused(fuse(c.Gates, &s.fuseScratch))
+	s.prog.compile(c.Gates)
+	k := min(s.n, tileBits)
+	if s.tileRe == nil {
+		s.tileRe = make([][]float64, len(s.re)>>k)
+		s.tileIm = make([][]float64, len(s.re)>>k)
+		for t := range s.tileRe {
+			s.tileRe[t] = s.re[t<<k : (t+1)<<k]
+			s.tileIm[t] = s.im[t<<k : (t+1)<<k]
+		}
+	}
+	s.prog.run(s.tileRe, s.tileIm, k, true)
 	return nil
 }
 

@@ -87,6 +87,13 @@ func TestExecuteValidation(t *testing.T) {
 	if _, err := chip.Execute(ok, 0); err == nil {
 		t.Error("accepted zero shots")
 	}
+	// No engine's Run collapses the state at a Measure gate, so qubit 0
+	// would read 1 on no shot here instead of on about half of them.
+	mid := circuit.NewBuilder(2)
+	mid.H(0).Measure(0).H(0).Measure(0)
+	if _, err := chip.Execute(mid.MustBuild(), 1000); err == nil {
+		t.Error("accepted a mid-circuit measurement")
+	}
 }
 
 func TestExecuteTiming(t *testing.T) {

@@ -12,9 +12,9 @@ import (
 // Run makes on each engine, over the bound VQE ansatz the chip runs.
 // testing.AllocsPerRun sets GOMAXPROCS to 1 while it measures, so
 // internal/par runs every chunk inline and the counts are the engines'
-// own. The dense and sharded engines still allocate on every Run (their
-// par.For closures escape to the heap, and re-fusing grows diagonal term
-// slices); the product surrogate allocates nothing. A case with shots
+// own. The dense and sharded engines still allocate on every Run (the
+// executor's par.Do closures escape to the heap, and re-fusing grows
+// diagonal term slices); the product surrogate allocates nothing. A case with shots
 // also samples the system's default 500 shots after each Run, which
 // rebuilds the sampler's alias tables from recycled scratch. Each pin is
 // the measured count, so one new allocation per call fails it. CI runs
@@ -28,7 +28,7 @@ func BenchmarkRunAllocRegression(b *testing.B) {
 		allocs float64
 	}{
 		{"dense12", route.Dense, 12, 0, 17},
-		{"dense16", route.Dense, 16, 0, 44},
+		{"dense16", route.Dense, 16, 0, 32},
 		{"sharded17", route.Sharded, 17, 0, 23},
 		{"sharded17+sample", route.Sharded, 17, 500, 35},
 		{"product64", route.Product, 64, 0, 0},

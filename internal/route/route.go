@@ -8,8 +8,8 @@
 //   - dense: the contiguous SoA statevector (exact, ≤ the router's
 //     DenseLimit qubits)
 //   - sharded: the chunked statevector (exact, dense-equivalent
-//     bit-for-bit, ≤ shard.MaxQubits qubits) — the dense-exact window
-//     past the contiguous limit
+//     bit-for-bit, ≤ qsim.ShardedMaxQubits qubits) — the dense-exact
+//     window past the contiguous limit
 //   - clifford: the CHP stabilizer tableau (exact, Clifford-only,
 //     thousands of qubits)
 //   - product: the mean-field surrogate (approximate, O(n), any width)
@@ -18,9 +18,10 @@
 // every dense-window workload: chips at or below the dense limit route
 // dense with an unchanged RNG stream. Fully Clifford circuits route to
 // the tableau at any width; generic circuits past the dense limit route
-// to the sharded engine up to shard.MaxQubits and to the product
-// surrogate beyond. Mid-circuit measurement forces the dense engine
-// (the only one wired for collapse inside system trajectories).
+// to the sharded engine up to qsim.ShardedMaxQubits and to the product
+// surrogate beyond. A circuit with a mid-circuit measurement is an
+// error: every engine's Run skips Measure gates, so none collapses the
+// state (qsim.RunTrajectory is the collapse path).
 package route
 
 import (
@@ -30,7 +31,6 @@ import (
 	"qtenon/internal/qsim"
 	"qtenon/internal/qsim/engine"
 	"qtenon/internal/qsim/product"
-	"qtenon/internal/qsim/shard"
 	"qtenon/internal/qsim/tableau"
 )
 
@@ -80,7 +80,7 @@ const DefaultDenseLimit = 16
 // sharded dense engine: the effective dense-exact window is ~28 qubits
 // (4 GiB of amplitudes across shards) rather than the contiguous
 // engine's monolithic-allocation wall.
-const DefaultShardedLimit = shard.MaxQubits
+const DefaultShardedLimit = qsim.ShardedMaxQubits
 
 // Analysis is what the analyzer learned about one circuit.
 type Analysis struct {
@@ -88,6 +88,7 @@ type Analysis struct {
 	Gates       int // total gate count, Measure included
 	NonClifford int // gates the tableau cannot apply (unbound rotations count)
 	MidMeasure  bool
+	MidQubit    int // the first qubit measured mid-circuit, when MidMeasure
 }
 
 // Analyze scans a circuit once. A Measure is mid-circuit when a later
@@ -100,8 +101,13 @@ func Analyze(c *circuit.Circuit) Analysis {
 			measured[g.Qubit] = true
 			continue
 		}
-		if measured[g.Qubit] || (g.Kind.Arity() == 2 && measured[g.Qubit2]) {
-			a.MidMeasure = true
+		if !a.MidMeasure {
+			switch {
+			case measured[g.Qubit]:
+				a.MidMeasure, a.MidQubit = true, g.Qubit
+			case g.Kind.Arity() == 2 && measured[g.Qubit2]:
+				a.MidMeasure, a.MidQubit = true, g.Qubit2
+			}
 		}
 		if !tableau.IsClifford(g) {
 			a.NonClifford++
@@ -128,12 +134,16 @@ func (r Router) denseLimit() int {
 }
 
 // SelectWidth chooses a method for a bound circuit executing on a
-// register of the given width (≥ the circuit's own width).
+// register of the given width (≥ the circuit's own width). A circuit
+// with a mid-circuit measurement is an error under every method.
 func (r Router) SelectWidth(c *circuit.Circuit, width int) (Method, Analysis, error) {
 	if width < c.NQubits {
 		width = c.NQubits
 	}
 	a := Analyze(c)
+	if a.MidMeasure {
+		return Auto, a, fmt.Errorf("route: qubit %d is measured mid-circuit, and no engine collapses the state inside Run", a.MidQubit)
+	}
 	if r.Force != Auto {
 		if err := r.feasible(r.Force, a, width); err != nil {
 			return Auto, a, err
@@ -141,13 +151,6 @@ func (r Router) SelectWidth(c *circuit.Circuit, width int) (Method, Analysis, er
 		return r.Force, a, nil
 	}
 	switch {
-	case a.MidMeasure:
-		// Only the dense engine participates in mid-circuit collapse
-		// (qsim.RunTrajectory); no width fallback exists past its limit.
-		if width > qsim.MaxQubits {
-			return Auto, a, fmt.Errorf("route: mid-circuit measurement on %d qubits exceeds the dense limit %d", width, qsim.MaxQubits)
-		}
-		return Dense, a, nil
 	case a.NonClifford == 0:
 		return Clifford, a, nil
 	case width <= r.denseLimit():
@@ -166,18 +169,12 @@ func (r Router) SelectWidth(c *circuit.Circuit, width int) (Method, Analysis, er
 // router's contiguous window: past DenseLimit the dense-exact path is
 // the sharded engine, so a forced-dense 24-qubit run fails loudly
 // rather than silently allocating a monolithic statevector the router
-// would never choose (mid-circuit measurement keeps the wider
-// qsim.MaxQubits allowance — there dense is the only collapse-capable
-// engine, exactly as in automatic selection).
+// would never choose.
 func (r Router) feasible(m Method, a Analysis, width int) error {
 	switch m {
 	case Dense:
-		limit := r.denseLimit()
-		if a.MidMeasure {
-			limit = qsim.MaxQubits
-		}
-		if width > limit {
-			return fmt.Errorf("route: dense forced on %d qubits, contiguous limit %d", width, limit)
+		if width > r.denseLimit() {
+			return fmt.Errorf("route: dense forced on %d qubits, contiguous limit %d", width, r.denseLimit())
 		}
 	case Clifford:
 		if a.NonClifford > 0 {
@@ -187,16 +184,10 @@ func (r Router) feasible(m Method, a Analysis, width int) error {
 			return fmt.Errorf("route: clifford forced on %d qubits, limit %d", width, tableau.MaxQubits)
 		}
 	case Sharded:
-		if a.MidMeasure {
-			return fmt.Errorf("route: sharded engine cannot collapse mid-circuit measurements")
-		}
-		if width > shard.MaxQubits {
-			return fmt.Errorf("route: sharded forced on %d qubits, limit %d", width, shard.MaxQubits)
+		if width > qsim.ShardedMaxQubits {
+			return fmt.Errorf("route: sharded forced on %d qubits, limit %d", width, qsim.ShardedMaxQubits)
 		}
 	case Product:
-		if a.MidMeasure {
-			return fmt.Errorf("route: product engine cannot collapse mid-circuit measurements")
-		}
 	default:
 		return fmt.Errorf("route: cannot force method %v", m)
 	}
@@ -224,7 +215,7 @@ func NewSimulator(m Method, n int) (engine.Simulator, error) {
 		}
 		return product.New(n), nil
 	case Sharded:
-		s, err := shard.New(n)
+		s, err := qsim.NewSharded(n)
 		if err != nil {
 			return nil, err
 		}

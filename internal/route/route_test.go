@@ -2,11 +2,11 @@ package route
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/qsim"
-	"qtenon/internal/qsim/shard"
 )
 
 func sel(t *testing.T, r Router, c *circuit.Circuit) (Method, Analysis) {
@@ -95,18 +95,21 @@ func TestUnboundParamsAreNonClifford(t *testing.T) {
 	}
 }
 
-// Satellite: mid-circuit measurement forces the dense fallback even when
-// the gates are all Clifford or the register exceeds the dense limit.
-func TestMidMeasureForcesDense(t *testing.T) {
+// A mid-circuit measurement is an error under auto selection and under
+// every forced method, at any width: every engine's Run skips Measure
+// gates, so none would collapse the state.
+func TestMidMeasureRejected(t *testing.T) {
 	b := circuit.NewBuilder(20)
 	b.H(0).Measure(0).X(0) // X after the measure ⇒ mid-circuit
 	c := b.MustBuild()
-	m, a := sel(t, Router{}, c)
-	if !a.MidMeasure {
-		t.Fatal("mid-circuit measurement not detected")
+	if a := Analyze(c); !a.MidMeasure || a.MidQubit != 0 {
+		t.Fatalf("Analyze = %+v, want qubit 0 measured mid-circuit", a)
 	}
-	if m != Dense {
-		t.Fatalf("mid-measure 20q routed %v, want dense (20 > DenseLimit still fits MaxQubits)", m)
+	for m := Auto; m < NumMethods; m++ {
+		_, _, err := (Router{Force: m}).SelectWidth(c, c.NQubits)
+		if err == nil || !strings.Contains(err.Error(), "qubit 0") {
+			t.Errorf("%v: mid-circuit measurement gave error %v, want one naming qubit 0", m, err)
+		}
 	}
 
 	// Terminal measures are NOT mid-circuit.
@@ -118,21 +121,14 @@ func TestMidMeasureForcesDense(t *testing.T) {
 	// A two-qubit gate is mid-circuit through its second operand too.
 	second := circuit.NewBuilder(2)
 	second.Measure(1).CZ(0, 1)
-	if _, a := sel(t, Router{}, second.MustBuild()); !a.MidMeasure {
-		t.Fatal("CZ after measuring its second operand not flagged mid-circuit")
+	if a := Analyze(second.MustBuild()); !a.MidMeasure || a.MidQubit != 1 {
+		t.Fatalf("CZ after measuring its second operand: Analyze = %+v, want qubit 1 mid-circuit", a)
 	}
 	// A later gate on a different qubit is not.
 	other := circuit.NewBuilder(2)
 	other.Measure(0).X(1)
 	if _, a := sel(t, Router{}, other.MustBuild()); a.MidMeasure {
 		t.Fatal("gate on an unmeasured qubit flagged mid-circuit")
-	}
-
-	// Past the dense window there is no engine that can collapse.
-	wide := circuit.NewBuilder(qsim.MaxQubits + 1)
-	wide.H(0).Measure(0).X(0)
-	if _, _, err := (Router{}).SelectWidth(wide.MustBuild(), qsim.MaxQubits+1); err == nil {
-		t.Error("mid-measure past MaxQubits did not error")
 	}
 }
 
@@ -192,7 +188,7 @@ func TestSelectWidthUsesChipWidth(t *testing.T) {
 }
 
 // Generic circuits past the contiguous dense window stay dense-exact
-// on the sharded engine up to shard.MaxQubits, and hand off to the
+// on the sharded engine up to qsim.ShardedMaxQubits, and hand off to the
 // product surrogate beyond it.
 func TestGenericWideRoutesSharded(t *testing.T) {
 	wide := func(n int) *circuit.Circuit {
@@ -202,13 +198,13 @@ func TestGenericWideRoutesSharded(t *testing.T) {
 		}
 		return b.MeasureAll().MustBuild()
 	}
-	for _, n := range []int{DefaultDenseLimit + 1, 24, shard.MaxQubits} {
+	for _, n := range []int{DefaultDenseLimit + 1, 24, qsim.ShardedMaxQubits} {
 		if m, _ := sel(t, Router{}, wide(n)); m != Sharded {
 			t.Fatalf("%dq generic routed %v, want sharded", n, m)
 		}
 	}
-	if m, _ := sel(t, Router{}, wide(shard.MaxQubits+1)); m != Product {
-		t.Fatalf("%dq generic routed %v, want product", shard.MaxQubits+1, m)
+	if m, _ := sel(t, Router{}, wide(qsim.ShardedMaxQubits+1)); m != Product {
+		t.Fatalf("%dq generic routed %v, want product", qsim.ShardedMaxQubits+1, m)
 	}
 	// The chip-width rule applies to the sharded window too: a narrow
 	// generic circuit on a 24-qubit chip routes sharded.
@@ -222,10 +218,10 @@ func TestGenericWideRoutesSharded(t *testing.T) {
 	}
 }
 
-// Forcing the sharded engine obeys its own window and the no-collapse
-// restriction; forcing dense past the contiguous window errors even
-// though the monolithic statevector could technically allocate (the
-// dense-exact path there is the sharded engine).
+// Forcing the sharded engine obeys its own window; forcing dense past
+// the contiguous window errors even though the monolithic statevector
+// could technically allocate (the dense-exact path there is the sharded
+// engine).
 func TestShardedForceFeasibility(t *testing.T) {
 	generic24 := func() *circuit.Circuit {
 		b := circuit.NewBuilder(24)
@@ -240,21 +236,9 @@ func TestShardedForceFeasibility(t *testing.T) {
 	if _, _, err := (Router{Force: Dense}).SelectWidth(generic24, generic24.NQubits); err == nil {
 		t.Error("forced dense on 24 qubits (past the contiguous window) did not error")
 	}
-	tooWide := circuit.NewBuilder(shard.MaxQubits+2).RY(0, 0.3).MeasureAll().MustBuild()
+	tooWide := circuit.NewBuilder(qsim.ShardedMaxQubits+2).RY(0, 0.3).MeasureAll().MustBuild()
 	if _, _, err := (Router{Force: Sharded}).SelectWidth(tooWide, tooWide.NQubits); err == nil {
-		t.Error("forced sharded past shard.MaxQubits did not error")
-	}
-	mid := circuit.NewBuilder(4)
-	mid.H(0).Measure(0).X(0)
-	if _, _, err := (Router{Force: Sharded}).SelectWidth(mid.MustBuild(), 4); err == nil {
-		t.Error("forced sharded on a mid-measure circuit did not error")
-	}
-	// Mid-circuit measurement keeps forced dense's wider allowance: it
-	// is the only collapse-capable engine, exactly as in auto selection.
-	mid20 := circuit.NewBuilder(20)
-	mid20.H(0).Measure(0).X(0)
-	if m, _, err := (Router{Force: Dense}).SelectWidth(mid20.MustBuild(), 20); err != nil || m != Dense {
-		t.Errorf("forced dense on 20q mid-measure = (%v,%v), want dense", m, err)
+		t.Error("forced sharded past qsim.ShardedMaxQubits did not error")
 	}
 }
 
