@@ -1,9 +1,8 @@
 // Package hw provides the small synthesizable-style hardware primitives
-// that the Qtenon controller is assembled from: bounded ring-buffer FIFOs,
-// a priority encoder, a round-robin arbiter, and a tag allocator. These
-// correspond one-to-one with the blocks drawn in Figures 5 and 6 of the
-// paper (request queues, the 32-entry tag pool, the PGU priority encoder,
-// and the output arbiter).
+// that the Qtenon controller's bus is assembled from: bounded ring-buffer
+// FIFOs and a tag allocator. These correspond one-to-one with blocks drawn
+// in Figure 5 of the paper (the Reorder Buffer Queue's request queues and
+// the 32-entry tag pool).
 package hw
 
 import "fmt"

@@ -123,81 +123,6 @@ func TestQueueFIFOProperty(t *testing.T) {
 	}
 }
 
-func TestPriorityEncoder(t *testing.T) {
-	tests := []struct {
-		in   []bool
-		want int
-	}{
-		{nil, -1},
-		{[]bool{false, false}, -1},
-		{[]bool{true}, 0},
-		{[]bool{false, true, true}, 1},
-		{[]bool{false, false, false, true}, 3},
-	}
-	for _, tt := range tests {
-		if got := PriorityEncoder(tt.in); got != tt.want {
-			t.Errorf("PriorityEncoder(%v) = %d, want %d", tt.in, got, tt.want)
-		}
-	}
-}
-
-func TestArbiterRoundRobin(t *testing.T) {
-	a := NewArbiter(4)
-	all := []bool{true, true, true, true}
-	var got []int
-	for i := 0; i < 8; i++ {
-		got = append(got, a.Grant(all))
-	}
-	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("grant sequence = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestArbiterSkipsIdle(t *testing.T) {
-	a := NewArbiter(4)
-	if g := a.Grant([]bool{false, false, true, false}); g != 2 {
-		t.Errorf("grant = %d, want 2", g)
-	}
-	// pointer advanced past 2; with 0 and 2 requesting, 3 is checked first
-	// then wraps to 0.
-	if g := a.Grant([]bool{true, false, true, false}); g != 0 {
-		t.Errorf("grant = %d, want 0 (wrap)", g)
-	}
-	if g := a.Grant([]bool{false, false, false, false}); g != -1 {
-		t.Errorf("grant with no requests = %d, want -1", g)
-	}
-}
-
-// Property: over any request pattern with at least one asserted line, the
-// arbiter never starves: each persistently requesting line is granted at
-// least once every width grants.
-func TestArbiterNoStarvation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const width = 8
-	a := NewArbiter(width)
-	persistent := 3 // line 3 always requests
-	sinceGrant := 0
-	for step := 0; step < 10000; step++ {
-		req := make([]bool, width)
-		for i := range req {
-			req[i] = rng.Intn(2) == 0
-		}
-		req[persistent] = true
-		g := a.Grant(req)
-		if g == persistent {
-			sinceGrant = 0
-		} else {
-			sinceGrant++
-			if sinceGrant > width {
-				t.Fatalf("line %d starved for %d grants at step %d", persistent, sinceGrant, step)
-			}
-		}
-	}
-}
-
 func TestTagPool(t *testing.T) {
 	p := NewTagPool(4)
 	if p.Available() != 4 || p.Outstanding() != 0 {

@@ -7,15 +7,64 @@ import (
 	"testing"
 
 	"qtenon/internal/circuit"
-	"qtenon/internal/hw"
 	"qtenon/internal/metrics"
 	"qtenon/internal/qcc"
 	"qtenon/internal/slt"
 )
 
+// pguState is one PGU of the cycle-by-cycle oracle; current names the
+// program entry whose pulse it generates, for the stage-4 write-back.
+type pguState struct {
+	busy    bool
+	remain  int64
+	current WorkItem
+	done    bool
+}
+
+// hw holds the Figure 6 selection primitives the oracle was written
+// against, frozen with it: the stage-3 priority encoder and the stage-4
+// round-robin arbiter.
+var hw frozenHW
+
+type frozenHW struct{}
+
+// PriorityEncoder returns the index of the lowest asserted request line,
+// or -1 when none is set.
+func (frozenHW) PriorityEncoder(requests []bool) int {
+	for i, r := range requests {
+		if r {
+			return i
+		}
+	}
+	return -1
+}
+
+// arbiter grants one asserted request line per call in round-robin
+// order, starting after the previous winner.
+type arbiter struct {
+	width int
+	next  int
+}
+
+func (frozenHW) NewArbiter(width int) *arbiter { return &arbiter{width: width} }
+
+// Grant returns the granted line, or -1 when no line is asserted; it
+// rotates only on a grant.
+func (a *arbiter) Grant(requests []bool) int {
+	for i := 0; i < a.width; i++ {
+		idx := (a.next + i) % a.width
+		if requests[idx] {
+			a.next = (idx + 1) % a.width
+			return idx
+		}
+	}
+	return -1
+}
+
 // runCycleByCycle is the pipeline loop as it was before quiet cycles were
 // fast-forwarded: one loop iteration per simulated cycle. It is kept
-// frozen as the reference Run must match exactly.
+// frozen, with the PGU state array, priority encoder and arbiter above,
+// as the reference Run must match exactly.
 func runCycleByCycle(p *Pipeline, items []WorkItem, limit int64) (Result, error) {
 	var res Result
 	if len(items) == 0 {
@@ -272,6 +321,112 @@ func TestFastForwardMatchesCycleByCycle(t *testing.T) {
 		t.Errorf("the random programs missed a path: hits %d, evictions %d, QSpace hits %d, skips %d, livelock trips %d",
 			hits, evictions, qspaceHits, skips, errs)
 	}
+}
+
+// FuzzRunMatchesCycleByCycle builds a small program from the seed: up to
+// four PGUs of short latency, one or two qubits of up to six entries, and
+// one to three rounds of reloads and item lists drawn with repetition. It
+// runs the rounds once under Run's own limit to find the longest round's
+// cycle count T, then replays them on fresh twins at every limit from 0
+// to T+1, and demands that run and the cycle-by-cycle oracle agree on
+// results, errors, metrics, program entries and SLT statistics. Repeated
+// entries let one cycle hold a write-back and a decode of the same entry,
+// and the sweep reaches every livelock edge, neither of which the random
+// geometries of TestFastForwardMatchesCycleByCycle are sure to hit.
+func FuzzRunMatchesCycleByCycle(f *testing.F) {
+	// Seeds 1–32 already catch a write-back applied after its cycle's
+	// decode and a last miss that dispatches at limit+1 without failing.
+	for seed := int64(1); seed <= 32; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		kinds := []circuit.Kind{circuit.RX, circuit.RY, circuit.CZ}
+		cfg := Config{
+			PGUs:          1 + rng.Intn(4),
+			PGULatency:    1 + rng.Int63n(6),
+			UseSLT:        rng.Intn(4) != 0,
+			QSpaceLatency: rng.Int63n(4),
+		}
+		nq, entries := 1+rng.Intn(2), 1+rng.Intn(6)
+		type load struct {
+			q, i int
+			e    qcc.ProgramEntry
+		}
+		type round struct {
+			loads []load
+			regs  [4]uint32
+			items []WorkItem
+		}
+		rounds := make([]round, 1+rng.Intn(3))
+		for r := range rounds {
+			rd := &rounds[r]
+			for q := 0; q < nq; q++ {
+				for i := 0; i < entries; i++ {
+					if r > 0 && rng.Intn(2) == 0 {
+						continue
+					}
+					// Three tags in one two-way SLT set per type force
+					// evictions and QSpace hits.
+					e := qcc.ProgramEntry{
+						Type:   uint8(kinds[rng.Intn(len(kinds))]),
+						Data:   uint32(1+rng.Intn(3))<<4 | uint32(rng.Intn(2)),
+						Status: qcc.StatusInvalid,
+					}
+					if rng.Intn(4) == 0 {
+						e.RegFlag, e.Data = true, uint32(rng.Intn(len(rd.regs)))
+					}
+					rd.loads = append(rd.loads, load{q, i, e})
+				}
+			}
+			for i := range rd.regs {
+				rd.regs[i] = uint32(1+rng.Intn(3)) << 4
+			}
+			rd.items = make([]WorkItem, 1+rng.Intn(3*nq*entries))
+			for i := range rd.items {
+				rd.items[i] = WorkItem{rng.Intn(nq), rng.Intn(entries)}
+			}
+		}
+
+		// play runs every round on fresh twins, each under limit(items),
+		// and returns the longest round's cycle count.
+		play := func(limit func(p *Pipeline, items []WorkItem) int64) int64 {
+			fast, ref := newTwin(t, nq, cfg), newTwin(t, nq, cfg)
+			var longest int64
+			for r, rd := range rounds {
+				for _, tw := range []twin{fast, ref} {
+					for _, l := range rd.loads {
+						if err := tw.cache.WriteProgram(l.q, l.i, l.e, qcc.HostAccess); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for i, v := range rd.regs {
+						if err := tw.cache.WriteReg(i, v, qcc.HostAccess); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				lim := limit(fast.p, rd.items)
+				rf, errF := fast.p.run(rd.items, lim)
+				rr, errR := runCycleByCycle(ref.p, rd.items, lim)
+				if fmt.Sprint(errF) != fmt.Sprint(errR) {
+					t.Fatalf("round %d limit %d %+v: error %v, reference %v", r, lim, cfg, errF, errR)
+				}
+				if rf != rr {
+					t.Fatalf("round %d limit %d %+v:\nrun       %+v\nreference %+v", r, lim, cfg, rf, rr)
+				}
+				if err := sameState(fast, ref, nq, entries); err != nil {
+					t.Fatalf("round %d limit %d %+v: %v", r, lim, cfg, err)
+				}
+				longest = max(longest, rf.Cycles)
+			}
+			return longest
+		}
+		longest := play(func(p *Pipeline, items []WorkItem) int64 { return p.cycleLimit(len(items)) })
+		for limit := int64(0); limit <= longest+1; limit++ {
+			play(func(*Pipeline, []WorkItem) int64 { return limit })
+		}
+	})
 }
 
 // TestQSpaceStallsDoNotTripLivelockGuard runs a program that makes

@@ -1,28 +1,28 @@
 // Package pipeline implements the four-stage pulse-computation pipeline
-// of §5.3 / Figure 6, cycle-accurately:
+// of §5.3 / Figure 6, cycle-exactly:
 //
 //	Stage 1  read the circuit definition from the Program Index Buffer
 //	Stage 2  decode; fetch Regfile if R=1; query the SLT when Status=0
-//	Stage 3  dispatch to a free PGU via priority encoder (stall S1/S2
-//	         when all PGUs are busy; S4 is decoupled by ready/valid)
-//	Stage 4  arbitrate PGU completions and write back their program entries
+//	Stage 3  dispatch to a free PGU (stall S1/S2 when all PGUs are busy;
+//	         S4 is decoupled by ready/valid)
+//	Stage 4  write back the program entries of finished PGUs
 //
 // The model is cycle-exact over real program data: entries are read from
 // and written back to the quantum controller cache, and SLT lookups hit
 // the slt.Bank. As in the paper (§7.1), a PGU is a black box that holds a
 // job for PGULatency cycles; it synthesizes no waveform, because every
-// result counts pulses and cycles, never samples. Run steps cycle by
-// cycle while any stage can act and jumps over quiet stretches, where the
-// only changes are PGU countdowns and the cycle and stall counters, in
-// one step; host cost therefore follows pipeline events, not simulated
-// cycles.
+// result counts pulses and cycles, never samples. Stage 3 dispatches at
+// most one job per cycle and every job takes PGULatency, so no two PGUs
+// finish in one cycle and stage 4 never arbitrates. Each item's decode,
+// dispatch and write-back cycles therefore follow from the item before
+// it, and Run steps items, not cycles: host cost follows items, not
+// simulated cycles.
 package pipeline
 
 import (
 	"fmt"
 
 	"qtenon/internal/circuit"
-	"qtenon/internal/hw"
 	"qtenon/internal/metrics"
 	"qtenon/internal/qcc"
 	"qtenon/internal/slt"
@@ -70,10 +70,12 @@ type Pipeline struct {
 	cache *qcc.Cache
 	bank  *slt.Bank
 
-	// Per-run scratch (PGU states and the stage-3/4 request vectors),
-	// recycled across Run calls so the per-cycle loop does not allocate.
-	pguScratch  []pguState
-	boolScratch []bool
+	// jobs is a ring of the pulses in flight, inflight of them from
+	// jobs[head], oldest first; there is one slot per PGU. Stage 4 writes
+	// them back in dispatch order, and with every PGU taken the oldest
+	// frees the next. It is kept across runs, so Run does not allocate.
+	jobs           []job
+	head, inflight int
 
 	cProcessed, cGenerated, cSkipped *metrics.Counter
 	cStall, cQSpaceStall, cCycles    *metrics.Counter
@@ -108,16 +110,14 @@ func New(cfg Config, cache *qcc.Cache, bank *slt.Bank) (*Pipeline, error) {
 	if cache.Config().NQubits != bank.NQubits() {
 		return nil, fmt.Errorf("pipeline: cache has %d qubits, SLT bank %d", cache.Config().NQubits, bank.NQubits())
 	}
-	return &Pipeline{cfg: cfg, cache: cache, bank: bank}, nil
+	return &Pipeline{cfg: cfg, cache: cache, bank: bank, jobs: make([]job, cfg.PGUs)}, nil
 }
 
-// pguState is one PGU; current names the program entry whose pulse it
-// generates, for the stage-4 status write-back.
-type pguState struct {
-	busy    bool
-	remain  int64
-	current WorkItem
-	done    bool
+// job is a pulse in a PGU: the entry it was decoded from and the cycle
+// in which stage 4 writes that entry back, freeing the PGU.
+type job struct {
+	item WorkItem
+	wb   int64
 }
 
 // Run processes the work items in order and returns cycle-accurate
@@ -134,169 +134,69 @@ func (p *Pipeline) cycleLimit(n int) int64 {
 	return int64(n)*(p.cfg.PGULatency*2+p.cfg.QSpaceLatency) + 10000
 }
 
-// run is Run with an explicit livelock limit.
+// run is Run with an explicit livelock limit. It steps items, not cycles
+// (DESIGN.md §10): item 0 is fetched in cycle 1, and every later item
+// decodes in a cycle that follows from the item before it. Within a
+// cycle, stage 4's write-backs come before stage 3's dispatch and stage
+// 2's decode, so an entry that repeats sees its own write-back. A run
+// that would act past limit fails with the partial Result of cycles
+// 1..limit and adds no counter.
 func (p *Pipeline) run(items []WorkItem, limit int64) (Result, error) {
 	var res Result
 	if len(items) == 0 {
 		return res, nil
 	}
-
-	if cap(p.pguScratch) < p.cfg.PGUs {
-		p.pguScratch = make([]pguState, p.cfg.PGUs)
-		p.boolScratch = make([]bool, 2*p.cfg.PGUs)
-	}
-	pgus := p.pguScratch[:p.cfg.PGUs]
-	for i := range pgus {
-		pgus[i] = pguState{}
-	}
-	// reqs/free are the stage-4 and stage-3 per-cycle request vectors;
-	// splitting one scratch array keeps the cycle loop allocation-free.
-	reqs := p.boolScratch[:p.cfg.PGUs]
-	free := p.boolScratch[p.cfg.PGUs : 2*p.cfg.PGUs]
-	// A fresh arbiter per run keeps the round-robin grant rotation (and
-	// therefore cycle-exact timing) independent of prior runs.
-	arb := hw.NewArbiter(p.cfg.PGUs)
-	next := 0 // next item to fetch (stage 1 pointer)
-
-	// Stage latches (value + valid flag, so latching never allocates).
-	var s2 WorkItem // fetched, awaiting decode
-	var s2v bool
-	var s3 WorkItem // decoded, awaiting PGU dispatch
-	var s3v bool
-	var s2stall int64 // stage-2 QSpace stall countdown
-
-	inflight := func() bool {
-		if s2v || s3v || s2stall > 0 {
-			return true
+	p.head, p.inflight = 0, 0
+	d := int64(2)    // cycle in which the next item decodes
+	var lastWB int64 // write-back cycle of the last pulse dispatched
+	for _, it := range items {
+		if err := p.reach(&res, d, limit); err != nil {
+			return res, err
 		}
-		for _, g := range pgus {
-			if g.busy || g.done {
-				return true
-			}
+		generate, extra, err := p.decode(it)
+		if err != nil {
+			return res, err
 		}
-		return false
-	}
-
-	var cycles int64
-	for next < len(items) || inflight() {
-		// Fast-forward: h is how many of the coming cycles are quiet. In a
-		// quiet cycle no PGU is done (stage 4 has nothing to grant, and an
-		// arbiter without requests does not rotate), no busy PGU finishes,
-		// and stages 1–3 cannot act: s3 is stalled with every PGU busy, or
-		// nothing is left to fetch or decode. Stepping through such cycles
-		// would only count them and tick the PGU countdowns, so they are
-		// applied at once. h stops at the livelock limit, so the guard
-		// trips at the same cycle. QSpace stalls are stepped cycle by
-		// cycle: the system model runs with no QSpace latency, so skipping
-		// them would speed up nothing measured.
-		h := limit - cycles
-		switch {
-		case s2stall > 0:
-			h = 0
-		case s3v:
-			// Stalled unless a PGU is free; checked with the PGUs.
-		case s2v || next < len(items):
-			h = 0
-		}
-		for i := range pgus {
-			switch {
-			case pgus[i].done:
-				h = 0
-			case pgus[i].busy:
-				h = min(h, pgus[i].remain-1)
-			case s3v:
-				h = 0 // a free PGU takes the s3 job
-			}
-		}
-		if h > 0 {
-			cycles += h
-			if s3v {
-				res.StallCycles += h
-			}
-			for i := range pgus {
-				if pgus[i].busy {
-					pgus[i].remain -= h
-				}
-			}
+		res.Processed++
+		if !generate {
+			// Stage 1 fetches the next item in this cycle, or in the last
+			// cycle of a QSpace stall.
+			res.Skipped++
+			res.QSpaceCycles += min(extra, limit-d)
+			d += 1 + extra
 			continue
 		}
-
-		cycles++
-		if cycles > limit {
-			return res, fmt.Errorf("pipeline: livelock after %d cycles", cycles)
+		// A miss carries no QSpace stall, so stage 1 fetches the next item
+		// in this cycle. Stage 3 dispatches the miss in the next one or,
+		// with every PGU taken, once stage 4 frees the oldest; stages 1–2
+		// stall until then, and the next item decodes in the dispatch cycle.
+		s := d + 1
+		if p.inflight == len(p.jobs) {
+			s = max(s, p.jobs[p.head].wb)
 		}
-
-		// Stage 4: arbitrate one completed PGU and mark its entry valid.
-		for i := range pgus {
-			reqs[i] = pgus[i].done
+		res.StallCycles += min(s-1, limit) - d
+		if err := p.reach(&res, s, limit); err != nil {
+			return res, err
 		}
-		if g := arb.Grant(reqs); g >= 0 {
-			if err := p.setStatus(pgus[g].current, qcc.StatusValid); err != nil {
-				return res, err
-			}
-			pgus[g] = pguState{}
-			res.Writebacks++
+		lastWB = s + p.cfg.PGULatency + 1
+		p.jobs[(p.head+p.inflight)%len(p.jobs)] = job{it, lastWB}
+		p.inflight++
+		// Busy PGUs: all in flight but one that finished this cycle and
+		// waits for its write-back (at most one can, the oldest).
+		busy := int64(p.inflight)
+		if p.jobs[p.head].wb == s+1 {
+			busy--
 		}
-
-		// Stage 3 bookkeeping: tick running PGUs.
-		for i := range pgus {
-			if pgus[i].busy {
-				pgus[i].remain--
-				if pgus[i].remain <= 0 {
-					pgus[i].busy = false
-					pgus[i].done = true
-				}
-			}
-		}
-
-		// Stage 3 dispatch: priority-encode a free PGU for the s3 job.
-		stalled := false
-		if s3v {
-			for i := range pgus {
-				free[i] = !pgus[i].busy && !pgus[i].done
-			}
-			if g := hw.PriorityEncoder(free); g >= 0 {
-				pgus[g] = pguState{busy: true, remain: p.cfg.PGULatency, current: s3}
-				s3v = false
-				busy := int64(0)
-				for i := range pgus {
-					if pgus[i].busy {
-						busy++
-					}
-				}
-				p.gPGUBusy.Set(busy)
-			} else {
-				stalled = true // all PGUs occupied: stall stages 1–2
-				res.StallCycles++
-			}
-		}
-
-		// Stage 2: decode + SLT, stalling on QSpace traffic.
-		if s2stall > 0 {
-			s2stall--
-			res.QSpaceCycles++
-		} else if !stalled && s2v && !s3v {
-			generate, extra, err := p.decode(s2)
-			if err != nil {
-				return res, err
-			}
-			res.Processed++
-			s2stall = extra
-			if generate {
-				s3, s3v = s2, true
-			} else {
-				res.Skipped++
-			}
-			s2v = false
-		}
-
-		// Stage 1: fetch.
-		if !stalled && s2stall == 0 && !s2v && next < len(items) {
-			s2, s2v = items[next], true
-			next++
-		}
+		p.gPGUBusy.Set(busy)
+		d = s
 	}
-	res.Cycles = cycles
+	// The run ends with the last write-back or with the last decode and
+	// its QSpace stall, whichever is later.
+	end := max(d-1, lastWB)
+	if err := p.reach(&res, end, limit); err != nil {
+		return res, err
+	}
+	res.Cycles = end
 	res.Generated = res.Writebacks
 	p.cProcessed.Add(int64(res.Processed))
 	p.cGenerated.Add(int64(res.Generated))
@@ -305,6 +205,24 @@ func (p *Pipeline) run(items []WorkItem, limit int64) (Result, error) {
 	p.cQSpaceStall.Add(res.QSpaceCycles)
 	p.cCycles.Add(res.Cycles)
 	return res, nil
+}
+
+// reach advances the run to cycle c. Stage 4 marks valid, in dispatch
+// order, the program entry of every pulse written back by cycle c, or by
+// limit when c is past it; then a c past limit is a livelock.
+func (p *Pipeline) reach(res *Result, c, limit int64) error {
+	for p.inflight > 0 && p.jobs[p.head].wb <= min(c, limit) {
+		if err := p.setStatus(p.jobs[p.head].item, qcc.StatusValid); err != nil {
+			return err
+		}
+		res.Writebacks++
+		p.head = (p.head + 1) % len(p.jobs)
+		p.inflight--
+	}
+	if c > limit {
+		return fmt.Errorf("pipeline: livelock after %d cycles", limit+1)
+	}
+	return nil
 }
 
 // decode performs the stage-2 work for one entry. It reports whether a

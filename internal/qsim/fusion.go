@@ -2,13 +2,17 @@ package qsim
 
 import (
 	"fmt"
-	"math/cmplx"
+	"math"
 
 	"qtenon/internal/circuit"
 )
 
-// expI returns e^{ix}.
-func expI(x float64) complex128 { return cmplx.Exp(complex(0, x)) }
+// expI returns e^{ix}, bit for bit what cmplx.Exp(complex(0, x))
+// returns: with a zero real part it scales math.Sincos(x) by Exp(0) = 1.
+func expI(x float64) complex128 {
+	s, c := math.Sincos(x)
+	return complex(c, s)
+}
 
 func panicUnsupported(g circuit.Gate) {
 	panic(fmt.Sprintf("qsim: unsupported gate kind %v", g.Kind))

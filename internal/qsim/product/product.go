@@ -15,7 +15,6 @@ package product
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 
 	"qtenon/internal/circuit"
@@ -70,8 +69,15 @@ func mul(x, y complex128) complex128 {
 	return complex(float64(xr*yr)-float64(xi*yi), float64(xr*yi)+float64(xi*yr))
 }
 
+// expI returns e^{ix}, bit for bit what cmplx.Exp(complex(0, x))
+// returns: with a zero real part it scales math.Sincos(x) by Exp(0) = 1.
+func expI(x float64) complex128 {
+	s, c := math.Sincos(x)
+	return complex(c, s)
+}
+
 func (ps *State) rz(q int, theta float64) {
-	ps.apply1Q(q, cmplx.Exp(complex(0, -theta/2)), 0, 0, cmplx.Exp(complex(0, theta/2)))
+	ps.apply1Q(q, expI(-theta/2), 0, 0, expI(theta/2))
 }
 
 func (ps *State) rx(q int, theta float64) {
@@ -95,7 +101,7 @@ func (ps *State) Apply(g circuit.Gate) {
 	case circuit.S:
 		ps.apply1Q(g.Qubit, 1, 0, 0, complex(0, 1))
 	case circuit.T:
-		ps.apply1Q(g.Qubit, 1, 0, 0, cmplx.Exp(complex(0, math.Pi/4)))
+		ps.apply1Q(g.Qubit, 1, 0, 0, expI(math.Pi/4))
 	case circuit.RX:
 		ps.rx(g.Qubit, g.Theta)
 	case circuit.RY:
@@ -190,7 +196,17 @@ func draw(rng *rand.Rand) int64 {
 // its end exactly. p ≤ 0 and NaN give 0 (never set); p ≥ 1 gives
 // redraw (always set).
 func threshold(p float64) int64 {
-	lo, hi := int64(0), int64(redraw)
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return redraw
+	}
+	// p·2⁶³ is exact and below 2⁶³, and rounding below 2⁶³ moves a value
+	// by at most 512, so the end lies within 1024 of c: 11 steps find it.
+	// The upper end is clamped before adding, since c can be 2⁶³−1024.
+	c := int64(p * (1 << 63))
+	lo, hi := max(c-1024, 0), min(c, redraw-1024)+1024
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		if float64(mid)/(1<<63) < p {

@@ -42,7 +42,6 @@ package qsim
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 
 	"qtenon/internal/circuit"
@@ -329,8 +328,8 @@ func (s *State) applyRZZ(a, b int, theta float64) {
 	s.invalidate()
 	re, im := s.re, s.im
 	ma, mb := 1<<a, 1<<b
-	ePlus := cmplx.Exp(complex(0, -theta/2)) // ZZ eigenvalue +1
-	eMinus := cmplx.Exp(complex(0, theta/2)) // ZZ eigenvalue -1
+	ePlus := expI(-theta / 2) // ZZ eigenvalue +1
+	eMinus := expI(theta / 2) // ZZ eigenvalue -1
 	pr, pi := real(ePlus), imag(ePlus)
 	mr, mi := real(eMinus), imag(eMinus)
 	par.For(len(re), func(lo, hi int) {
@@ -366,7 +365,7 @@ func gateMatrix1Q(g circuit.Gate) (m [4]complex128, ok bool) {
 	case circuit.S:
 		return [4]complex128{1, 0, 0, complex(0, 1)}, true
 	case circuit.T:
-		return [4]complex128{1, 0, 0, cmplx.Exp(complex(0, math.Pi/4))}, true
+		return [4]complex128{1, 0, 0, expI(math.Pi / 4)}, true
 	case circuit.RX:
 		c, sn := math.Cos(g.Theta/2), math.Sin(g.Theta/2)
 		return [4]complex128{complex(c, 0), complex(0, -sn), complex(0, -sn), complex(c, 0)}, true
@@ -374,7 +373,7 @@ func gateMatrix1Q(g circuit.Gate) (m [4]complex128, ok bool) {
 		c, sn := math.Cos(g.Theta/2), math.Sin(g.Theta/2)
 		return [4]complex128{complex(c, 0), complex(-sn, 0), complex(sn, 0), complex(c, 0)}, true
 	case circuit.RZ:
-		return [4]complex128{cmplx.Exp(complex(0, -g.Theta/2)), 0, 0, cmplx.Exp(complex(0, g.Theta/2))}, true
+		return [4]complex128{expI(-g.Theta / 2), 0, 0, expI(g.Theta / 2)}, true
 	default:
 		return m, false
 	}

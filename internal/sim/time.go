@@ -5,12 +5,12 @@
 //
 // The engine is deliberately minimal. Of the machine models only
 // internal/system schedules on it, laying out each evaluation's phases
-// as at most six events; the pipeline and bus models are cycle-stepped
-// loops. Callers schedule closures at absolute or relative virtual times
-// and the engine executes them in timestamp order. Determinism is
-// guaranteed by a monotonically increasing sequence number that breaks
-// timestamp ties in FIFO order, so repeated runs with the same seed
-// produce identical traces.
+// as at most six events; the bus model is a cycle-stepped loop and the
+// pipeline model a per-item recurrence. Callers schedule closures at
+// absolute or relative virtual times and the engine executes them in
+// timestamp order. Determinism is guaranteed by a monotonically
+// increasing sequence number that breaks timestamp ties in FIFO order,
+// so repeated runs with the same seed produce identical traces.
 package sim
 
 import "fmt"
