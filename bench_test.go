@@ -138,9 +138,9 @@ func BenchmarkStatevector20QubitWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleCached measures repeated sampling of an unchanged
-// state: the alias table is built once, so each iteration is O(shots).
-func BenchmarkSampleCached(b *testing.B) {
+// BenchmarkSample16Qubit measures one 500-shot Sample of a 16-qubit
+// QAOA state: the alias-table rebuild, O(2^n), plus O(shots) draws.
+func BenchmarkSample16Qubit(b *testing.B) {
 	w, err := vqa.NewQAOA(16, 3)
 	if err != nil {
 		b.Fatal(err)

@@ -38,7 +38,7 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("; %d qubits, %d gates → %d program entries (%d pulse slots), %d parameter registers\n",
-			c.NQubits, prog.Gates, prog.TotalEntries(), prog.PulseEntriesNeeded, len(prog.ParamReg))
+			c.NQubits, prog.Gates, prog.TotalEntries(), prog.PulseEntriesNeeded, c.NumParams)
 		fmt.Print(prog.Listing(cfg))
 		return
 	}

@@ -59,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("stage 3  compiled:              %3d program entries, %d pulse slots, %d parameter regs\n",
-		prog.TotalEntries(), prog.PulseEntriesNeeded, len(prog.ParamReg))
+		prog.TotalEntries(), prog.PulseEntriesNeeded, routed.Circuit.NumParams)
 
 	// Show qubit 0's chunk as the controller will hold it.
 	fmt.Println("\nqubit 0 program chunk:")

@@ -6,6 +6,7 @@ import (
 
 	"qtenon/internal/backend"
 	"qtenon/internal/host"
+	"qtenon/internal/par"
 	"qtenon/internal/qsim"
 	"qtenon/internal/report"
 	"qtenon/internal/route"
@@ -33,66 +34,71 @@ func (s Scale) RouterQubits() (small, wide int) {
 // dense-only stack could never produce.
 func Router(sc Scale) (string, error) {
 	small, wide := sc.RouterQubits()
-
-	type row struct {
-		workload string
-		method   route.Method
-		res      report.RunResult
-		err      error
-	}
-	cells := []struct {
-		nq     int
-		method route.Method // forced; Auto lets the chip's router pick
-	}{
+	cells := []engineCell{
 		{small, route.Dense},
 		{small, route.Auto},
 		{wide, route.Dense},
 		{wide, route.Auto},
 	}
+	return engineRuns(sc,
+		fmt.Sprintf("Router: Clifford workload across engines (%dq dense window, %dq beyond)", small, wide),
+		"Stabilizer", cells, runStabilizer,
+		"the auto rows route Clifford-only circuits to the stabilizer tableau at any width;\n"+
+			fmt.Sprintf("the %dq register exceeds the %d-qubit dense window, so only the routed run completes.\n", wide, qsim.MaxQubits),
+	), nil
+}
+
+// engineCell is one run of an engine-capability experiment (Router,
+// Sharded): a register width under a requested method, where Auto lets
+// the chip's router pick.
+type engineCell struct {
+	nq     int
+	method route.Method
+}
+
+// engineRuns runs every cell through run at scale sc, in parallel, and
+// renders an engine-capability experiment: the title, one table row per
+// cell, one "infeasible" line per cell an engine refused, then the
+// closing prose.
+// A refused cell is the experiment's point, not a failure: the
+// contiguous dense engine is expected to refuse the wide register.
+func engineRuns(sc Scale, title, workload string, cells []engineCell,
+	run func(system.Config, int, Scale) (report.RunResult, error), closing string) string {
+	type row struct {
+		res report.RunResult
+		err error
+	}
 	rows := make([]row, len(cells))
-	err := forEachPoint(len(cells), func(i int) error {
+	par.Do(len(cells), func(i int) {
 		cfg := system.DefaultConfig(host.BoomL())
 		cfg.Method = cells[i].method
-		res, err := runStabilizer(cfg, cells[i].nq, sc)
-		rows[i] = row{
-			workload: fmt.Sprintf("Stabilizer-%dq", cells[i].nq),
-			method:   cells[i].method,
-			res:      res,
-			err:      err,
-		}
-		// Infeasible cells are the experiment's point, not a failure:
-		// the dense engine is expected to refuse the wide register.
-		return nil
+		rows[i].res, rows[i].err = run(cfg, cells[i].nq, sc)
 	})
-	if err != nil {
-		return "", err
-	}
 
 	var sb strings.Builder
-	sb.WriteString(header(fmt.Sprintf("Router: Clifford workload across engines (%dq dense window, %dq beyond)", small, wide)))
+	sb.WriteString(header(title))
 	tb := newTable("workload", "requested", "ran", "status", "total", "evals", "final cost")
-	for _, r := range rows {
-		req := r.method.String()
+	for i, r := range rows {
+		name, req := fmt.Sprintf("%s-%dq", workload, cells[i].nq), cells[i].method.String()
 		if r.err != nil {
-			tb.AddRow(r.workload, req, "-", "impossible", "-", "-", "-")
+			tb.AddRow(name, req, "-", "impossible", "-", "-", "-")
 			continue
 		}
 		final := "-"
 		if len(r.res.History) > 0 {
 			final = fmt.Sprintf("%.3f", r.res.History[len(r.res.History)-1])
 		}
-		tb.AddRow(r.workload, req, r.res.Method, "completed",
+		tb.AddRow(name, req, r.res.Method, "completed",
 			r.res.Breakdown.Total().String(), r.res.Evaluations, final)
 	}
 	sb.WriteString(tb.String())
-	for _, r := range rows {
+	for i, r := range rows {
 		if r.err != nil {
-			fmt.Fprintf(&sb, "infeasible %s under %s: %v\n", r.workload, r.method, r.err)
+			fmt.Fprintf(&sb, "infeasible %s-%dq under %s: %v\n", workload, cells[i].nq, cells[i].method, r.err)
 		}
 	}
-	sb.WriteString("the auto rows route Clifford-only circuits to the stabilizer tableau at any width;\n")
-	sb.WriteString(fmt.Sprintf("the %dq register exceeds the %d-qubit dense window, so only the routed run completes.\n", wide, qsim.MaxQubits))
-	return sb.String(), nil
+	sb.WriteString(closing)
+	return sb.String()
 }
 
 // runStabilizer executes the Clifford scaling workload on the Qtenon

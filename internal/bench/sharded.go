@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"qtenon/internal/backend"
-	"qtenon/internal/host"
 	"qtenon/internal/report"
 	"qtenon/internal/route"
 	"qtenon/internal/system"
@@ -44,68 +42,20 @@ func (s Scale) ShardedIterations() int {
 // "beyond 20 qubits" capability for circuits the tableau cannot touch.
 func Sharded(sc Scale) (string, error) {
 	small, wide := sc.ShardedQubits()
-
-	type row struct {
-		workload string
-		method   route.Method
-		res      report.RunResult
-		err      error
-	}
-	cells := []struct {
-		nq     int
-		method route.Method // forced; Auto lets the chip's router pick
-	}{
+	cells := []engineCell{
 		{small, route.Dense},
 		{small, route.Auto},
 		{wide, route.Dense},
 		{wide, route.Auto},
 		{wide, route.Sharded},
 	}
-	rows := make([]row, len(cells))
-	err := forEachPoint(len(cells), func(i int) error {
-		cfg := system.DefaultConfig(host.BoomL())
-		cfg.Method = cells[i].method
-		res, err := runShardedVQE(cfg, cells[i].nq, sc)
-		rows[i] = row{
-			workload: fmt.Sprintf("VQE-%dq", cells[i].nq),
-			method:   cells[i].method,
-			res:      res,
-			err:      err,
-		}
-		// Infeasible cells are the experiment's point, not a failure:
-		// the contiguous engine is expected to refuse the wide register.
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-
-	var sb strings.Builder
-	sb.WriteString(header(fmt.Sprintf("Sharded statevector: generic VQE across engines (%dq contiguous window, %dq beyond)", small, wide)))
-	tb := newTable("workload", "requested", "ran", "status", "total", "evals", "final cost")
-	for _, r := range rows {
-		req := r.method.String()
-		if r.err != nil {
-			tb.AddRow(r.workload, req, "-", "impossible", "-", "-", "-")
-			continue
-		}
-		final := "-"
-		if len(r.res.History) > 0 {
-			final = fmt.Sprintf("%.3f", r.res.History[len(r.res.History)-1])
-		}
-		tb.AddRow(r.workload, req, r.res.Method, "completed",
-			r.res.Breakdown.Total().String(), r.res.Evaluations, final)
-	}
-	sb.WriteString(tb.String())
-	for _, r := range rows {
-		if r.err != nil {
-			fmt.Fprintf(&sb, "infeasible %s under %s: %v\n", r.workload, r.method, r.err)
-		}
-	}
-	sb.WriteString("the VQE ansatz is non-Clifford, so the tableau never applies; past the contiguous\n")
-	sb.WriteString(fmt.Sprintf("window the auto rows route to the sharded engine (exact to %d qubits, bit-for-bit\n", route.DefaultShardedLimit))
-	sb.WriteString("dense-equivalent), where a forced contiguous dense run is refused.\n")
-	return sb.String(), nil
+	return engineRuns(sc,
+		fmt.Sprintf("Sharded statevector: generic VQE across engines (%dq contiguous window, %dq beyond)", small, wide),
+		"VQE", cells, runShardedVQE,
+		"the VQE ansatz is non-Clifford, so the tableau never applies; past the contiguous\n"+
+			fmt.Sprintf("window the auto rows route to the sharded engine (exact to %d qubits, bit-for-bit\n", route.DefaultShardedLimit)+
+			"dense-equivalent), where a forced contiguous dense run is refused.\n",
+	), nil
 }
 
 // runShardedVQE executes the generic VQE workload under an explicit

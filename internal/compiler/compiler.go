@@ -27,9 +27,9 @@ type Program struct {
 	// work list. Two-qubit gates contribute two items (each operand qubit
 	// drives its own pulse).
 	Items []pipeline.WorkItem
-	// ParamReg maps parameter slot → .regfile index (identity mapping;
-	// the regfile bounds the parameter count).
-	ParamReg []int
+	// NumParams counts the parameters; parameter i lives in .regfile
+	// register i (the regfile bounds the parameter count).
+	NumParams int
 	// Gates and TwoQubit count the source circuit's population
 	// (excluding measurements).
 	Gates    int
@@ -58,12 +58,9 @@ func Compile(c *circuit.Circuit, cfg qcc.Config) (*Program, error) {
 		return nil, fmt.Errorf("compiler: %d parameters exceed the %d-entry regfile", c.NumParams, cfg.RegfileEntries)
 	}
 	p := &Program{
-		NQubits: c.NQubits,
-		Entries: make([][]qcc.ProgramEntry, c.NQubits),
-	}
-	p.ParamReg = make([]int, c.NumParams)
-	for i := range p.ParamReg {
-		p.ParamReg[i] = i
+		NQubits:   c.NQubits,
+		Entries:   make([][]qcc.ProgramEntry, c.NQubits),
+		NumParams: c.NumParams,
 	}
 	next := make([]int, c.NQubits) // next free entry per qubit chunk
 
@@ -90,7 +87,7 @@ func Compile(c *circuit.Circuit, cfg qcc.Config) (*Program, error) {
 			continue
 		case g.Param != circuit.NoParam:
 			e.RegFlag = true
-			e.Data = uint32(p.ParamReg[g.Param])
+			e.Data = uint32(g.Param)
 		default:
 			e.Data = qcc.QuantizeAngle(g.Theta)
 		}
@@ -123,8 +120,8 @@ func (p *Program) TotalEntries() int {
 // one register per parameter — to dst and returns the extended slice
 // (pass a recycled dst[:0] to render images without allocating).
 func (p *Program) AppendRegfileImage(dst []uint32, params []float64) ([]uint32, error) {
-	if len(params) != len(p.ParamReg) {
-		return nil, fmt.Errorf("compiler: %d params for %d registers", len(params), len(p.ParamReg))
+	if len(params) != p.NumParams {
+		return nil, fmt.Errorf("compiler: %d params for %d registers", len(params), p.NumParams)
 	}
 	start := len(dst)
 	if tot := start + len(params); tot <= cap(dst) {
@@ -135,20 +132,16 @@ func (p *Program) AppendRegfileImage(dst []uint32, params []float64) ([]uint32, 
 		dst = next
 	}
 	img := dst[start:]
-	for i := range img {
-		img[i] = 0
-	}
 	for i, v := range params {
-		img[p.ParamReg[i]] = qcc.QuantizeAngle(v)
+		img[i] = qcc.QuantizeAngle(v)
 	}
 	return dst, nil
 }
 
-// Delta describes one incremental update: write register Reg with the
-// quantized angle of parameter Param.
+// Delta describes one incremental update: write the quantized angle
+// Value of parameter Param into register Param.
 type Delta struct {
 	Param int
-	Reg   int
 	Value uint32
 }
 
@@ -165,13 +158,13 @@ func (p *Program) Diff(oldParams, newParams []float64) ([]Delta, error) {
 // Qtenon system calls this once per cost evaluation, so recycling the
 // delta buffer keeps the incremental-compilation path allocation-free.
 func (p *Program) AppendDiff(dst []Delta, oldParams, newParams []float64) ([]Delta, error) {
-	if len(oldParams) != len(p.ParamReg) || len(newParams) != len(p.ParamReg) {
-		return nil, fmt.Errorf("compiler: Diff arity mismatch (%d/%d vs %d)", len(oldParams), len(newParams), len(p.ParamReg))
+	if len(oldParams) != p.NumParams || len(newParams) != p.NumParams {
+		return nil, fmt.Errorf("compiler: Diff arity mismatch (%d/%d vs %d)", len(oldParams), len(newParams), p.NumParams)
 	}
 	for i := range newParams {
 		nv := qcc.QuantizeAngle(newParams[i])
 		if qcc.QuantizeAngle(oldParams[i]) != nv {
-			dst = append(dst, Delta{Param: i, Reg: p.ParamReg[i], Value: nv})
+			dst = append(dst, Delta{Param: i, Value: nv})
 		}
 	}
 	return dst, nil
@@ -204,7 +197,7 @@ func (p *Program) Load(cache *qcc.Cache, params []float64) error {
 // effect of the q_update sequence).
 func ApplyDeltas(cache *qcc.Cache, deltas []Delta) error {
 	for _, d := range deltas {
-		if err := cache.WriteReg(d.Reg, d.Value, qcc.HostAccess); err != nil {
+		if err := cache.WriteReg(d.Param, d.Value, qcc.HostAccess); err != nil {
 			return err
 		}
 	}

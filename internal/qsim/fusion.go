@@ -218,10 +218,10 @@ func (f *fuser) addDiag(t diagTerm, a, b int) {
 }
 
 // fuse compiles a bound gate list into fused operations. Measure and
-// explicit identity gates are dropped (Run samples the pre-measurement
-// state, matching Apply's semantics). f is reusable scratch; the
-// returned slice aliases its storage and is valid until the next fuse
-// through the same scratch.
+// explicit identity gates are dropped (Run and Apply leave readout to
+// Sample and MeasureQubit). f is reusable scratch; the returned slice
+// aliases its storage and is valid until the next fuse through the same
+// scratch.
 func fuse(gates []circuit.Gate, f *fuser) []fusedOp {
 	maxQ := 0
 	for _, g := range gates {
@@ -259,7 +259,6 @@ func fuse(gates []circuit.Gate, f *fuser) []fusedOp {
 		default:
 			m, ok := gateMatrix1Q(g)
 			if !ok {
-				// Mirror Apply's behaviour for unknown kinds.
 				panicUnsupported(g)
 			}
 			f.merge1Q(g.Qubit, m)

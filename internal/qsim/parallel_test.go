@@ -187,34 +187,26 @@ func TestSampleDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The cached sampler must be invalidated by every mutating operation.
-func TestSamplerCacheInvalidation(t *testing.T) {
+// Every Sample draws from the state as it is at the call: the sampler
+// rebuilds its tables each time, so a draw follows Apply and
+// MeasureQubit.
+func TestSampleFollowsMutations(t *testing.T) {
 	s := NewState(3) // |000⟩
 	rng := rand.New(rand.NewSource(1))
-	for _, v := range s.Sample(100, rng) {
-		if v != 0 {
-			t.Fatalf("sampled %d from |000⟩", v)
+	requireAll := func(want uint64, state string) {
+		t.Helper()
+		for _, v := range s.Sample(100, rng) {
+			if v != want {
+				t.Fatalf("sampled %03b from %s", v, state)
+			}
 		}
 	}
-	if s.sampler == nil {
-		t.Fatal("sampler not cached after Sample")
-	}
+	requireAll(0, "|000⟩")
 	s.Apply(circuit.Gate{Kind: circuit.X, Qubit: 1, Param: circuit.NoParam})
-	if s.sampler != nil {
-		t.Fatal("Apply did not invalidate the cached sampler")
-	}
-	for _, v := range s.Sample(100, rng) {
-		if v != 2 {
-			t.Fatalf("sampled %d from |010⟩", v)
-		}
-	}
-
-	// MeasureQubit mutates too.
-	s.Sample(1, rng)
-	s.MeasureQubit(0, rng)
-	if s.sampler != nil {
-		t.Fatal("MeasureQubit did not invalidate the cached sampler")
-	}
+	requireAll(2, "|010⟩")
+	s.Apply(circuit.Gate{Kind: circuit.H, Qubit: 0, Param: circuit.NoParam})
+	bit := s.MeasureQubit(0, rng)
+	requireAll(2|uint64(bit), "the collapsed state")
 }
 
 // The alias sampler must reproduce the distribution (statistically).

@@ -2,33 +2,34 @@ package qsim
 
 import (
 	"math/rand"
-	qrng "qtenon/internal/rng"
+	"slices"
 
 	"qtenon/internal/par"
+	qrng "qtenon/internal/rng"
 )
 
-// Measurement sampling. The old implementation rebuilt an O(2^n)
-// cumulative distribution on every Sample call and binary-searched it
-// per shot. This version builds a Walker/Vose alias table once per state
-// (cached on the State, invalidated by any mutating kernel), giving O(1)
-// per shot, and draws shots in parallel over fixed-size blocks.
+// Measurement sampling. Both statevector engines sample through one
+// sampler, which takes the chunks the engine stores: State passes its
+// whole array as one chunk, Sharded its shards. Every call builds one
+// Walker/Vose alias table per chunk (O(N) build, O(1) per shot) and,
+// when there is more than one chunk, a top-level table over the chunk
+// masses; a shot then draws a chunk from the top table and an amplitude
+// from that chunk's table. The tables are rebuilt on every call into
+// storage recycled from the previous one, and nothing is cached: every
+// production caller samples each state once.
 //
 // Determinism: each block of sampleBlock shots gets its own RNG seeded
 // by one serial draw from the caller's RNG. The block partition depends
-// only on the shot count, so a fixed caller seed produces an identical
-// outcome stream at any GOMAXPROCS — and no worker ever touches the
-// caller's (non-concurrency-safe) *rand.Rand.
-//
-// Memory discipline: the alias build works out of the owning State's
-// scratch arena (probability snapshot, scaling array, worklists), so
-// rebuilding the table after a state mutation reuses the previous
-// build's storage, and the table itself (prob/alias) reuses the storage
-// of the table the mutation retired.
+// only on the shot count, and the tables do not depend on how the chunk
+// builds are grouped across workers, so a fixed caller seed produces an
+// identical outcome stream at any GOMAXPROCS — and no worker ever
+// touches the caller's (non-concurrency-safe) *rand.Rand.
 
 // sampleBlock is the per-worker shot granularity.
 const sampleBlock = 4096
 
-// aliasTable is an immutable alias-method sampler over basis states.
+// aliasTable is an alias-method sampler over the outcomes of one chunk
+// (or, for the top level, over the chunks).
 type aliasTable struct {
 	// prob[i] is the probability of keeping slot i when drawn; alias[i]
 	// is the outcome used otherwise.
@@ -36,46 +37,130 @@ type aliasTable struct {
 	alias []int32
 }
 
-// aliasScratch is the reusable working memory of an alias-table build:
-// everything the build touches that does not escape into the table. One
-// scratch serves one build at a time; its buffers are recycled across
-// builds, so a warmed scratch grows no further.
+// aliasScratch is the reusable working memory of one group of table
+// builds: the weights of the chunk being built and the build's
+// worklists. It serves one build at a time.
 type aliasScratch struct {
-	scaled       []float64
+	w            []float64
 	small, large []int32
 }
 
-// newAliasTable builds the table in O(N) from an (approximately
-// normalized) distribution through scratch. Exact zeros stay
-// impossible: a zero-weight slot keeps probability 0 and always
-// forwards to its alias. spare, when non-nil, donates its prob/alias
-// storage to the new table (every slot is overwritten by the build).
-func newAliasTable(p []float64, scratch *aliasScratch, spare *aliasTable) *aliasTable {
-	n := len(p)
-	total := par.SumFloat64(n, func(lo, hi int) float64 {
-		var t float64
-		for _, v := range p[lo:hi] {
-			t += v
+// sampler holds the alias tables and build scratch one engine recycles
+// across Sample calls.
+type sampler struct {
+	tables  []aliasTable // one per chunk
+	top     aliasTable   // over the chunk masses; built for more than one chunk
+	masses  []float64
+	scratch []aliasScratch // one per concurrent build group
+	seeds   []int64
+}
+
+// sample draws shots full-register outcomes from a state stored as
+// chunks re[c], im[c] of 2^k amplitudes, chunk c holding basis states
+// [c·2^k, (c+1)·2^k). The returned slice is freshly allocated and owned
+// by the caller.
+func (s *sampler) sample(re, im [][]float64, k, shots int, rng *rand.Rand) []uint64 {
+	if shots <= 0 {
+		return nil
+	}
+	s.build(re, im)
+	out := make([]uint64, shots)
+	nblocks := (shots + sampleBlock - 1) / sampleBlock
+	s.seeds = s.seeds[:0]
+	for b := 0; b < nblocks; b++ {
+		s.seeds = append(s.seeds, rng.Int63())
+	}
+	seeds, tables, top := s.seeds, s.tables, &s.top
+	par.Do(nblocks, func(b int) {
+		sub := qrng.New(seeds[b])
+		hi := min(b*sampleBlock+sampleBlock, shots)
+		for i := b * sampleBlock; i < hi; i++ {
+			c := 0
+			if len(tables) > 1 {
+				c = top.draw(sub)
+			}
+			out[i] = uint64(c)<<k | uint64(tables[c].draw(sub))
 		}
-		return t
 	})
+	return out
+}
+
+// build rebuilds the chunk tables, in one contiguous group of chunks
+// per worker, and the top-level table when there is more than one
+// chunk. A single group, which the one-chunk dense state always is,
+// runs without the par.Do closure, which would escape to the heap.
+func (s *sampler) build(re, im [][]float64) {
+	n := len(re)
+	groups := min(par.Workers(), n)
+	s.tables = slices.Grow(s.tables[:0], n)[:n]
+	s.masses = slices.Grow(s.masses[:0], n)[:n]
+	s.scratch = slices.Grow(s.scratch[:0], groups)[:groups]
+	if groups == 1 {
+		s.buildChunks(re, im, 0, n, &s.scratch[0])
+	} else {
+		par.Do(groups, func(g int) {
+			s.buildChunks(re, im, g*n/groups, (g+1)*n/groups, &s.scratch[g])
+		})
+	}
+	if n > 1 {
+		m := s.masses
+		total := par.SumFloat64(n, func(lo, hi int) float64 {
+			var t float64
+			for _, v := range m[lo:hi] {
+				t += v
+			}
+			return t
+		})
+		s.top.build(m, total, &s.scratch[0])
+	}
+}
+
+// buildChunks builds the tables of chunks [lo, hi) through sc. Each
+// chunk's probabilities and their par.SumFloat64 total come from one
+// pass; with more than one chunk, a serial sum over the chunk gives the
+// mass the top-level table draws it by.
+func (s *sampler) buildChunks(re, im [][]float64, lo, hi int, sc *aliasScratch) {
+	for c := lo; c < hi; c++ {
+		r, m := re[c], im[c]
+		w := slices.Grow(sc.w[:0], len(r))[:len(r)]
+		sc.w = w
+		total := par.SumFloat64(len(r), func(lo, hi int) float64 {
+			var t float64
+			for i := lo; i < hi; i++ {
+				p := r[i]*r[i] + m[i]*m[i]
+				w[i] = p
+				t += p
+			}
+			return t
+		})
+		if len(re) > 1 {
+			var mass float64
+			for _, p := range w {
+				mass += p
+			}
+			s.masses[c] = mass
+		}
+		s.tables[c].build(w, total, sc)
+	}
+}
+
+// build fills t in O(N) from the weights w, whose par.SumFloat64 total
+// is total, using sc's worklists; it overwrites w. Exact zeros stay
+// impossible: a zero-weight slot keeps probability 0 and always
+// forwards to its alias.
+func (t *aliasTable) build(w []float64, total float64, sc *aliasScratch) {
+	n := len(w)
 	if total <= 0 {
 		total = 1
 	}
-	t := spare
-	if t == nil || cap(t.prob) < n {
-		t = &aliasTable{prob: make([]float64, n), alias: make([]int32, n)}
-	} else {
-		t.prob = t.prob[:n]
-		t.alias = t.alias[:n]
-	}
-	scaled := growFloat64(scratch.scaled[:0], n)
-	small := scratch.small[:0]
-	large := scratch.large[:0]
+	t.prob = slices.Grow(t.prob[:0], n)[:n]
+	t.alias = slices.Grow(t.alias[:0], n)[:n]
+	small := sc.small[:0]
+	large := sc.large[:0]
 	scale := float64(n) / total
-	for i, v := range p {
-		scaled[i] = v * scale
-		if scaled[i] < 1 {
+	for i := range w {
+		w[i] *= scale
+		if w[i] < 1 {
 			small = append(small, int32(i))
 		} else {
 			large = append(large, int32(i))
@@ -85,10 +170,10 @@ func newAliasTable(p []float64, scratch *aliasScratch, spare *aliasTable) *alias
 		s := small[len(small)-1]
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
-		t.prob[s] = scaled[s]
+		t.prob[s] = w[s]
 		t.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
+		w[l] -= 1 - w[s]
+		if w[l] < 1 {
 			large = large[:len(large)-1]
 			small = append(small, l)
 		}
@@ -102,72 +187,16 @@ func newAliasTable(p []float64, scratch *aliasScratch, spare *aliasTable) *alias
 		t.prob[s] = 1
 		t.alias[s] = s
 	}
-	scratch.scaled = scaled
-	scratch.small = small
-	scratch.large = large
-	return t
+	sc.small = small
+	sc.large = large
 }
 
-// draw returns one basis-state index: O(1) — one uniform slot pick plus
-// one acceptance test.
+// draw returns one outcome: O(1) — one uniform slot pick plus one
+// acceptance test.
 func (t *aliasTable) draw(rng *rand.Rand) int {
 	i := rng.Intn(len(t.prob))
 	if rng.Float64() < t.prob[i] {
 		return i
 	}
 	return int(t.alias[i])
-}
-
-// ensureSampler returns the cached alias table, building it (through the
-// State's scratch arena) if a mutation invalidated it.
-func (s *State) ensureSampler() *aliasTable {
-	t := s.sampler
-	if t == nil {
-		s.probScratch = s.AppendProbabilities(s.probScratch[:0])
-		t = newAliasTable(s.probScratch, &s.buildScratch, s.spareTable)
-		s.spareTable = nil
-		s.sampler = t
-	}
-	return t
-}
-
-// Sample draws `shots` full-register measurement outcomes (basis-state
-// indices, qubit 0 in bit 0) without collapsing the state. The alias
-// table is cached on the State, so repeated sampling of an unchanged
-// state costs O(shots) after the first call. The returned slice is
-// freshly allocated and owned by the caller.
-//
-// rng must not be shared with other goroutines while Sample runs; it is
-// consumed only on the calling goroutine (one seed draw per shot block),
-// and each block samples from an independent derived sub-stream.
-func (s *State) Sample(shots int, rng *rand.Rand) []uint64 {
-	if shots <= 0 {
-		return nil
-	}
-	t := s.ensureSampler()
-	out := make([]uint64, shots)
-	nblocks := (shots + sampleBlock - 1) / sampleBlock
-	s.seedScratch = appendSeeds(s.seedScratch[:0], nblocks, rng)
-	seeds := s.seedScratch
-	par.Do(nblocks, func(b int) {
-		sub := qrng.New(seeds[b])
-		lo := b * sampleBlock
-		hi := lo + sampleBlock
-		if hi > shots {
-			hi = shots
-		}
-		for k := lo; k < hi; k++ {
-			out[k] = uint64(t.draw(sub))
-		}
-	})
-	return out
-}
-
-// appendSeeds appends one sub-stream seed per shot block to seeds,
-// drawn serially from the caller's rng.
-func appendSeeds(seeds []int64, nblocks int, rng *rand.Rand) []int64 {
-	for i := 0; i < nblocks; i++ {
-		seeds = append(seeds, rng.Int63())
-	}
-	return seeds
 }

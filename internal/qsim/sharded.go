@@ -6,7 +6,6 @@ import (
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/par"
-	qrng "qtenon/internal/rng"
 )
 
 // DefaultShardBits sizes production shards at 2^16 amplitudes: 16 of
@@ -33,22 +32,9 @@ type Sharded struct {
 	shardBits int // log2 amplitudes per shard
 	re, im    [][]float64
 
-	// prog is the reusable compiled program Run executes.
+	// prog and smp are the reusable working memory of Run and Sample.
 	prog program
-
-	// Two-level sampler cache: top picks a shard by its probability
-	// mass, sub[s] picks an amplitude within shard s. Invalidated by
-	// every mutation; rebuilt storage is recycled across builds.
-	samplerValid bool
-	top          *aliasTable
-	sub          []*aliasTable
-	topProbs     []float64
-	probScratch  [][]float64
-	seedScratch  []int64
-	// buildScratch holds one alias-build scratch per concurrent group of
-	// shard-table builds (see ensureSampler), not one per shard: a
-	// scratch is about 1 MiB for a 2^16-amplitude shard.
-	buildScratch []aliasScratch
+	smp  sampler
 }
 
 // NewSharded returns |0…0⟩ over n qubits with the production shard size.
@@ -95,7 +81,6 @@ func (s *Sharded) Amp(i int) (re, im float64) {
 
 // Reset restores |0…0⟩ in place, keeping all shard storage.
 func (s *Sharded) Reset() {
-	s.samplerValid = false
 	par.Do(len(s.re), func(sh int) {
 		re, im := s.re[sh], s.im[sh]
 		for i := range re {
@@ -142,82 +127,11 @@ func (s *Sharded) Probabilities() []float64 {
 	return out
 }
 
-// ensureSampler builds the two-level alias sampler: a per-shard table
-// over the shard's amplitudes plus a top-level table over shard masses.
-// Build cost is O(2^n) once per mutation, amortized across shots like
-// State's sampler; all table storage is recycled across builds.
-func (s *Sharded) ensureSampler() {
-	if s.samplerValid {
-		return
-	}
-	numShards := len(s.re)
-	if cap(s.sub) < numShards {
-		s.sub = make([]*aliasTable, numShards)
-		s.probScratch = make([][]float64, numShards)
-		s.topProbs = make([]float64, numShards)
-	}
-	s.sub = s.sub[:numShards]
-	s.probScratch = s.probScratch[:numShards]
-	s.topProbs = s.topProbs[:numShards]
-	// The shard tables are built in one contiguous group per worker,
-	// each group through its own recycled scratch; the top-level table
-	// reuses the first group's.
-	groups := min(par.Workers(), numShards)
-	if len(s.buildScratch) < groups {
-		s.buildScratch = append(s.buildScratch, make([]aliasScratch, groups-len(s.buildScratch))...)
-	}
-	par.Do(groups, func(g int) {
-		scratch := &s.buildScratch[g]
-		for sh := g * numShards / groups; sh < (g+1)*numShards/groups; sh++ {
-			re, im := s.re[sh], s.im[sh]
-			probs := s.probScratch[sh]
-			if cap(probs) < len(re) {
-				probs = make([]float64, len(re))
-			}
-			probs = probs[:len(re)]
-			var mass float64
-			for i := range re {
-				p := re[i]*re[i] + im[i]*im[i]
-				probs[i] = p
-				mass += p
-			}
-			s.probScratch[sh] = probs
-			s.topProbs[sh] = mass
-			s.sub[sh] = newAliasTable(probs, scratch, s.sub[sh])
-		}
-	})
-	s.top = newAliasTable(s.topProbs, &s.buildScratch[0], s.top)
-	s.samplerValid = true
-}
-
 // Sample draws shots full-register outcomes without collapsing the
-// state: a top-level draw picks the shard, a per-shard draw the
-// amplitude. Shots run in fixed sampleBlock blocks, each seeded by one
-// serial draw from the caller's RNG — State's determinism discipline,
-// so outcome streams are GOMAXPROCS-independent and rng is only touched
-// on the calling goroutine.
+// state, through the sampler with the shards as chunks: a top-level
+// draw picks the shard, a per-shard draw the amplitude. A single shard
+// (n ≤ the shard bits) has no top-level draw. rng is only touched on
+// the calling goroutine.
 func (s *Sharded) Sample(shots int, rng *rand.Rand) []uint64 {
-	if shots <= 0 {
-		return nil
-	}
-	s.ensureSampler()
-	out := make([]uint64, shots)
-	nblocks := (shots + sampleBlock - 1) / sampleBlock
-	s.seedScratch = appendSeeds(s.seedScratch[:0], nblocks, rng)
-	seeds := s.seedScratch
-	shardBits := uint(s.shardBits)
-	par.Do(nblocks, func(b int) {
-		sub := qrng.New(seeds[b])
-		lo := b * sampleBlock
-		hi := lo + sampleBlock
-		if hi > shots {
-			hi = shots
-		}
-		for k := lo; k < hi; k++ {
-			sh := s.top.draw(sub)
-			j := s.sub[sh].draw(sub)
-			out[k] = uint64(sh)<<shardBits | uint64(j)
-		}
-	})
-	return out
+	return s.smp.sample(s.re, s.im, s.shardBits, shots, rng)
 }

@@ -180,6 +180,24 @@ func TestShardedSamplerDeterminism(t *testing.T) {
 	}
 }
 
+// TestOneShardSamplesLikeDense pins the sampler's one-chunk rule: a
+// sharded state of one shard makes no top-level draw, so at one seed it
+// samples the dense engine's outcome words.
+func TestOneShardSamplesLikeDense(t *testing.T) {
+	c := randomCircuit(rand.New(rand.NewSource(3)), 6, 40)
+	s, ref := runBoth(t, c, DefaultShardBits)
+	if len(s.re) != 1 {
+		t.Fatalf("%d shards, want 1", len(s.re))
+	}
+	got := s.Sample(9000, rand.New(rand.NewSource(5)))
+	want := ref.Sample(9000, rand.New(rand.NewSource(5)))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("outcome %d = %#x, dense engine %#x", i, got[i], want[i])
+		}
+	}
+}
+
 // TestShardedStateSurface covers the remaining engine-contract surface:
 // shard geometry, a Run that flips a local and a global qubit, and
 // constructor and Run validation.

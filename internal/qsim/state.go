@@ -28,7 +28,8 @@
 // threshold (2^14 amplitudes) run inline with no synchronization.
 // Reductions use fixed chunking, and sampling uses fixed-size shot
 // blocks with derived RNG sub-streams, so all results are deterministic
-// for a fixed seed regardless of GOMAXPROCS.
+// for a fixed seed regardless of GOMAXPROCS. Both engines sample through
+// one sampler (sampler.go).
 //
 // Concurrency contract: a *State is not safe for concurrent use — the
 // internal parallelism is invisible to callers. The *rand.Rand passed to
@@ -57,22 +58,14 @@ const MaxQubits = 24
 type State struct {
 	n      int
 	re, im []float64
-	// sampler caches the alias-method table for Sample; any mutating
-	// operation invalidates it, so repeated sampling of an unchanged
-	// state pays the O(2^n) build exactly once. spareTable holds the most
-	// recently retired table so rebuilds after a mutation reuse its
-	// prob/alias storage.
-	sampler    *aliasTable
-	spareTable *aliasTable
-	// probScratch, buildScratch, seedScratch and prog are reusable
-	// working memory for the sampler and Run; tileRe and tileIm are the
-	// executor's 2^tileBits-amplitude views of re and im. None escapes
-	// the State, and Clone copies none.
-	probScratch    []float64
-	buildScratch   aliasScratch
-	seedScratch    []int64
+	// prog and smp are reusable working memory for Run, Apply and
+	// Sample; tileRe and tileIm are the executor's 2^tileBits-amplitude
+	// views of re and im, and whole views each array as one chunk, the
+	// sampler's. None escapes the State, and Clone copies none.
 	prog           program
+	smp            sampler
 	tileRe, tileIm [][]float64
+	whole          [2][]float64
 }
 
 // NewState returns |0...0⟩ over n qubits.
@@ -112,23 +105,12 @@ func (s *State) Clone() *State {
 	return c
 }
 
-// invalidate drops the cached sampler; every mutating kernel calls it.
-// The table retires into spareTable so the next rebuild reuses its
-// storage instead of allocating 2^n table entries.
-func (s *State) invalidate() {
-	if s.sampler != nil {
-		s.spareTable = s.sampler
-	}
-	s.sampler = nil
-}
-
 // Reset returns the state to |0…0⟩ in place, keeping the amplitude
 // storage. A Reset state is indistinguishable from a fresh NewState of
 // the same width — this is the arena primitive that lets one statevector
 // be reused across the optimizer's thousands of circuit executions
 // instead of allocating 2^n amplitudes per evaluation.
 func (s *State) Reset() {
-	s.invalidate()
 	re, im := s.re, s.im
 	par.For(len(re), func(lo, hi int) {
 		r, m := re[lo:hi], im[lo:hi]
@@ -178,30 +160,6 @@ func (s *State) Fidelity(o *State) float64 {
 // numerics by routing nearly-real matrices through the real kernel.
 func matIsReal(u *[4]complex128) bool {
 	return imag(u[0]) == 0 && imag(u[1]) == 0 && imag(u[2]) == 0 && imag(u[3]) == 0
-}
-
-// apply1Q applies the 2×2 unitary {{u00,u01},{u10,u11}} to qubit q.
-// The pair index k enumerates the 2^(n-1) amplitude pairs; each pair is
-// touched by exactly one range, so partitioning is race-free. Matrices
-// with exactly-zero imaginary parts take the real kernel (half the
-// flops); the complex kernel reproduces complex128 arithmetic term for
-// term, so both match the historical kernel bit-for-bit up to the sign
-// of zeros.
-func (s *State) apply1Q(q int, u00, u01, u10, u11 complex128) {
-	s.invalidate()
-	re, im := s.re, s.im
-	stride := 1 << q
-	u := [4]complex128{u00, u01, u10, u11}
-	if matIsReal(&u) {
-		r := [4]float64{real(u00), real(u01), real(u10), real(u11)}
-		par.For(len(re)>>1, func(lo, hi int) {
-			apply1QRealPairs(re, im, stride, r, lo, hi)
-		})
-		return
-	}
-	par.For(len(re)>>1, func(lo, hi int) {
-		apply1QCmplxPairs(re, im, stride, &u, lo, hi)
-	})
 }
 
 // apply1QRealPairs applies a real 2×2 matrix over the pair-index range
@@ -281,33 +239,6 @@ func apply1QCmplxPairs(re, im []float64, stride int, u *[4]complex128, lo, hi in
 	}
 }
 
-// applyCZ applies a controlled-Z between qubits a and b.
-func (s *State) applyCZ(a, b int) {
-	s.invalidate()
-	re, im := s.re, s.im
-	m := 1<<a | 1<<b
-	par.For(len(re), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i&m == m {
-				re[i] = -re[i]
-				im[i] = -im[i]
-			}
-		}
-	})
-}
-
-// applyCX applies a CNOT with the given control and target. Each index
-// with control set and target clear owns its swap partner, so ranges
-// never write the same element.
-func (s *State) applyCX(control, target int) {
-	s.invalidate()
-	re, im := s.re, s.im
-	mc, mt := 1<<control, 1<<target
-	par.For(len(re), func(lo, hi int) {
-		applyCXRange(re, im, mc, mt, lo, hi)
-	})
-}
-
 // applyCXRange swaps target pairs over the amplitude range [lo, hi). It
 // is safe for any range whose indices own their partners (the j = i|mt
 // partner of every i with control set, target clear lies in the same
@@ -321,29 +252,6 @@ func applyCXRange(re, im []float64, mc, mt, lo, hi int) {
 			im[i], im[j] = im[j], im[i]
 		}
 	}
-}
-
-// applyRZZ applies exp(-i θ/2 Z_a Z_b), which is diagonal.
-func (s *State) applyRZZ(a, b int, theta float64) {
-	s.invalidate()
-	re, im := s.re, s.im
-	ma, mb := 1<<a, 1<<b
-	ePlus := expI(-theta / 2) // ZZ eigenvalue +1
-	eMinus := expI(theta / 2) // ZZ eigenvalue -1
-	pr, pi := real(ePlus), imag(ePlus)
-	mr, mi := real(eMinus), imag(eMinus)
-	par.For(len(re), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r, m := re[i], im[i]
-			if (i&ma != 0) == (i&mb != 0) {
-				re[i] = r*pr - m*pi
-				im[i] = r*pi + m*pr
-			} else {
-				re[i] = r*mr - m*mi
-				im[i] = r*mi + m*mr
-			}
-		}
-	})
 }
 
 // gateMatrix1Q returns the 2×2 unitary of a single-qubit gate as
@@ -379,26 +287,16 @@ func gateMatrix1Q(g circuit.Gate) (m [4]complex128, ok bool) {
 	}
 }
 
-// Apply executes one gate. Measure gates are ignored here; use Sample or
-// MeasureQubit for readout.
+// Apply executes one gate as a one-gate program through the chunk
+// executor, the path Run takes. Measure gates are ignored here; use
+// Sample or MeasureQubit for readout. A qubit outside the register
+// panics.
 func (s *State) Apply(g circuit.Gate) {
-	switch g.Kind {
-	case circuit.I, circuit.Measure:
-		// Identity; readout is handled by Sample/MeasureQubit — terminal
-		// measurement gates do not change the pre-measurement state.
-	case circuit.CZ:
-		s.applyCZ(g.Qubit, g.Qubit2)
-	case circuit.CX:
-		s.applyCX(g.Qubit, g.Qubit2)
-	case circuit.RZZ:
-		s.applyRZZ(g.Qubit, g.Qubit2, g.Theta)
-	default:
-		m, ok := gateMatrix1Q(g)
-		if !ok {
-			panic(fmt.Sprintf("qsim: unsupported gate kind %v", g.Kind))
-		}
-		s.apply1Q(g.Qubit, m[0], m[1], m[2], m[3])
+	if g.Qubit < 0 || g.Qubit >= s.n || g.Kind.Arity() == 2 && (g.Qubit2 < 0 || g.Qubit2 >= s.n) {
+		panic(fmt.Sprintf("qsim: %v outside the %d-qubit register", g, s.n))
 	}
+	s.prog.compile([]circuit.Gate{g})
+	s.runProgram()
 }
 
 // Run executes a fully bound circuit starting from |0…0⟩ on a freshly
@@ -421,7 +319,7 @@ func Run(c *circuit.Circuit) (*State, error) {
 // one 2×2 apply and batches of diagonal gates into one phase sweep. The
 // fused program runs through the chunk executor (exec.go) over the
 // state's 2^12-amplitude tiles, or one tile below 12 qubits. The
-// previous contents, including any cached sampler, are destroyed.
+// previous contents are destroyed.
 func (s *State) Run(c *circuit.Circuit) error {
 	if c.NumParams != 0 {
 		return fmt.Errorf("qsim: circuit has %d unbound parameters", c.NumParams)
@@ -434,6 +332,12 @@ func (s *State) Run(c *circuit.Circuit) error {
 	}
 	s.Reset()
 	s.prog.compile(c.Gates)
+	s.runProgram()
+	return nil
+}
+
+// runProgram runs the compiled program over the state's tiles.
+func (s *State) runProgram() {
 	k := min(s.n, tileBits)
 	if s.tileRe == nil {
 		s.tileRe = make([][]float64, len(s.re)>>k)
@@ -444,49 +348,38 @@ func (s *State) Run(c *circuit.Circuit) error {
 		}
 	}
 	s.prog.run(s.tileRe, s.tileIm, k, true)
-	return nil
+}
+
+// Sample draws `shots` full-register measurement outcomes (basis-state
+// indices, qubit 0 in bit 0) without collapsing the state, through the
+// sampler with the whole array as one chunk. The returned slice is
+// freshly allocated and owned by the caller.
+//
+// rng must not be shared with other goroutines while Sample runs; it is
+// consumed only on the calling goroutine (one seed draw per shot block),
+// and each block samples from an independent derived sub-stream.
+func (s *State) Sample(shots int, rng *rand.Rand) []uint64 {
+	s.whole = [2][]float64{s.re, s.im}
+	return s.smp.sample(s.whole[:1], s.whole[1:], s.n, shots, rng)
 }
 
 // Probabilities returns the measurement distribution over all basis
 // states.
 func (s *State) Probabilities() []float64 {
-	return s.AppendProbabilities(nil)
-}
-
-// AppendProbabilities appends the measurement distribution over all
-// basis states to dst and returns the extended slice — the reuse-friendly
-// form of Probabilities (pass dst[:0] to recycle a prior snapshot's
-// storage).
-func (s *State) AppendProbabilities(dst []float64) []float64 {
 	re, im := s.re, s.im
-	start := len(dst)
-	dst = growFloat64(dst, len(re))
-	p := dst[start:]
+	p := make([]float64, len(re))
 	par.For(len(re), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p[i] = re[i]*re[i] + im[i]*im[i]
 		}
 	})
-	return dst
-}
-
-// growFloat64 extends dst by n elements, reusing capacity when
-// available. The extension's contents are unspecified; callers must
-// overwrite every element.
-func growFloat64(dst []float64, n int) []float64 {
-	if tot := len(dst) + n; tot <= cap(dst) {
-		return dst[:tot]
-	}
-	next := make([]float64, len(dst)+n)
-	copy(next, dst)
-	return next
+	return p
 }
 
 // MeasureQubit projects qubit q, returning the outcome bit and collapsing
 // the state. It is used by tests of mid-circuit behaviour. The rng must
 // not be shared with other goroutines while the call runs.
 func (s *State) MeasureQubit(q int, rng *rand.Rand) int {
-	s.invalidate()
 	re, im := s.re, s.im
 	m := 1 << q
 	p1 := par.SumFloat64(len(re), func(lo, hi int) float64 {

@@ -194,6 +194,30 @@ func TestRunRejects(t *testing.T) {
 	}
 }
 
+// Apply panics on a qubit outside the register, whichever executor path
+// (one tile or several) the gate would take.
+func TestApplyRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		n int
+		g circuit.Gate
+	}{
+		{3, circuit.Gate{Kind: circuit.H, Qubit: 3, Param: circuit.NoParam}},
+		{13, circuit.Gate{Kind: circuit.RY, Qubit: 13, Theta: 0.4, Param: circuit.NoParam}},
+		{3, circuit.Gate{Kind: circuit.CX, Qubit: 0, Qubit2: 5, Param: circuit.NoParam}},
+		{3, circuit.Gate{Kind: circuit.CZ, Qubit: 0, Qubit2: 5, Param: circuit.NoParam}},
+		{3, circuit.Gate{Kind: circuit.RZZ, Qubit: -1, Qubit2: 1, Theta: 0.4, Param: circuit.NoParam}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d qubits: Apply(%v) did not panic", tc.n, tc.g)
+				}
+			}()
+			NewState(tc.n).Apply(tc.g)
+		}()
+	}
+}
+
 // Property: every gate preserves the norm (unitarity), on random states
 // reached by random circuits.
 func TestUnitarityProperty(t *testing.T) {

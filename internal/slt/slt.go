@@ -50,8 +50,8 @@ type entry struct {
 // system model charges for.
 type QSpace struct {
 	slots map[uint32]uint32 // tag → qaddr
-	// Stats
-	Hits, Misses, Writebacks int64
+	// Writebacks counts the evicted mappings stored back.
+	Writebacks int64
 }
 
 // NewQSpace returns an empty region.
@@ -60,11 +60,6 @@ func NewQSpace() *QSpace { return &QSpace{slots: make(map[uint32]uint32)} }
 // Lookup consults the region for a tag.
 func (q *QSpace) Lookup(tag uint32) (qaddr uint32, ok bool) {
 	qaddr, ok = q.slots[tag]
-	if ok {
-		q.Hits++
-	} else {
-		q.Misses++
-	}
 	return qaddr, ok
 }
 
@@ -84,8 +79,6 @@ func (q *QSpace) Invalidate(tag uint32) { delete(q.slots, tag) }
 type Allocator struct {
 	capacity int
 	next     int
-	// Wraps counts how many times allocation recycled the pulse store.
-	Wraps int64
 }
 
 // NewAllocator returns an allocator over `capacity` pulse entries.
@@ -102,7 +95,6 @@ func (a *Allocator) Alloc() int {
 	a.next++
 	if a.next == a.capacity {
 		a.next = 0
-		a.Wraps++
 	}
 	return idx
 }

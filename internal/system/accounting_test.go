@@ -168,12 +168,12 @@ func TestQUpdateChangesNextRun(t *testing.T) {
 		if math.Abs(z-tc.z) > tc.tol {
 			t.Errorf("RY(%v): ⟨Z⟩ = %v, want %v ± %v", tc.theta, z, tc.z, tc.tol)
 		}
-		v, err := s.cache.ReadReg(s.prog.ParamReg[0], qcc.HostAccess)
+		v, err := s.cache.ReadReg(0, qcc.HostAccess)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := qcc.QuantizeAngle(tc.theta); v != want {
-			t.Errorf("RY(%v): .regfile[%d] = %#x, want %#x", tc.theta, s.prog.ParamReg[0], v, want)
+			t.Errorf("RY(%v): .regfile[0] = %#x, want %#x", tc.theta, v, want)
 		}
 		gen := s.Result().PulsesGenerated
 		if i == 1 && gen <= pulses {

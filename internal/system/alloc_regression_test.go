@@ -15,7 +15,7 @@ import (
 // BenchmarkRunAllocRegression pins on its own. Losing any scratch buffer
 // (statevector, alias table, regfile image, diff plan, RBQ data), or one
 // new allocation per kernel call, trips it.
-const evaluateAllocCeiling = 36
+const evaluateAllocCeiling = 35
 
 // BenchmarkEvaluateAllocRegression fails the build when a warmed-up cost
 // evaluation starts allocating like the arenas are gone. CI runs it via

@@ -86,9 +86,6 @@ type Bus struct {
 	// doneScratch collects each Tick's completions before the delivery
 	// shuffle.
 	doneScratch []Response
-	// Stats
-	Issued, Completed int64
-	BusyCycles        int64
 
 	cIssued, cCompleted, cBusy *metrics.Counter
 	gOutstanding               *metrics.Gauge
@@ -140,7 +137,6 @@ func (b *Bus) TrySubmit(req Request) (tag int, ok bool) {
 		resp:    Response{Tag: tag, Req: req, Data: data},
 		readyAt: b.now + int64(lat),
 	})
-	b.Issued++
 	b.cIssued.Inc()
 	b.gOutstanding.Set(int64(len(b.fly)))
 	return tag, true
@@ -152,7 +148,6 @@ func (b *Bus) TrySubmit(req Request) (tag int, ok bool) {
 func (b *Bus) Tick() {
 	b.now++
 	if len(b.fly) > 0 {
-		b.BusyCycles++
 		b.cBusy.Inc()
 	}
 	// Partition in place: the keep-cursor never passes the read cursor,
@@ -186,7 +181,6 @@ func (b *Bus) PopResponse() (Response, bool) {
 		b.readyHead = 0
 	}
 	b.tags.Release(r.Tag)
-	b.Completed++
 	b.cCompleted.Inc()
 	return r, true
 }
