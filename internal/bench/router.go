@@ -7,7 +7,6 @@ import (
 	"qtenon/internal/backend"
 	"qtenon/internal/host"
 	"qtenon/internal/par"
-	"qtenon/internal/qsim"
 	"qtenon/internal/report"
 	"qtenon/internal/route"
 	"qtenon/internal/system"
@@ -16,8 +15,9 @@ import (
 
 // RouterQubits returns the (dense-window, beyond-dense) register pair
 // the router experiment exercises: the small size runs on both engines
-// for a like-for-like comparison; the wide size exceeds qsim.MaxQubits
-// so only the stabilizer tableau can execute it.
+// for a like-for-like comparison; the wide size exceeds
+// route.DefaultDenseLimit, so the router refuses forced dense on it and
+// only the routed stabilizer tableau run completes.
 func (s Scale) RouterQubits() (small, wide int) {
 	if s.Quick {
 		return 10, 26
@@ -28,9 +28,9 @@ func (s Scale) RouterQubits() (small, wide int) {
 // Router demonstrates the simulation-method router (DESIGN.md §12) on
 // the Clifford-only Stabilizer workload: within the dense window the
 // forced-dense and auto (→ tableau) runs report identical modeled
-// timing and shot-noise-level cost agreement; beyond the 24-qubit dense
-// window the dense engine is impossible and only the routed tableau run
-// completes. The wide row is the "beyond 20 qubits" capability the
+// timing and shot-noise-level cost agreement; beyond the router's
+// 16-qubit dense limit (route.DefaultDenseLimit) forced dense is refused
+// and only the routed tableau run completes. The wide row is the "beyond 20 qubits" capability the
 // dense-only stack could never produce.
 func Router(sc Scale) (string, error) {
 	small, wide := sc.RouterQubits()
@@ -44,7 +44,7 @@ func Router(sc Scale) (string, error) {
 		fmt.Sprintf("Router: Clifford workload across engines (%dq dense window, %dq beyond)", small, wide),
 		"Stabilizer", cells, runStabilizer,
 		"the auto rows route Clifford-only circuits to the stabilizer tableau at any width;\n"+
-			fmt.Sprintf("the %dq register exceeds the %d-qubit dense window, so only the routed run completes.\n", wide, qsim.MaxQubits),
+			fmt.Sprintf("the %dq register exceeds the %d-qubit dense window, so only the routed run completes.\n", wide, route.DefaultDenseLimit),
 	), nil
 }
 

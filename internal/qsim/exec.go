@@ -28,14 +28,14 @@ import "qtenon/internal/par"
 // L1 slice with room for the matrix constants (DESIGN.md §11.3).
 const tileBits = 12
 
-// run executes the program on a state stored as chunks re[c], im[c] of
-// 2^k amplitudes each. moveData selects how a CX with both qubits at or
-// above k exchanges chunks: chunks that view one array trade contents,
-// separately allocated chunks trade headers in O(1).
-func (p *program) run(re, im [][]float64, k int, moveData bool) {
-	for i := 0; i < len(p.ops); {
+// run executes ops [lo, hi) of the program on a state stored as chunks
+// re[c], im[c] of 2^k amplitudes each. moveData selects how a CX with
+// both qubits at or above k exchanges chunks: chunks that view one array
+// trade contents, separately allocated chunks trade headers in O(1).
+func (p *program) run(re, im [][]float64, k int, moveData bool, lo, hi int) {
+	for i := lo; i < hi; {
 		j := i
-		for j < len(p.ops) && p.ops[j].local(k) {
+		for j < hi && p.ops[j].local(k) {
 			j++
 		}
 		if j == i {
@@ -45,6 +45,124 @@ func (p *program) run(re, im [][]float64, k int, moveData bool) {
 			p.runLocal(re, im, k, i, j)
 		}
 		i = j
+	}
+}
+
+// build writes the state that the program's product prefix, ops
+// [0, pre), leaves on |0…0⟩, as one par.Do job per chunk; an empty
+// prefix writes |0…0⟩. Each prefix op acts on a qubit no earlier op
+// touched, so the partner amplitude of every pair it updates is ±0, and
+// the pair kernels' result reduces to one matrix entry times the
+// amplitude: u00 where the op's qubit is 0, u10 where it is 1. The
+// build multiplies those entries in op order with the kernels'
+// arithmetic, so for finite matrices it equals running the prefix op by
+// op up to the signs of zeros (DESIGN.md §11.2).
+func (p *program) build(re, im [][]float64, k int) {
+	ops := p.ops[:p.pre]
+	if len(re) == 1 {
+		buildChunk(re[0], im[0], ops, k, 0)
+		return
+	}
+	par.Do(len(re), func(c int) { buildChunk(re[c], im[c], ops, k, c) })
+}
+
+// buildChunk writes chunk c of 2^k amplitudes. It starts with 1 at
+// index 0; an op on a qubit below k doubles the support, the indices
+// whose set bits are all prefix qubits seen so far, and consecutive ops
+// on qubits at or above k scale it. Every amplitude outside the support
+// is 0, and so is the whole chunk when its index sets a bit no prefix op
+// acts on.
+func buildChunk(r, m []float64, ops []fusedOp, k, c int) {
+	low, high := 0, 0
+	for i := range ops {
+		if q := ops[i].q; q < k {
+			low |= 1 << q
+		} else {
+			high |= 1 << (q - k)
+		}
+	}
+	if c&^high != 0 || low != len(r)-1 {
+		clear(r)
+		clear(m)
+		if c&^high != 0 {
+			return
+		}
+	}
+	r[0], m[0] = 1, 0
+	support := 0
+	for i := 0; i < len(ops); {
+		if q := ops[i].q; q < k {
+			double(r, m, support, 1<<q, &ops[i].u)
+			support |= 1 << q
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(ops) && ops[j].q >= k {
+			j++
+		}
+		scale(r, m, support, ops[i:j], k, c)
+		i = j
+	}
+}
+
+// double applies u on the qubit of bit b, which every support index
+// leaves clear: a[i|b] = u10·a[i], then a[i] = u00·a[i]. The support's
+// indices are the submasks of support, visited in increasing order.
+func double(r, m []float64, support, b int, u *[4]complex128) {
+	if matIsReal(u) {
+		u00, u10 := real(u[0]), real(u[2])
+		for i := 0; ; i = (i - support) & support {
+			ar, ai := r[i], m[i]
+			r[i|b], m[i|b] = u10*ar, u10*ai
+			r[i], m[i] = u00*ar, u00*ai
+			if i == support {
+				return
+			}
+		}
+	}
+	u00r, u00i := real(u[0]), imag(u[0])
+	u10r, u10i := real(u[2]), imag(u[2])
+	for i := 0; ; i = (i - support) & support {
+		ar, ai := r[i], m[i]
+		r[i|b] = float64(u10r*ar) - float64(u10i*ai)
+		m[i|b] = float64(u10r*ai) + float64(u10i*ar)
+		r[i] = float64(u00r*ar) - float64(u00i*ai)
+		m[i] = float64(u00r*ai) + float64(u00i*ar)
+		if i == support {
+			return
+		}
+	}
+}
+
+// scale multiplies the support, in one sweep, by chunk c's entry of
+// each op, all on distinct qubits at or above k, in op order: u00 when
+// the chunk index's bit for the qubit is 0, u10 when it is 1.
+func scale(r, m []float64, support int, ops []fusedOp, k, c int) {
+	var fr, fi [ShardedMaxQubits]float64
+	cplx := 0 // bit j set when op j's matrix takes the complex kernel
+	for j := range ops {
+		u := &ops[j].u
+		e := u[c>>(ops[j].q-k)&1<<1]
+		fr[j], fi[j] = real(e), imag(e)
+		if !matIsReal(u) {
+			cplx |= 1 << j
+		}
+	}
+	n := len(ops)
+	for i := 0; ; i = (i - support) & support {
+		ar, ai := r[i], m[i]
+		for j := 0; j < n; j++ {
+			if cplx>>j&1 == 0 {
+				ar, ai = fr[j]*ar, fr[j]*ai
+			} else {
+				ar, ai = float64(fr[j]*ar)-float64(fi[j]*ai), float64(fr[j]*ai)+float64(fi[j]*ar)
+			}
+		}
+		r[i], m[i] = ar, ai
+		if i == support {
+			return
+		}
 	}
 }
 
@@ -168,10 +286,10 @@ func butterfly(re0, im0, re1, im1 []float64, u *[4]complex128) {
 		for x := 0; x < n; x++ {
 			a0r, a0i := r0[x], m0[x]
 			a1r, a1i := r1[x], m1[x]
-			r0[x] = u00*a0r + u01*a1r
-			m0[x] = u00*a0i + u01*a1i
-			r1[x] = u10*a0r + u11*a1r
-			m1[x] = u10*a0i + u11*a1i
+			r0[x] = float64(u00*a0r) + float64(u01*a1r)
+			m0[x] = float64(u00*a0i) + float64(u01*a1i)
+			r1[x] = float64(u10*a0r) + float64(u11*a1r)
+			m1[x] = float64(u10*a0i) + float64(u11*a1i)
 		}
 		return
 	}
@@ -182,10 +300,10 @@ func butterfly(re0, im0, re1, im1 []float64, u *[4]complex128) {
 	for x := 0; x < n; x++ {
 		a0r, a0i := r0[x], m0[x]
 		a1r, a1i := r1[x], m1[x]
-		r0[x] = (u00r*a0r - u00i*a0i) + (u01r*a1r - u01i*a1i)
-		m0[x] = (u00r*a0i + u00i*a0r) + (u01r*a1i + u01i*a1r)
-		r1[x] = (u10r*a0r - u10i*a0i) + (u11r*a1r - u11i*a1i)
-		m1[x] = (u10r*a0i + u10i*a0r) + (u11r*a1i + u11i*a1r)
+		r0[x] = (float64(u00r*a0r) - float64(u00i*a0i)) + (float64(u01r*a1r) - float64(u01i*a1i))
+		m0[x] = (float64(u00r*a0i) + float64(u00i*a0r)) + (float64(u01r*a1i) + float64(u01i*a1r))
+		r1[x] = (float64(u10r*a0r) - float64(u10i*a0i)) + (float64(u11r*a1r) - float64(u11i*a1i))
+		m1[x] = (float64(u10r*a0i) + float64(u10i*a0r)) + (float64(u11r*a1i) + float64(u11i*a1r))
 	}
 }
 
@@ -256,8 +374,8 @@ func applyPhaseTermsChunk(re, im []float64, terms []phaseTerm, base int) {
 			}
 			for j := b; j < end; j++ {
 				r, m := re[j], im[j]
-				re[j] = r*cr - m*ci
-				im[j] = r*ci + m*cr
+				re[j] = float64(r*cr) - float64(m*ci)
+				im[j] = float64(r*ci) + float64(m*cr)
 			}
 		}
 	}

@@ -65,20 +65,24 @@ const (
 	opDiag
 )
 
-// fusedOp is one compiled operation.
+// fusedOp is one compiled operation. An opDiag's terms are
+// fuser.terms[t0:t1].
 type fusedOp struct {
-	kind  opKind
-	q, q2 int
-	u     [4]complex128
-	terms []diagTerm
+	kind   opKind
+	q, q2  int
+	u      [4]complex128
+	t0, t1 int
 }
 
 // fuser accumulates the fused program. It doubles as reusable scratch:
-// reset recycles the ops slice (including retired per-op term storage)
-// and the pending-matrix arrays, so steady-state fusion of same-shaped
-// circuits allocates nothing.
+// reset recycles the ops slice, the term arena and the pending-matrix
+// arrays, so steady-state fusion of same-shaped circuits allocates
+// nothing.
 type fuser struct {
 	ops []fusedOp
+	// terms is the term arena. Only the open batch takes new terms, and
+	// it is always the newest batch, so its terms are the arena's tail.
+	terms []diagTerm
 	// pendM/pendV hold the not-yet-emitted single-qubit matrix per qubit
 	// (value + valid flag, so latching a matrix never allocates).
 	pendM [][4]complex128
@@ -94,6 +98,7 @@ type fuser struct {
 // reset prepares the fuser for a circuit over nq qubits, keeping storage.
 func (f *fuser) reset(nq int) {
 	f.ops = f.ops[:0]
+	f.terms = f.terms[:0]
 	if cap(f.pendM) < nq {
 		f.pendM = make([][4]complex128, nq)
 		f.pendV = make([]bool, nq)
@@ -107,23 +112,19 @@ func (f *fuser) reset(nq int) {
 	f.batchQ, f.batchBlocked = 0, 0
 }
 
-// appendOp appends a term-free op (op1Q, opCX, or a placeholder),
-// reusing slice capacity like append.
-func (f *fuser) appendOp(op fusedOp) {
-	n := len(f.ops)
-	if n < cap(f.ops) {
-		f.ops = f.ops[:n+1]
-		f.ops[n] = op
-		return
-	}
-	f.ops = append(f.ops, op)
+// mul returns x·y in the association order Go's complex128 multiply
+// uses, with each product rounded before it is summed, so no GOARCH
+// fuses a multiply-add into it (DESIGN.md §11.2).
+func mul(x, y complex128) complex128 {
+	xr, xi, yr, yi := real(x), imag(x), real(y), imag(y)
+	return complex(float64(xr*yr)-float64(xi*yi), float64(xr*yi)+float64(xi*yr))
 }
 
 // matMul returns a·b for row-major 2×2 matrices {m00,m01,m10,m11}.
 func matMul(a, b [4]complex128) [4]complex128 {
 	return [4]complex128{
-		a[0]*b[0] + a[1]*b[2], a[0]*b[1] + a[1]*b[3],
-		a[2]*b[0] + a[3]*b[2], a[2]*b[1] + a[3]*b[3],
+		mul(a[0], b[0]) + mul(a[1], b[2]), mul(a[0], b[1]) + mul(a[1], b[3]),
+		mul(a[2], b[0]) + mul(a[3], b[2]), mul(a[2], b[1]) + mul(a[3], b[3]),
 	}
 }
 
@@ -165,8 +166,7 @@ func (f *fuser) flush(q int) {
 	if isDiagonal(p) {
 		t := diagTerm{sA: q, sB: q, f: [4]complex128{p[0], p[3], p[0], p[3]}}
 		if f.batch >= 0 && f.batchBlocked&bit == 0 {
-			f.ops[f.batch].terms = append(f.ops[f.batch].terms, t)
-			f.batchQ |= bit
+			f.addTerm(t, bit)
 			return
 		}
 		f.openBatch(t, bit)
@@ -174,33 +174,31 @@ func (f *fuser) flush(q int) {
 	}
 	op := fusedOp{kind: op1Q, q: q, u: p}
 	if f.batch >= 0 && (f.batchQ|f.batchBlocked)&bit == 0 {
-		f.appendOp(fusedOp{})
+		f.ops = append(f.ops, fusedOp{})
 		copy(f.ops[f.batch+1:], f.ops[f.batch:])
 		f.ops[f.batch] = op
 		f.batch++
 		return
 	}
-	f.appendOp(op)
+	f.ops = append(f.ops, op)
 	if f.batch >= 0 {
 		f.batchBlocked |= bit
 	}
 }
 
-// openBatch appends a fresh diagonal batch holding t. When the ops
-// slice's capacity covers the new slot, the retired op there (from a
-// previous fuse through this scratch) donates its term storage, so
-// re-fusing same-shaped circuits allocates no term slices.
+// openBatch appends a fresh diagonal batch holding t.
 func (f *fuser) openBatch(t diagTerm, qbits uint32) {
-	n := len(f.ops)
-	if n < cap(f.ops) {
-		f.ops = f.ops[:n+1]
-		terms := append(f.ops[n].terms[:0], t)
-		f.ops[n] = fusedOp{kind: opDiag, terms: terms}
-	} else {
-		f.ops = append(f.ops, fusedOp{kind: opDiag, terms: []diagTerm{t}})
-	}
-	f.batch = n
+	f.terms = append(f.terms, t)
+	f.batch = len(f.ops)
+	f.ops = append(f.ops, fusedOp{kind: opDiag, t0: len(f.terms) - 1, t1: len(f.terms)})
 	f.batchQ, f.batchBlocked = qbits, 0
+}
+
+// addTerm appends t to the open batch, whose terms end the arena.
+func (f *fuser) addTerm(t diagTerm, qbits uint32) {
+	f.terms = append(f.terms, t)
+	f.ops[f.batch].t1 = len(f.terms)
+	f.batchQ |= qbits
 }
 
 // addDiag routes a two-qubit diagonal gate into the open batch when its
@@ -210,8 +208,7 @@ func (f *fuser) addDiag(t diagTerm, a, b int) {
 	f.flush(b)
 	bits := uint32(1)<<a | uint32(1)<<b
 	if f.batch >= 0 && f.batchBlocked&bits == 0 {
-		f.ops[f.batch].terms = append(f.ops[f.batch].terms, t)
-		f.batchQ |= bits
+		f.addTerm(t, bits)
 		return
 	}
 	f.openBatch(t, bits)
@@ -252,7 +249,7 @@ func fuse(gates []circuit.Gate, f *fuser) []fusedOp {
 		case circuit.CX:
 			f.flush(g.Qubit)
 			f.flush(g.Qubit2)
-			f.appendOp(fusedOp{kind: opCX, q: g.Qubit, q2: g.Qubit2})
+			f.ops = append(f.ops, fusedOp{kind: opCX, q: g.Qubit, q2: g.Qubit2})
 			if f.batch >= 0 {
 				f.batchBlocked |= uint32(1)<<g.Qubit | uint32(1)<<g.Qubit2
 			}
@@ -302,12 +299,15 @@ type diagPrep struct {
 }
 
 // program is a compiled circuit: the fused ops, with every diagonal
-// batch's terms classified into sign and phase terms. The zero value is
-// ready; compile recycles all storage, so re-compiling same-shaped
-// circuits allocates nothing in steady state.
+// batch's terms classified into sign and phase terms. pre is the length
+// of its product prefix: the leading run of op1Q ops on pairwise
+// distinct qubits, which build writes in one pass (exec.go). The zero
+// value is ready; compile recycles all storage, so re-compiling
+// same-shaped circuits allocates nothing in steady state.
 type program struct {
 	fs     fuser
 	ops    []fusedOp
+	pre    int
 	preps  []diagPrep
 	signs  []signTerm
 	phases []phaseTerm
@@ -342,6 +342,12 @@ func termIsSign(f *[4]complex128) (lut uint8, ok bool) {
 // compile.
 func (p *program) compile(gates []circuit.Gate) {
 	p.ops = fuse(gates, &p.fs)
+	var seen uint32
+	p.pre = 0
+	for p.pre < len(p.ops) && p.ops[p.pre].kind == op1Q && seen>>p.ops[p.pre].q&1 == 0 {
+		seen |= 1 << p.ops[p.pre].q
+		p.pre++
+	}
 	if cap(p.preps) < len(p.ops) {
 		p.preps = make([]diagPrep, len(p.ops))
 	}
@@ -354,8 +360,9 @@ func (p *program) compile(gates []circuit.Gate) {
 			continue
 		}
 		d := diagPrep{signOff: len(p.signs), phaseOff: len(p.phases)}
-		for ti := range p.ops[k].terms {
-			t := &p.ops[k].terms[ti]
+		terms := p.fs.terms[p.ops[k].t0:p.ops[k].t1]
+		for ti := range terms {
+			t := &terms[ti]
 			if lut, ok := termIsSign(&t.f); ok {
 				p.signs = append(p.signs, signTerm{sA: uint(t.sA), sB: uint(t.sB), lut: lut})
 				continue
@@ -371,4 +378,40 @@ func (p *program) compile(gates []circuit.Gate) {
 		d.phaseLen = len(p.phases) - d.phaseOff
 		p.preps[k] = d
 	}
+}
+
+// shared returns how many leading ops p and o have in common: equal
+// kinds and qubits, and matrices and diagonal factors equal bit for bit.
+func (p *program) shared(o *program) int {
+	n := min(len(p.ops), len(o.ops))
+	for i := 0; i < n; i++ {
+		a, b := &p.ops[i], &o.ops[i]
+		if a.kind != b.kind || a.q != b.q || a.q2 != b.q2 || !sameBits(a.u[:], b.u[:]) {
+			return i
+		}
+		if a.kind != opDiag {
+			continue
+		}
+		ta, tb := p.fs.terms[a.t0:a.t1], o.fs.terms[b.t0:b.t1]
+		if len(ta) != len(tb) {
+			return i
+		}
+		for j := range ta {
+			if ta[j].sA != tb[j].sA || ta[j].sB != tb[j].sB || !sameBits(ta[j].f[:], tb[j].f[:]) {
+				return i
+			}
+		}
+	}
+	return n
+}
+
+// sameBits reports whether a and b hold the same float bits.
+func sameBits(a, b []complex128) bool {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return false
+		}
+	}
+	return true
 }

@@ -38,7 +38,7 @@ func New(n int) *State {
 func (ps *State) NQubits() int { return len(ps.a) }
 
 // Reset returns the product state to |0…0⟩ in place, keeping its
-// storage — the surrogate counterpart of qsim's State.Reset.
+// storage.
 func (ps *State) Reset() {
 	for i := range ps.a {
 		ps.a[i] = 1

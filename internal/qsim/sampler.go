@@ -127,7 +127,7 @@ func (s *sampler) buildChunks(re, im [][]float64, lo, hi int, sc *aliasScratch) 
 		total := par.SumFloat64(len(r), func(lo, hi int) float64 {
 			var t float64
 			for i := lo; i < hi; i++ {
-				p := r[i]*r[i] + m[i]*m[i]
+				p := float64(r[i]*r[i]) + float64(m[i]*m[i])
 				w[i] = p
 				t += p
 			}

@@ -79,23 +79,10 @@ func (s *Sharded) Amp(i int) (re, im float64) {
 	return s.re[sh][j], s.im[sh][j]
 }
 
-// Reset restores |0…0⟩ in place, keeping all shard storage.
-func (s *Sharded) Reset() {
-	par.Do(len(s.re), func(sh int) {
-		re, im := s.re[sh], s.im[sh]
-		for i := range re {
-			re[i] = 0
-		}
-		for i := range im {
-			im[i] = 0
-		}
-	})
-	s.re[0][0] = 1
-}
-
-// Run resets the state and executes a bound circuit through the fused
-// program — the same compilation and executor State.Run uses, with the
-// shards as chunks.
+// Run executes a bound circuit from |0…0⟩ through the fused program —
+// the same compilation, product-prefix build and executor State.Run
+// uses, with the shards as chunks. It keeps no prefix checkpoint: one
+// would double a state of up to 4 GiB.
 func (s *Sharded) Run(c *circuit.Circuit) error {
 	if c.NumParams != 0 {
 		return fmt.Errorf("qsim: circuit has %d unbound parameters", c.NumParams)
@@ -106,9 +93,9 @@ func (s *Sharded) Run(c *circuit.Circuit) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	s.Reset()
 	s.prog.compile(c.Gates)
-	s.prog.run(s.re, s.im, s.shardBits, false)
+	s.prog.build(s.re, s.im, s.shardBits)
+	s.prog.run(s.re, s.im, s.shardBits, false, s.prog.pre, len(s.prog.ops))
 	return nil
 }
 
@@ -121,7 +108,7 @@ func (s *Sharded) Probabilities() []float64 {
 		re, im := s.re[sh], s.im[sh]
 		p := out[sh*chunk : sh*chunk+chunk]
 		for i := range p {
-			p[i] = re[i]*re[i] + im[i]*im[i]
+			p[i] = float64(re[i]*re[i]) + float64(im[i]*im[i])
 		}
 	})
 	return out

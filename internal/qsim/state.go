@@ -58,14 +58,24 @@ const MaxQubits = 24
 type State struct {
 	n      int
 	re, im []float64
-	// prog and smp are reusable working memory for Run, Apply and
-	// Sample; tileRe and tileIm are the executor's 2^tileBits-amplitude
-	// views of re and im, and whole views each array as one chunk, the
-	// sampler's. None escapes the State, and Clone copies none.
-	prog           program
+	// The rest is working memory that never escapes the State, and Clone
+	// copies none of it. runs holds the programs of the last two Runs,
+	// runs[cur] the last one's, and one is Apply's. smp is Sample's.
+	// tileRe and tileIm are the executor's 2^tileBits-amplitude views of
+	// re and im, and whole views each array as one chunk, the sampler's.
+	runs           [2]program
+	cur            int
+	one            program
 	smp            sampler
 	tileRe, tileIm [][]float64
 	whole          [2][]float64
+	// ckRe and ckIm are the prefix checkpoint (see Run): when ckAt > 0,
+	// the amplitudes after ops [0, ckAt) of runs[cur]. They are a
+	// function of that program prefix, not of the live state. ran counts
+	// the ops the last Run executed after its build or resume.
+	ckRe, ckIm []float64
+	ckAt       int
+	ran        int
 }
 
 // NewState returns |0...0⟩ over n qubits.
@@ -105,32 +115,13 @@ func (s *State) Clone() *State {
 	return c
 }
 
-// Reset returns the state to |0…0⟩ in place, keeping the amplitude
-// storage. A Reset state is indistinguishable from a fresh NewState of
-// the same width — this is the arena primitive that lets one statevector
-// be reused across the optimizer's thousands of circuit executions
-// instead of allocating 2^n amplitudes per evaluation.
-func (s *State) Reset() {
-	re, im := s.re, s.im
-	par.For(len(re), func(lo, hi int) {
-		r, m := re[lo:hi], im[lo:hi]
-		for i := range r {
-			r[i] = 0
-		}
-		for i := range m {
-			m[i] = 0
-		}
-	})
-	s.re[0] = 1
-}
-
 // Norm returns the 2-norm of the state (1 for any valid state).
 func (s *State) Norm() float64 {
 	re, im := s.re, s.im
 	sum := par.SumFloat64(len(re), func(lo, hi int) float64 {
 		var t float64
 		for i := lo; i < hi; i++ {
-			t += re[i]*re[i] + im[i]*im[i]
+			t += float64(re[i]*re[i]) + float64(im[i]*im[i])
 		}
 		return t
 	})
@@ -146,12 +137,12 @@ func (s *State) Fidelity(o *State) float64 {
 	dot := par.SumComplex(len(ar), func(lo, hi int) complex128 {
 		var tr, ti float64
 		for i := lo; i < hi; i++ {
-			tr += ar[i]*br[i] + ai[i]*bi[i]
-			ti += ar[i]*bi[i] + (-ai[i])*br[i]
+			tr += float64(ar[i]*br[i]) + float64(ai[i]*bi[i])
+			ti += float64(ar[i]*bi[i]) + float64((-ai[i])*br[i])
 		}
 		return complex(tr, ti)
 	})
-	return real(dot)*real(dot) + imag(dot)*imag(dot)
+	return float64(real(dot)*real(dot)) + float64(imag(dot)*imag(dot))
 }
 
 // matIsReal gates the halved-flop real-matrix kernels: only matrices
@@ -176,10 +167,10 @@ func apply1QRealPairs(re, im []float64, stride int, u [4]float64, lo, hi int) {
 		for x := 0; x+1 < len(r); x += 2 {
 			a0r, a0i := r[x], m[x]
 			a1r, a1i := r[x+1], m[x+1]
-			r[x] = u00*a0r + u01*a1r
-			m[x] = u00*a0i + u01*a1i
-			r[x+1] = u10*a0r + u11*a1r
-			m[x+1] = u10*a0i + u11*a1i
+			r[x] = float64(u00*a0r) + float64(u01*a1r)
+			m[x] = float64(u00*a0i) + float64(u01*a1i)
+			r[x+1] = float64(u10*a0r) + float64(u11*a1r)
+			m[x+1] = float64(u10*a0i) + float64(u11*a1i)
 		}
 		return
 	}
@@ -199,10 +190,10 @@ func apply1QRealPairs(re, im []float64, stride int, u [4]float64, lo, hi int) {
 		for x := 0; x < run; x++ {
 			a0r, a0i := r0[x], m0[x]
 			a1r, a1i := r1[x], m1[x]
-			r0[x] = u00*a0r + u01*a1r
-			m0[x] = u00*a0i + u01*a1i
-			r1[x] = u10*a0r + u11*a1r
-			m1[x] = u10*a0i + u11*a1i
+			r0[x] = float64(u00*a0r) + float64(u01*a1r)
+			m0[x] = float64(u00*a0i) + float64(u01*a1i)
+			r1[x] = float64(u10*a0r) + float64(u11*a1r)
+			m1[x] = float64(u10*a0i) + float64(u11*a1i)
 		}
 		k += run
 	}
@@ -230,10 +221,10 @@ func apply1QCmplxPairs(re, im []float64, stride int, u *[4]complex128, lo, hi in
 		for x := 0; x < run; x++ {
 			a0r, a0i := r0[x], m0[x]
 			a1r, a1i := r1[x], m1[x]
-			r0[x] = (u00r*a0r - u00i*a0i) + (u01r*a1r - u01i*a1i)
-			m0[x] = (u00r*a0i + u00i*a0r) + (u01r*a1i + u01i*a1r)
-			r1[x] = (u10r*a0r - u10i*a0i) + (u11r*a1r - u11i*a1i)
-			m1[x] = (u10r*a0i + u10i*a0r) + (u11r*a1i + u11i*a1r)
+			r0[x] = (float64(u00r*a0r) - float64(u00i*a0i)) + (float64(u01r*a1r) - float64(u01i*a1i))
+			m0[x] = (float64(u00r*a0i) + float64(u00i*a0r)) + (float64(u01r*a1i) + float64(u01i*a1r))
+			r1[x] = (float64(u10r*a0r) - float64(u10i*a0i)) + (float64(u11r*a1r) - float64(u11i*a1i))
+			m1[x] = (float64(u10r*a0i) + float64(u10i*a0r)) + (float64(u11r*a1i) + float64(u11i*a1r))
 		}
 		k += run
 	}
@@ -295,8 +286,9 @@ func (s *State) Apply(g circuit.Gate) {
 	if g.Qubit < 0 || g.Qubit >= s.n || g.Kind.Arity() == 2 && (g.Qubit2 < 0 || g.Qubit2 >= s.n) {
 		panic(fmt.Sprintf("qsim: %v outside the %d-qubit register", g, s.n))
 	}
-	s.prog.compile([]circuit.Gate{g})
-	s.runProgram()
+	s.one.compile([]circuit.Gate{g})
+	re, im, k := s.tiles()
+	s.one.run(re, im, k, true, 0, len(s.one.ops))
 }
 
 // Run executes a fully bound circuit starting from |0…0⟩ on a freshly
@@ -312,15 +304,29 @@ func Run(c *circuit.Circuit) (*State, error) {
 	return s, nil
 }
 
-// Run resets s to |0…0⟩ and executes a fully bound circuit of the same
-// width on it, reusing the amplitude arrays and sampler scratch instead
-// of allocating a fresh 2^n statevector. Gates are run through the
-// fusion pass (see fusion.go): runs of single-qubit gates collapse into
-// one 2×2 apply and batches of diagonal gates into one phase sweep. The
-// fused program runs through the chunk executor (exec.go) over the
-// state's 2^12-amplitude tiles, or one tile below 12 qubits. The
-// previous contents are destroyed.
+// Run executes a fully bound circuit of the same width on s from
+// |0…0⟩, reusing the amplitude arrays and sampler scratch instead of
+// allocating a fresh 2^n statevector. Gates are run through the fusion
+// pass (see fusion.go): runs of single-qubit gates collapse into one 2×2
+// apply and batches of diagonal gates into one phase sweep. Run builds
+// the state the program's product prefix leaves in one pass (exec.go)
+// and runs the other ops through the chunk executor over the state's
+// 2^12-amplitude tiles, or one tile below 12 qubits. The previous
+// contents are destroyed.
+//
+// Run is also the simulator's own q_update. It keeps the previous Run's
+// program and one checkpoint of the state part way through it. Let d
+// be the number of leading ops the new program shares with the
+// previous one, bit for bit, counted as 0 when it does not pass the
+// product prefix. When the checkpoint lies within them (0 < ckAt ≤ d),
+// Run copies it into the state and resumes at op ckAt; otherwise it
+// builds. When it starts below d and ops remain after d, it saves the
+// state before op d as the new checkpoint. Either way the amplitudes
+// are the bits a fresh State computes, since the shared ops see the
+// same input. A failed Run leaves no checkpoint.
 func (s *State) Run(c *circuit.Circuit) error {
+	ckAt := s.ckAt
+	s.ckAt = 0
 	if c.NumParams != 0 {
 		return fmt.Errorf("qsim: circuit has %d unbound parameters", c.NumParams)
 	}
@@ -330,15 +336,43 @@ func (s *State) Run(c *circuit.Circuit) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	s.Reset()
-	s.prog.compile(c.Gates)
-	s.runProgram()
+	prev, p := &s.runs[s.cur], &s.runs[1-s.cur]
+	p.compile(c.Gates)
+	s.cur = 1 - s.cur
+	d := p.shared(prev)
+	if d <= p.pre {
+		d = 0
+	}
+	re, im, k := s.tiles()
+	start := p.pre
+	if 0 < ckAt && ckAt <= d {
+		copy(s.re, s.ckRe)
+		copy(s.im, s.ckIm)
+		start = ckAt
+	} else {
+		p.build(re, im, k)
+		ckAt = 0
+	}
+	s.ran = len(p.ops) - start
+	if start < d && d < len(p.ops) {
+		p.run(re, im, k, true, start, d)
+		if s.ckRe == nil {
+			s.ckRe = make([]float64, len(s.re))
+			s.ckIm = make([]float64, len(s.im))
+		}
+		copy(s.ckRe, s.re)
+		copy(s.ckIm, s.im)
+		start, ckAt = d, d
+	}
+	p.run(re, im, k, true, start, len(p.ops))
+	s.ckAt = ckAt
 	return nil
 }
 
-// runProgram runs the compiled program over the state's tiles.
-func (s *State) runProgram() {
-	k := min(s.n, tileBits)
+// tiles returns the executor's view of the state: its 2^k-amplitude
+// tiles.
+func (s *State) tiles() (re, im [][]float64, k int) {
+	k = min(s.n, tileBits)
 	if s.tileRe == nil {
 		s.tileRe = make([][]float64, len(s.re)>>k)
 		s.tileIm = make([][]float64, len(s.re)>>k)
@@ -347,7 +381,7 @@ func (s *State) runProgram() {
 			s.tileIm[t] = s.im[t<<k : (t+1)<<k]
 		}
 	}
-	s.prog.run(s.tileRe, s.tileIm, k, true)
+	return s.tileRe, s.tileIm, k
 }
 
 // Sample draws `shots` full-register measurement outcomes (basis-state
@@ -370,7 +404,7 @@ func (s *State) Probabilities() []float64 {
 	p := make([]float64, len(re))
 	par.For(len(re), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p[i] = re[i]*re[i] + im[i]*im[i]
+			p[i] = float64(re[i]*re[i]) + float64(im[i]*im[i])
 		}
 	})
 	return p
@@ -386,7 +420,7 @@ func (s *State) MeasureQubit(q int, rng *rand.Rand) int {
 		var t float64
 		for i := lo; i < hi; i++ {
 			if i&m != 0 {
-				t += re[i]*re[i] + im[i]*im[i]
+				t += float64(re[i]*re[i]) + float64(im[i]*im[i])
 			}
 		}
 		return t
@@ -422,7 +456,7 @@ func (s *State) ExpectationZ(q int) float64 {
 	return par.SumFloat64(len(re), func(lo, hi int) float64 {
 		var e float64
 		for i := lo; i < hi; i++ {
-			p := re[i]*re[i] + im[i]*im[i]
+			p := float64(re[i]*re[i]) + float64(im[i]*im[i])
 			if i&m == 0 {
 				e += p
 			} else {
@@ -440,7 +474,7 @@ func (s *State) ExpectationZZ(a, b int) float64 {
 	return par.SumFloat64(len(re), func(lo, hi int) float64 {
 		var e float64
 		for i := lo; i < hi; i++ {
-			p := re[i]*re[i] + im[i]*im[i]
+			p := float64(re[i]*re[i]) + float64(im[i]*im[i])
 			if (i&ma != 0) == (i&mb != 0) {
 				e += p
 			} else {

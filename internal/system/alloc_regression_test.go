@@ -11,11 +11,11 @@ import (
 // evaluateAllocCeiling bounds the allocations one warmed Evaluate may
 // make. It is the measured count of the 12-qubit/100-shot evaluation:
 // fresh Outcomes, per-block RNGs and batch planning remain by design,
-// and 17 are the dense engine's Run, which qsim/engine's
+// and 1 is the dense engine's Run, which internal/route's
 // BenchmarkRunAllocRegression pins on its own. Losing any scratch buffer
 // (statevector, alias table, regfile image, diff plan, RBQ data), or one
 // new allocation per kernel call, trips it.
-const evaluateAllocCeiling = 35
+const evaluateAllocCeiling = 19
 
 // BenchmarkEvaluateAllocRegression fails the build when a warmed-up cost
 // evaluation starts allocating like the arenas are gone. CI runs it via
