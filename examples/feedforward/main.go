@@ -11,15 +11,15 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"qtenon/internal/rng"
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/qsim"
+	"qtenon/internal/rng"
 	"qtenon/internal/sim"
 )
 
 func main() {
-	rng := rng.New(42)
+	rng := rng.NewStream(42)
 	theta, phi := 1.0472, 0.7854 // the payload state |ψ⟩ = RZ(φ)RY(θ)|0⟩
 
 	fmt.Printf("teleporting |ψ⟩ = RZ(%.4f)·RY(%.4f)|0⟩ from q0 to q2\n\n", phi, theta)

@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	samples := st.Sample(2000, rng.New(7))
+	samples := st.Sample(2000, rng.NewStream(7))
 	best, bestCut := uint64(0), -1
 	for _, s := range samples {
 		if c := pauli.CutValue(w.Edges, s); c > bestCut {

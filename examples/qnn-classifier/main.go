@@ -95,7 +95,7 @@ func main() {
 				return 0, err
 			}
 			d := z - s.label
-			total += d * d
+			total += float64(d * d)
 		}
 		return total / float64(len(systems)), nil
 	}

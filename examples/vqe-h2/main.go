@@ -27,7 +27,7 @@ func main() {
 		RYP(0, 0).RYP(1, 1).CX(0, 1).RYP(0, 2).RYP(1, 3).
 		MustBuild()
 
-	rng := rng.New(11)
+	rng := rng.NewStream(11)
 	const shots = 4000
 	// The evaluator estimates ⟨H⟩ from grouped shot counts, exactly how a
 	// real device measures a molecular Hamiltonian.

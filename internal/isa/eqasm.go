@@ -75,10 +75,11 @@ func GenerateEQASM(c *circuit.Circuit, t circuit.Timing) (QuantumProgram, error)
 }
 
 // angleSteps quantizes an angle the way eQASM-class ISAs do: an integer
-// number of ~0.0015-rad microcode steps.
+// number of ~0.0015-rad microcode steps. The quotient, a product once
+// compiled, is rounded before the half is added (DESIGN.md §11.2).
 func angleSteps(theta float64) int64 {
 	const step = 1.0 / 4096
-	return int64(theta/step + 0.5)
+	return int64(float64(theta/step) + 0.5)
 }
 
 // GenerateHiSEPQ lowers a bound circuit to HiSEP-Q-style code, which

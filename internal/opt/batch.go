@@ -101,8 +101,8 @@ func GradientDescentBatch(eval BatchEvaluator, initial []float64, o Options) (Re
 		if err != nil {
 			return res, err
 		}
-		for i := range params {
-			params[i] -= o.LearningRate * grad[i]
+		for i := range params { // rounded before the sum (DESIGN.md §11.2)
+			params[i] -= float64(o.LearningRate * grad[i])
 		}
 		copy(scr.oneData, params)
 		if err := eval(scr.oneSet, scr.oneVal); err != nil {

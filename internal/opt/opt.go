@@ -83,7 +83,7 @@ func SPSA(eval Evaluator, initial []float64, o Options) (Result, error) {
 	if err := o.validate(len(initial)); err != nil {
 		return Result{}, err
 	}
-	rng := rng.New(o.Seed)
+	rng := rng.NewStream(o.Seed)
 	params := append([]float64(nil), initial...)
 	var res Result
 	plusP := make([]float64, len(params))
@@ -103,8 +103,10 @@ func SPSA(eval Evaluator, initial []float64, o Options) (Result, error) {
 			} else {
 				delta[i] = -1
 			}
-			plusP[i] = params[i] + ck*delta[i]
-			minusP[i] = params[i] - ck*delta[i]
+			// Each product is rounded before the sum, so that no GOARCH
+			// fuses the two (DESIGN.md §11.2).
+			plusP[i] = params[i] + float64(ck*delta[i])
+			minusP[i] = params[i] - float64(ck*delta[i])
 		}
 		plus, err := eval(plusP)
 		if err != nil {
@@ -117,7 +119,7 @@ func SPSA(eval Evaluator, initial []float64, o Options) (Result, error) {
 		res.Evaluations += 2
 		g := (plus - minus) / (2 * ck)
 		for i := range params {
-			params[i] -= ak * g * delta[i]
+			params[i] -= float64(ak * g * delta[i])
 		}
 		cost, err := eval(params)
 		if err != nil {

@@ -26,6 +26,9 @@ func QuantizeAngle(theta float64) uint32 {
 }
 
 // DequantizeAngle reverses QuantizeAngle to the center of the bucket.
+// The quotient, which compilers compute as a product, is rounded
+// explicitly: arm64 would otherwise fuse it into the doubling, which
+// it computes as a sum (DESIGN.md §11.2).
 func DequantizeAngle(data uint32) float64 {
-	return float64(data&(1<<AngleBits-1)) / (1 << AngleBits) * 2 * math.Pi
+	return float64(float64(data&(1<<AngleBits-1))/(1<<AngleBits)) * 2 * math.Pi
 }

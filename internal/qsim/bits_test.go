@@ -25,11 +25,14 @@ const amplitudeBitsDigest uint64 = 0xe06c12cf05a90a33
 // qubits after a 400-gate random circuit. Each value is hashed as x+0,
 // which maps −0 to +0, because §11.2 lets the signs of zeros differ.
 //
-// The digest holds on amd64 only: arm64 builds fuse these kernels'
-// multiply-adds, which rounds once where amd64 rounds twice.
+// The digest holds on amd64 only. The engines round every product
+// that feeds a sum explicitly, so their own arithmetic is the same on
+// every GOARCH; but their gate matrices come from math.Sincos, Sin and
+// Cos, whose pure-Go kernels arm64 compiles with fused multiply-adds,
+// which round once where amd64 rounds twice (DESIGN.md §11.2).
 func TestAmplitudeBitsFrozen(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skipf("digest recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+		t.Skipf("digest recorded on amd64; %s may fuse multiply-adds in math.Sincos, Sin and Cos", runtime.GOARCH)
 	}
 	h := fnv.New64a()
 	var word [8]byte

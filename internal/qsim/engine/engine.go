@@ -8,9 +8,8 @@
 package engine
 
 import (
-	"math/rand"
-
 	"qtenon/internal/circuit"
+	"qtenon/internal/rng"
 )
 
 // Simulator is the method-agnostic execution surface. All engines share
@@ -24,7 +23,9 @@ type Simulator interface {
 	NQubits() int
 	// Run resets the simulator to |0…0⟩ and executes a bound circuit.
 	Run(c *circuit.Circuit) error
-	// Sample draws shot outcome words from the caller's seeded RNG into
-	// a freshly allocated slice the caller owns.
-	Sample(shots int, rng *rand.Rand) []uint64
+	// Sample draws shot outcome words from the caller's seeded source
+	// into a freshly allocated slice the caller owns. Production passes
+	// a *rng.Stream; tests may pass math/rand's stream of the same seed,
+	// which draws the same words.
+	Sample(shots int, src rng.Source) []uint64
 }

@@ -10,6 +10,7 @@ import (
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/par"
+	"qtenon/internal/rng"
 )
 
 // refApply is the pre-parallel, pre-fusion reference kernel: the naive
@@ -192,10 +193,10 @@ func TestSampleDeterministicAcrossWorkerCounts(t *testing.T) {
 // MeasureQubit.
 func TestSampleFollowsMutations(t *testing.T) {
 	s := NewState(3) // |000⟩
-	rng := rand.New(rand.NewSource(1))
+	src := rng.NewStream(1)
 	requireAll := func(want uint64, state string) {
 		t.Helper()
-		for _, v := range s.Sample(100, rng) {
+		for _, v := range s.Sample(100, src) {
 			if v != want {
 				t.Fatalf("sampled %03b from %s", v, state)
 			}
@@ -205,7 +206,7 @@ func TestSampleFollowsMutations(t *testing.T) {
 	s.Apply(circuit.Gate{Kind: circuit.X, Qubit: 1, Param: circuit.NoParam})
 	requireAll(2, "|010⟩")
 	s.Apply(circuit.Gate{Kind: circuit.H, Qubit: 0, Param: circuit.NoParam})
-	bit := s.MeasureQubit(0, rng)
+	bit := s.MeasureQubit(0, src)
 	requireAll(2|uint64(bit), "the collapsed state")
 }
 

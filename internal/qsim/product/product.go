@@ -15,9 +15,9 @@ package product
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"qtenon/internal/circuit"
+	"qtenon/internal/rng"
 )
 
 // State is the mean-field surrogate over n qubits.
@@ -145,49 +145,80 @@ func (ps *State) Run(c *circuit.Circuit) error {
 }
 
 // Sample draws independent per-qubit outcomes. Outcome words carry the
-// first 64 qubits; wider registers sample all qubits (the RNG stream
+// first 64 qubits; wider registers sample all qubits (the stream
 // advances identically) but report the 64-qubit cost window — see
 // DESIGN.md on >64-qubit cost evaluation.
 //
-// The draws are those of rng.Float64() < P1(q), shot-major and
+// The draws are those of src.Float64() < P1(q), shot-major and
 // qubit-minor, made with integers: each draw is an Int63 x, drawn again
 // while x ≥ redraw (where Float64 would round to 1 and draw again), and
-// the bit is set when x < threshold(P1(q)), branch-free. DESIGN.md §14
-// gives the argument; TestSampleMatchesFloat64Draw checks the words.
-func (ps *State) Sample(shots int, rng *rand.Rand) []uint64 {
+// the bit is set when x < threshold(P1(q)), branch-free. Each shot
+// reads its first min(n, 64) draws as one block; a block that holds a
+// draw at or above redraw (about 2⁻⁵⁴ per draw) is redone with scalar
+// redraws. DESIGN.md §14 gives the argument;
+// TestSampleMatchesFloat64Draw checks the words.
+func (ps *State) Sample(shots int, src rng.Source) []uint64 {
 	n := len(ps.a)
-	w := min(n, 64)
 	var k [64]int64
-	for q := range w {
-		k[q] = threshold(ps.P1(q))
+	ks := k[:min(n, 64)]
+	for q := range ks {
+		ks[q] = threshold(ps.P1(q))
 	}
 	out := make([]uint64, shots)
+	var x [64]int64
 	for s := range out {
+		xs := x[:len(ks)]
+		rng.Read63(src, xs)
 		var v uint64
-		for q, kq := range k[:w] {
-			v |= uint64(draw(rng)-kq) >> 63 << q
+		all := int64(-1) // keeps its sign bit while every draw is below redraw
+		for q, kq := range ks {
+			v |= uint64(xs[q]-kq) >> 63 << q
+			all &= xs[q] - redraw
 		}
-		for range n - w {
-			draw(rng) // qubits past the word still advance the stream
+		if all >= 0 {
+			v = redo(xs, ks, src)
+		}
+		// Qubits past the word still advance the stream: read them in
+		// blocks, one more draw for each one Float64 would discard.
+		for rest := n - len(ks); rest > 0; {
+			xs := x[:min(rest, 64)]
+			rng.Read63(src, xs)
+			for _, xq := range xs {
+				if xq < redraw {
+					rest--
+				}
+			}
 		}
 		out[s] = v
 	}
 	return out
 }
 
+// redo returns the outcome word of a shot whose block xs holds a draw
+// at or above redraw: it takes the block's draws in order, skips each
+// such draw, and reads one more from src for every draw it skipped.
+func redo(xs, ks []int64, src rng.Source) uint64 {
+	var v uint64
+	j := 0
+	for q, kq := range ks {
+		x := int64(redraw)
+		for x >= redraw {
+			if j < len(xs) {
+				x = xs[j]
+				j++
+			} else {
+				x = src.Int63()
+			}
+		}
+		v |= uint64(x-kq) >> 63 << q
+	}
+	return v
+}
+
 // redraw is the least Int63 that math/rand's Float64 rounds to 1 and so
 // draws again: float64(x)/2⁶³ == 1 exactly when x ≥ 2⁶³−512, since
 // float64 spacing below 2⁶³ is 1024 and a tie rounds to even.
 const redraw = 1<<63 - 512
-
-// draw returns the next Int63 of rng that Float64 would not discard.
-func draw(rng *rand.Rand) int64 {
-	for {
-		if x := rng.Int63(); x < redraw {
-			return x
-		}
-	}
-}
 
 // threshold returns the least x in [0, redraw] with
 // !(float64(x)/2⁶³ < p), so that for every accepted draw x,

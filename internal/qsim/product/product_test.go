@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"qtenon/internal/rng"
 )
 
 // sampleFloat64 is Sample as it was written before the integer
@@ -28,7 +30,8 @@ func sampleFloat64(ps *State, shots int, rng *rand.Rand) []uint64 {
 // 1 (|a|²+|b|² can round past 1) and NaN.
 var special = []complex128{0, complex(0.5, 0.5), 1, complex(1, 1.5e-8), complex(math.NaN(), 0)}
 
-// script is a rand.Source that returns its values in turn, cycling.
+// script is a source that returns its values in turn, cycling. Sample
+// reads it as an rng.Source; the oracle wraps it in a *rand.Rand.
 type script struct {
 	vals []int64
 	next int
@@ -45,27 +48,55 @@ func (s *script) Seed(int64) {}
 // TestSampleMatchesFloat64Draw requires Sample to return the oracle's
 // outcome words and to leave the stream where the oracle leaves it, at
 // widths around the 64-bit word, at shot counts around a block of 64,
-// and with P1 at the special values and at random ones. A scripted
-// source also feeds both the draws around 2⁶³−512, where Float64 starts
-// rounding to 1 and drawing again, which a seeded stream never reaches.
+// and with P1 at the special values and at random ones, reading a
+// *rand.Rand and an rng.Stream of the same seed. A scripted source also
+// feeds both the draws around 2⁶³−512, where Float64 starts rounding to
+// 1 and drawing again, which a seeded stream never reaches: inside a
+// shot's block at its first, middle and last qubit, so that the block
+// is redone and reads past itself, and past qubit 64 of a wider
+// register.
 func TestSampleMatchesFloat64Draw(t *testing.T) {
+	scripted := func(ps *State, shots int, vals []int64) {
+		t.Helper()
+		wantSrc := &script{vals: vals}
+		want := sampleFloat64(ps, shots, rand.New(wantSrc))
+		gotSrc := &script{vals: vals}
+		got := ps.Sample(shots, gotSrc)
+		for s := range want {
+			if got[s] != want[s] {
+				t.Fatalf("scripted draws, n=%d: shot %d = %#x, want %#x", ps.NQubits(), s, got[s], want[s])
+			}
+		}
+		if gotSrc.next != wantSrc.next {
+			t.Fatalf("scripted draws, n=%d: Sample drew %d values, Float64 %d", ps.NQubits(), gotSrc.next, wantSrc.next)
+		}
+	}
 	edge := []int64{1<<63 - 1025, 1<<63 - 1024, 1<<63 - 513, 1<<63 - 512, 1<<63 - 511, 1<<63 - 1, 0, 1<<62 - 1, 1 << 62, 12345}
 	for _, b := range special {
 		ps := New(3)
 		for q := range 3 {
 			ps.b[q] = b
 		}
-		wantSrc := &script{vals: edge}
-		want := sampleFloat64(ps, 7, rand.New(wantSrc))
-		gotSrc := &script{vals: edge}
-		got := ps.Sample(7, rand.New(gotSrc))
-		for s := range want {
-			if got[s] != want[s] {
-				t.Fatalf("scripted draws, P1 = %v: shot %d = %#x, want %#x", ps.P1(0), s, got[s], want[s])
-			}
+		scripted(ps, 7, edge)
+	}
+	draws := rand.New(rand.NewSource(5))
+	for _, n := range []int{64, 70} {
+		ps := New(n)
+		for q := range n {
+			ps.b[q] = complex(draws.Float64(), 0)
 		}
-		if gotSrc.next != wantSrc.next {
-			t.Fatalf("scripted draws, P1 = %v: Sample drew %d values, Float64 %d", ps.P1(0), gotSrc.next, wantSrc.next)
+		for _, at := range []int{0, 31, 63, 64, 69} {
+			if at >= n {
+				continue
+			}
+			// n ordinary draws with two discarded ones at index at: each
+			// shot reads n+2 values, so every shot sees the same pattern.
+			vals := make([]int64, 0, n+2)
+			for range n {
+				vals = append(vals, draws.Int63()>>1)
+			}
+			vals = append(vals[:at], append([]int64{1<<63 - 512, 1<<63 - 1}, vals[at:]...)...)
+			scripted(ps, 5, vals)
 		}
 	}
 
@@ -96,15 +127,17 @@ func TestSampleMatchesFloat64Draw(t *testing.T) {
 				seed := int64(n + shots + mode)
 				wantRNG := rand.New(rand.NewSource(seed))
 				want := sampleFloat64(ps, shots, wantRNG)
-				gotRNG := rand.New(rand.NewSource(seed))
-				got := ps.Sample(shots, gotRNG)
-				for s := range want {
-					if got[s] != want[s] {
-						t.Fatalf("n=%d shots=%d mode=%d: shot %d = %#x, want %#x", n, shots, mode, s, got[s], want[s])
+				wantNext := wantRNG.Int63()
+				for _, src := range []rng.Source{rand.New(rand.NewSource(seed)), rng.NewStream(seed)} {
+					got := ps.Sample(shots, src)
+					for s := range want {
+						if got[s] != want[s] {
+							t.Fatalf("n=%d shots=%d mode=%d, %T: shot %d = %#x, want %#x", n, shots, mode, src, s, got[s], want[s])
+						}
 					}
-				}
-				if g, w := gotRNG.Int63(), wantRNG.Int63(); g != w {
-					t.Fatalf("n=%d shots=%d mode=%d: stream ends at %d, want %d", n, shots, mode, g, w)
+					if g := src.Int63(); g != wantNext {
+						t.Fatalf("n=%d shots=%d mode=%d, %T: stream ends at %d, want %d", n, shots, mode, src, g, wantNext)
+					}
 				}
 			}
 		}

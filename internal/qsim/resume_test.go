@@ -9,6 +9,7 @@ import (
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/par"
+	qrng "qtenon/internal/rng"
 )
 
 // vqeCircuit binds the ansatz vqa.NewVQE builds at three layers (qsim
@@ -213,7 +214,7 @@ func FuzzRunResumeMatchesFresh(f *testing.F) {
 				case 0:
 					s.Apply(randomGates(rng, n, 1)[0])
 				case 1:
-					s.MeasureQubit(rng.Intn(n), rng)
+					s.MeasureQubit(rng.Intn(n), qrng.NewStream(rng.Int63()))
 				default:
 					s.Sample(1+rng.Intn(100), rng)
 				}

@@ -1,11 +1,10 @@
 package qsim
 
 import (
-	"math/rand"
 	"slices"
 
 	"qtenon/internal/par"
-	qrng "qtenon/internal/rng"
+	"qtenon/internal/rng"
 )
 
 // Measurement sampling. Both statevector engines sample through one
@@ -18,12 +17,15 @@ import (
 // storage recycled from the previous one, and nothing is cached: every
 // production caller samples each state once.
 //
-// Determinism: each block of sampleBlock shots gets its own RNG seeded
-// by one serial draw from the caller's RNG. The block partition depends
-// only on the shot count, and the tables do not depend on how the chunk
-// builds are grouped across workers, so a fixed caller seed produces an
-// identical outcome stream at any GOMAXPROCS — and no worker ever
-// touches the caller's (non-concurrency-safe) *rand.Rand.
+// Determinism: each block of sampleBlock shots draws from its own
+// sub-stream, seeded by one serial Int63 of the caller's source. The
+// block partition depends only on the shot count, each block reseeds
+// its sub-stream before its first shot, and the tables do not depend on
+// how the chunk builds are grouped across workers, so a fixed caller
+// seed produces an identical outcome stream at any GOMAXPROCS — and no
+// worker ever touches the caller's source, which need not be safe for
+// concurrent use. The sub-streams are recycled Streams, one per worker
+// group of contiguous blocks, reseeded in place.
 
 // sampleBlock is the per-worker shot granularity.
 const sampleBlock = 4096
@@ -53,13 +55,14 @@ type sampler struct {
 	masses  []float64
 	scratch []aliasScratch // one per concurrent build group
 	seeds   []int64
+	subs    []rng.Stream // one per concurrent group of shot blocks
 }
 
 // sample draws shots full-register outcomes from a state stored as
 // chunks re[c], im[c] of 2^k amplitudes, chunk c holding basis states
 // [c·2^k, (c+1)·2^k). The returned slice is freshly allocated and owned
 // by the caller.
-func (s *sampler) sample(re, im [][]float64, k, shots int, rng *rand.Rand) []uint64 {
+func (s *sampler) sample(re, im [][]float64, k, shots int, src rng.Source) []uint64 {
 	if shots <= 0 {
 		return nil
 	}
@@ -68,21 +71,35 @@ func (s *sampler) sample(re, im [][]float64, k, shots int, rng *rand.Rand) []uin
 	nblocks := (shots + sampleBlock - 1) / sampleBlock
 	s.seeds = s.seeds[:0]
 	for b := 0; b < nblocks; b++ {
-		s.seeds = append(s.seeds, rng.Int63())
+		s.seeds = append(s.seeds, src.Int63())
 	}
-	seeds, tables, top := s.seeds, s.tables, &s.top
-	par.Do(nblocks, func(b int) {
-		sub := qrng.New(seeds[b])
-		hi := min(b*sampleBlock+sampleBlock, shots)
-		for i := b * sampleBlock; i < hi; i++ {
+	groups := min(par.Workers(), nblocks)
+	s.subs = slices.Grow(s.subs[:0], groups)[:groups]
+	if groups == 1 {
+		s.drawBlocks(out, k, 0, nblocks, &s.subs[0])
+	} else {
+		par.Do(groups, func(g int) {
+			s.drawBlocks(out, k, g*nblocks/groups, (g+1)*nblocks/groups, &s.subs[g])
+		})
+	}
+	return out
+}
+
+// drawBlocks draws the shots of blocks [lo, hi) into out, reseeding sub
+// from each block's seed.
+func (s *sampler) drawBlocks(out []uint64, k, lo, hi int, sub *rng.Stream) {
+	tables, top := s.tables, &s.top
+	for b := lo; b < hi; b++ {
+		sub.Seed(s.seeds[b])
+		block := out[b*sampleBlock : min(b*sampleBlock+sampleBlock, len(out))]
+		for i := range block {
 			c := 0
 			if len(tables) > 1 {
 				c = top.draw(sub)
 			}
-			out[i] = uint64(c)<<k | uint64(tables[c].draw(sub))
+			block[i] = uint64(c)<<k | uint64(tables[c].draw(sub))
 		}
-	})
-	return out
+	}
 }
 
 // build rebuilds the chunk tables, in one contiguous group of chunks
@@ -193,9 +210,9 @@ func (t *aliasTable) build(w []float64, total float64, sc *aliasScratch) {
 
 // draw returns one outcome: O(1) — one uniform slot pick plus one
 // acceptance test.
-func (t *aliasTable) draw(rng *rand.Rand) int {
-	i := rng.Intn(len(t.prob))
-	if rng.Float64() < t.prob[i] {
+func (t *aliasTable) draw(src *rng.Stream) int {
+	i := src.Intn(len(t.prob))
+	if src.Float64() < t.prob[i] {
 		return i
 	}
 	return int(t.alias[i])

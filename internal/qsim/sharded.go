@@ -2,10 +2,10 @@ package qsim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/par"
+	"qtenon/internal/rng"
 )
 
 // DefaultShardBits sizes production shards at 2^16 amplitudes: 16 of
@@ -117,8 +117,8 @@ func (s *Sharded) Probabilities() []float64 {
 // Sample draws shots full-register outcomes without collapsing the
 // state, through the sampler with the shards as chunks: a top-level
 // draw picks the shard, a per-shard draw the amplitude. A single shard
-// (n ≤ the shard bits) has no top-level draw. rng is only touched on
+// (n ≤ the shard bits) has no top-level draw. src is only touched on
 // the calling goroutine.
-func (s *Sharded) Sample(shots int, rng *rand.Rand) []uint64 {
-	return s.smp.sample(s.re, s.im, s.shardBits, shots, rng)
+func (s *Sharded) Sample(shots int, src rng.Source) []uint64 {
+	return s.smp.sample(s.re, s.im, s.shardBits, shots, src)
 }

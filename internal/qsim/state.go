@@ -32,21 +32,21 @@
 // one sampler (sampler.go).
 //
 // Concurrency contract: a *State is not safe for concurrent use — the
-// internal parallelism is invisible to callers. The *rand.Rand passed to
-// Sample / MeasureQubit must not be shared with other goroutines while
-// the call runs: math/rand sources are not concurrency-safe, and the
-// samplers deliberately derive independent sub-stream seeds from the
-// caller's RNG (a handful of serial draws) rather than locking one
-// shared source across workers.
+// internal parallelism is invisible to callers. The source passed to
+// Sample and the *rng.Stream passed to MeasureQubit must not be shared
+// with other goroutines while the call runs: neither is safe for
+// concurrent use, and the sampler deliberately derives independent
+// sub-stream seeds from the caller's source (a handful of serial draws)
+// rather than locking one shared source across workers.
 package qsim
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/par"
+	"qtenon/internal/rng"
 )
 
 // MaxQubits bounds exact simulation; 2^24 amplitudes (256 MiB) is the
@@ -389,12 +389,12 @@ func (s *State) tiles() (re, im [][]float64, k int) {
 // sampler with the whole array as one chunk. The returned slice is
 // freshly allocated and owned by the caller.
 //
-// rng must not be shared with other goroutines while Sample runs; it is
+// src must not be shared with other goroutines while Sample runs; it is
 // consumed only on the calling goroutine (one seed draw per shot block),
 // and each block samples from an independent derived sub-stream.
-func (s *State) Sample(shots int, rng *rand.Rand) []uint64 {
+func (s *State) Sample(shots int, src rng.Source) []uint64 {
 	s.whole = [2][]float64{s.re, s.im}
-	return s.smp.sample(s.whole[:1], s.whole[1:], s.n, shots, rng)
+	return s.smp.sample(s.whole[:1], s.whole[1:], s.n, shots, src)
 }
 
 // Probabilities returns the measurement distribution over all basis
@@ -411,9 +411,9 @@ func (s *State) Probabilities() []float64 {
 }
 
 // MeasureQubit projects qubit q, returning the outcome bit and collapsing
-// the state. It is used by tests of mid-circuit behaviour. The rng must
-// not be shared with other goroutines while the call runs.
-func (s *State) MeasureQubit(q int, rng *rand.Rand) int {
+// the state. It is used by tests of mid-circuit behaviour. The stream
+// must not be shared with other goroutines while the call runs.
+func (s *State) MeasureQubit(q int, src *rng.Stream) int {
 	re, im := s.re, s.im
 	m := 1 << q
 	p1 := par.SumFloat64(len(re), func(lo, hi int) float64 {
@@ -426,7 +426,7 @@ func (s *State) MeasureQubit(q int, rng *rand.Rand) int {
 		return t
 	})
 	outcome := 0
-	if rng.Float64() < p1 {
+	if src.Float64() < p1 {
 		outcome = 1
 	}
 	var norm float64

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"qtenon/internal/circuit"
+	"qtenon/internal/rng"
 )
 
 const eps = 1e-12
@@ -168,12 +169,12 @@ func TestSampleDistribution(t *testing.T) {
 }
 
 func TestMeasureQubitCollapse(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
+	src := rng.NewStream(9)
 	for trial := 0; trial < 20; trial++ {
 		c := circuit.NewBuilder(2).H(0).CX(0, 1).MustBuild()
 		s, _ := Run(c)
-		b0 := s.MeasureQubit(0, rng)
-		b1 := s.MeasureQubit(1, rng)
+		b0 := s.MeasureQubit(0, src)
+		b1 := s.MeasureQubit(1, src)
 		if b0 != b1 {
 			t.Fatalf("Bell measurement disagreement: %d vs %d", b0, b1)
 		}

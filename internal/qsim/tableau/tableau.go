@@ -14,7 +14,7 @@
 // when every gate passes IsClifford. Measurement follows the CHP
 // branching rule: deterministic outcomes are read off the tableau
 // without consuming randomness; genuinely random outcomes draw one
-// bit from the caller's seeded RNG, so runs are reproducible per seed
+// bit from the caller's seeded source, so runs are reproducible per seed
 // exactly like the dense engine (DESIGN.md §12).
 package tableau
 
@@ -22,9 +22,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"qtenon/internal/circuit"
+	"qtenon/internal/rng"
 )
 
 // MaxQubits bounds the register width. The tableau needs (2n+1)·2n bits
@@ -219,10 +219,12 @@ func (t *Tableau) CZ(a, b int) {
 }
 
 // CliffordAngle reports whether theta is a multiple of π/2 within
-// Tolerance, returning the multiple normalised to {0,1,2,3}.
+// Tolerance, returning the multiple normalised to {0,1,2,3}. The
+// multiple's product is rounded before the difference, so that no
+// GOARCH fuses the two (DESIGN.md §11.2).
 func CliffordAngle(theta float64) (k int, ok bool) {
 	q := math.Round(theta / (math.Pi / 2))
-	if math.Abs(theta-q*(math.Pi/2)) > Tolerance {
+	if math.Abs(theta-float64(q*(math.Pi/2))) > Tolerance {
 		return 0, false
 	}
 	return int(math.Mod(math.Mod(q, 4)+4, 4)), true
@@ -435,14 +437,14 @@ func (t *Tableau) collapse(q, p, outcome int) {
 
 // MeasureQubit measures qubit q in the computational basis, collapsing
 // the state. Deterministic outcomes consume no randomness; random
-// outcomes draw exactly one bit from rng — mid-circuit measurement is
+// outcomes draw exactly one bit from src — mid-circuit measurement is
 // therefore seed-reproducible.
-func (t *Tableau) MeasureQubit(q int, rng *rand.Rand) int {
+func (t *Tableau) MeasureQubit(q int, src rng.Source) int {
 	p := t.randomStabilizer(q)
 	if p < 0 {
 		return t.deterministicOutcome(q)
 	}
-	outcome := int(rng.Int63() & 1)
+	outcome := int(src.Int63() & 1)
 	t.collapse(q, p, outcome)
 	return outcome
 }
@@ -476,15 +478,15 @@ func (t *Tableau) ZExpectationMask(mask uint64) float64 {
 
 // Sample draws `shots` outcome words, measuring every qubit of a fresh
 // working copy per shot (qubit 0 = bit 0; qubits ≥ 64 are measured —
-// advancing the RNG identically for any register width — but fall
+// advancing the stream identically for any register width — but fall
 // outside the 64-bit outcome window, like the other engines).
-func (t *Tableau) Sample(shots int, rng *rand.Rand) []uint64 {
+func (t *Tableau) Sample(shots int, src rng.Source) []uint64 {
 	out := make([]uint64, shots)
-	return t.AppendSample(out[:0], shots, rng)
+	return t.AppendSample(out[:0], shots, src)
 }
 
 // AppendSample appends `shots` outcome words to dst and returns it.
-func (t *Tableau) AppendSample(dst []uint64, shots int, rng *rand.Rand) []uint64 {
+func (t *Tableau) AppendSample(dst []uint64, shots int, src rng.Source) []uint64 {
 	wc := t.sample
 	if wc == nil || wc.n != t.n {
 		wc = &Tableau{
@@ -500,7 +502,7 @@ func (t *Tableau) AppendSample(dst []uint64, shots int, rng *rand.Rand) []uint64
 		wc.copyFrom(t)
 		var v uint64
 		for q := 0; q < t.n; q++ {
-			bit := wc.MeasureQubit(q, rng)
+			bit := wc.MeasureQubit(q, src)
 			if q < 64 && bit == 1 {
 				v |= 1 << uint(q)
 			}

@@ -2,9 +2,9 @@ package qsim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"qtenon/internal/circuit"
+	"qtenon/internal/rng"
 )
 
 // Trajectory is one stochastic execution of a circuit with mid-circuit
@@ -22,7 +22,7 @@ type Trajectory struct {
 // the semantics needed for feed-forward experiments (mid-circuit
 // measurement is the QubiC-2.0-class capability the related-work section
 // discusses; Qtenon's .measure segment delivers exactly these bits).
-func RunTrajectory(c *circuit.Circuit, rng *rand.Rand) (Trajectory, error) {
+func RunTrajectory(c *circuit.Circuit, src *rng.Stream) (Trajectory, error) {
 	if c.NumParams != 0 {
 		return Trajectory{}, fmt.Errorf("qsim: circuit has %d unbound parameters", c.NumParams)
 	}
@@ -35,7 +35,7 @@ func RunTrajectory(c *circuit.Circuit, rng *rand.Rand) (Trajectory, error) {
 	tr := Trajectory{Final: NewState(c.NQubits)}
 	for _, g := range c.Gates {
 		if g.Kind == circuit.Measure {
-			bit := tr.Final.MeasureQubit(g.Qubit, rng)
+			bit := tr.Final.MeasureQubit(g.Qubit, src)
 			tr.Bits = append(tr.Bits, bit)
 			tr.Qubits = append(tr.Qubits, g.Qubit)
 			continue

@@ -2,24 +2,24 @@ package qsim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"qtenon/internal/circuit"
+	"qtenon/internal/rng"
 )
 
 func TestTrajectoryValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	src := rng.NewStream(1)
 	unbound := circuit.NewBuilder(1).RXP(0, 0).MustBuild()
-	if _, err := RunTrajectory(unbound, rng); err == nil {
+	if _, err := RunTrajectory(unbound, src); err == nil {
 		t.Error("accepted unbound circuit")
 	}
 }
 
 func TestTrajectoryRecordsMeasurements(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	src := rng.NewStream(2)
 	c := circuit.NewBuilder(2).X(0).Measure(0).Measure(1).MustBuild()
-	tr, err := RunTrajectory(c, rng)
+	tr, err := RunTrajectory(c, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestTrajectoryRecordsMeasurements(t *testing.T) {
 func TestMidCircuitCollapsePropagates(t *testing.T) {
 	// Measure half a Bell pair mid-circuit: the partner qubit's later
 	// measurement always agrees.
-	rng := rand.New(rand.NewSource(3))
+	src := rng.NewStream(3)
 	c := circuit.NewBuilder(2).H(0).CX(0, 1).Measure(0).Measure(1).MustBuild()
 	zeros, ones := 0, 0
 	for trial := 0; trial < 300; trial++ {
-		tr, err := RunTrajectory(c, rng)
+		tr, err := RunTrajectory(c, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestMidCircuitCollapsePropagates(t *testing.T) {
 // Quantum teleportation with feed-forward: the canonical test that
 // mid-circuit measurement + classically-controlled correction works.
 func TestTeleportation(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	src := rng.NewStream(4)
 	theta, phi := 0.7, 1.1 // arbitrary state to teleport
 
 	for trial := 0; trial < 100; trial++ {
@@ -71,7 +71,7 @@ func TestTeleportation(t *testing.T) {
 			CX(0, 1).H(0).
 			Measure(0).Measure(1).
 			MustBuild()
-		tr, err := RunTrajectory(pre, rng)
+		tr, err := RunTrajectory(pre, src)
 		if err != nil {
 			t.Fatal(err)
 		}

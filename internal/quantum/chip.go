@@ -23,7 +23,6 @@ package quantum
 
 import (
 	"fmt"
-	"math/rand"
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/qsim/engine"
@@ -52,7 +51,7 @@ type Execution struct {
 type Chip struct {
 	nqubits int
 	timing  circuit.Timing
-	rng     *rand.Rand
+	rng     *rng.Stream
 	router  route.Router
 	method  route.Method // last method Execute resolved (Auto before any run)
 	sims    [route.NumMethods]engine.Simulator
@@ -60,7 +59,7 @@ type Chip struct {
 	// noise is the error model; noiseRNG draws its errors and exists
 	// only when noise is enabled.
 	noise    Noise
-	noiseRNG *rand.Rand
+	noiseRNG *rng.Stream
 }
 
 // NewChip returns a chip over n qubits with the paper's gate timing and
@@ -79,12 +78,12 @@ func NewChip(n int, seed int64, noise Noise) (*Chip, error) {
 	chip := &Chip{
 		nqubits: n,
 		timing:  circuit.DefaultTiming(),
-		rng:     rng.New(seed),
+		rng:     rng.NewStream(seed),
 		router:  route.Router{},
 		noise:   noise,
 	}
 	if noise.Enabled() {
-		chip.noiseRNG = rng.New(rng.Derive(seed, 0x5eed))
+		chip.noiseRNG = rng.NewStream(rng.Derive(seed, 0x5eed))
 	}
 	return chip, nil
 }

@@ -20,7 +20,9 @@ import (
 // global op or multi-chunk build; the product surrogate allocates
 // nothing. A case with shots also samples the system's default
 // 500 shots after each Run, which rebuilds the sampler's alias tables
-// into recycled storage. The dense12-shift case runs one gradient-descent
+// into recycled storage and reseeds its recycled sub-stream in place;
+// sampling allocates the outcome slice and its reductions' closures and
+// partial sums, and nothing per block. The dense12-shift case runs one gradient-descent
 // iteration's 73 circuits in the optimizer's order, so most of its Runs
 // resume from the dense engine's prefix checkpoint, whose storage the
 // warm-up allocates once; a Run that saves a checkpoint splits its
@@ -40,7 +42,7 @@ func BenchmarkRunAllocRegression(b *testing.B) {
 		{"dense16", route.Dense, 16, false, 0, 12},
 		{"dense12-shift", route.Dense, 12, true, 0, 97},
 		{"sharded17", route.Sharded, 17, false, 0, 6},
-		{"sharded17+sample", route.Sharded, 17, false, 500, 17},
+		{"sharded17+sample", route.Sharded, 17, false, 500, 14},
 		{"product64", route.Product, 64, false, 0, 0},
 	}
 	for _, tc := range cases {

@@ -60,8 +60,9 @@ func (t Time) String() string {
 }
 
 // FromNanoseconds converts a floating-point nanosecond count to Time,
-// rounding to the nearest picosecond.
-func FromNanoseconds(ns float64) Time { return Time(ns*float64(Nanosecond) + 0.5) }
+// rounding to the nearest picosecond. The product is rounded before the
+// half is added, so that no GOARCH fuses the two (DESIGN.md §11.2).
+func FromNanoseconds(ns float64) Time { return Time(float64(ns*float64(Nanosecond)) + 0.5) }
 
 // Clock converts between cycle counts and simulated time for a component
 // running at a fixed frequency. The zero Clock is invalid; use NewClock.

@@ -14,12 +14,10 @@ package tilelink
 
 import (
 	"fmt"
-	"math/rand"
-
-	"qtenon/internal/rng"
 
 	"qtenon/internal/hw"
 	"qtenon/internal/metrics"
+	"qtenon/internal/rng"
 )
 
 // Config sets bus geometry and latency.
@@ -75,7 +73,7 @@ type inflight struct {
 type Bus struct {
 	cfg  Config
 	tags *hw.TagPool
-	rng  *rand.Rand
+	rng  *rng.Stream
 	now  int64
 	fly  []inflight
 	// ready is a FIFO of completed responses; readyHead indexes the next
@@ -109,7 +107,7 @@ func NewBus(cfg Config) (*Bus, error) {
 	return &Bus{
 		cfg:  cfg,
 		tags: hw.NewTagPool(cfg.Tags),
-		rng:  rng.New(cfg.Seed),
+		rng:  rng.NewStream(cfg.Seed),
 	}, nil
 }
 
