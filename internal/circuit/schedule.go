@@ -77,6 +77,31 @@ func ScheduleASAP(c *Circuit, t Timing) Schedule {
 	return s
 }
 
-// Duration is a convenience wrapper reporting only the critical-path
-// duration of c under t.
-func Duration(c *Circuit, t Timing) sim.Time { return ScheduleASAP(c, t).Duration }
+// Duration reports the critical-path duration of c under t, the
+// Duration of ScheduleASAP(c, t), without building the schedule: it
+// walks the gates keeping only each qubit's free time, on the stack for
+// up to 64 qubits.
+func Duration(c *Circuit, t Timing) sim.Time {
+	var buf [64]sim.Time
+	var free []sim.Time
+	if c.NQubits <= len(buf) {
+		free = buf[:c.NQubits]
+	} else {
+		free = make([]sim.Time, c.NQubits)
+	}
+	var end sim.Time
+	for _, g := range c.Gates {
+		start := free[g.Qubit]
+		two := g.Kind.Arity() == 2
+		if two {
+			start = max(start, free[g.Qubit2])
+		}
+		done := start + t.GateDuration(g.Kind)
+		free[g.Qubit] = done
+		if two {
+			free[g.Qubit2] = done
+		}
+		end = max(end, done)
+	}
+	return end
+}

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"math/rand"
 	"testing"
 
 	"qtenon/internal/sim"
@@ -83,5 +84,48 @@ func TestDurationScalesWithLayers(t *testing.T) {
 	d2 := Duration(two.MustBuild(), tm)
 	if d2 != 2*d1 {
 		t.Errorf("two layers = %v, want double %v", d2, d1)
+	}
+}
+
+// TestDurationMatchesSchedule checks Duration against the end of the
+// full ASAP schedule on random circuits of 1–70 qubits under random gate
+// times, and that it allocates nothing up to 64 qubits, where its
+// per-qubit free times fit its stack buffer.
+func TestDurationMatchesSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(70)
+		c := New(n)
+		for g := rng.Intn(200); g > 0; g-- {
+			k := Kind(rng.Intn(int(numKinds)))
+			q := rng.Intn(n)
+			q2 := q
+			if k.Arity() == 2 {
+				if n == 1 {
+					continue
+				}
+				for q2 == q {
+					q2 = rng.Intn(n)
+				}
+			}
+			c.Gates = append(c.Gates, Gate{Kind: k, Qubit: q, Qubit2: q2, Param: NoParam})
+		}
+		tm := Timing{
+			OneQubit: sim.Time(rng.Intn(50)),
+			TwoQubit: sim.Time(rng.Intn(100)),
+			Measure:  sim.Time(rng.Intn(1000)),
+		}
+		if trial%4 == 0 {
+			tm = DefaultTiming()
+		}
+		want := ScheduleASAP(c, tm).Duration
+		if got := Duration(c, tm); got != want {
+			t.Fatalf("trial %d (%d qubits, %d gates): Duration = %v, schedule says %v", trial, n, len(c.Gates), got, want)
+		}
+		if n <= 64 {
+			if allocs := testing.AllocsPerRun(3, func() { Duration(c, tm) }); allocs != 0 {
+				t.Fatalf("trial %d: Duration allocates %.0f times at %d qubits", trial, allocs, n)
+			}
+		}
 	}
 }

@@ -48,15 +48,15 @@ func PlanBatches(shots, k int) []int {
 	if shots <= 0 || k <= 0 {
 		return nil
 	}
-	var batches []int
-	for shots > 0 {
-		b := k
-		if shots < k {
-			b = shots
-		}
-		batches = append(batches, b)
-		shots -= b
+	n := shots / k
+	if shots%k != 0 {
+		n++
 	}
+	batches := make([]int, n)
+	for i := range batches {
+		batches[i] = k
+	}
+	batches[n-1] = shots - (n-1)*k
 	return batches
 }
 

@@ -38,6 +38,10 @@ func TestPlanBatches(t *testing.T) {
 	if got := PlanBatches(3, 10); len(got) != 1 || got[0] != 3 {
 		t.Errorf("remainder-only plan = %v", got)
 	}
+	// Figure 13's plan, 500 shots at K = 4, is one allocation.
+	if a := testing.AllocsPerRun(5, func() { PlanBatches(500, 4) }); a != 1 {
+		t.Errorf("PlanBatches(500, 4) allocates %.0f times, want 1", a)
+	}
 }
 
 // Property: every shot is transmitted exactly once, no batch exceeds K.

@@ -13,7 +13,12 @@
 // pulses that outlived their SLT entry are still reused.
 package slt
 
-import "qtenon/internal/metrics"
+import (
+	"fmt"
+	"math/bits"
+
+	"qtenon/internal/metrics"
+)
 
 // Geometry and field widths from Table 2 / Figure 7.
 const (
@@ -48,29 +53,109 @@ type entry struct {
 // from 20-bit tag to QAddress. It lives behind datapath ❸ (controller
 // private ↔ host L2), so every access is a DRAM-side transaction the
 // system model charges for.
+//
+// A run populates few of the region's 2^20 entries (about 58 per qubit
+// on Figure 13; an SLT stores only tags that own pulse slots, so never
+// more than the pulse store holds), so the model keeps only those, in
+// an open-addressed table: linear probing from a multiplicative hash of
+// the tag, at most half full, with backward-shift deletion so no
+// tombstone lengthens a probe. The zero QSpace is an empty region. A
+// tag outside the region is a bug in the caller and panics.
 type QSpace struct {
-	slots map[uint32]uint32 // tag → qaddr
+	slots []qslot // len is zero or a power of two
+	shift uint    // 32 − log2(len(slots))
+	n     int     // populated slots
 	// Writebacks counts the evicted mappings stored back.
 	Writebacks int64
 }
 
-// NewQSpace returns an empty region.
-func NewQSpace() *QSpace { return &QSpace{slots: make(map[uint32]uint32)} }
+// qslot is one populated entry; key is tag+1, so the zero slot is empty.
+type qslot struct{ key, qaddr uint32 }
+
+// key maps a tag to its slot key, rejecting tags outside the region.
+func key(tag uint32) uint32 {
+	if tag >= QSpaceEntriesPerQubit {
+		panic(fmt.Sprintf("slt: QSpace tag %#x outside the 2^%d-entry region", tag, TagBits))
+	}
+	return tag + 1
+}
+
+// home is the slot where a key's probe sequence starts.
+func (q *QSpace) home(k uint32) int { return int(k * 0x9e3779b1 >> q.shift) }
+
+// find returns the slot holding k, or the empty slot that ends its probe
+// sequence. The table must be non-empty.
+func (q *QSpace) find(k uint32) int {
+	mask := len(q.slots) - 1
+	i := q.home(k)
+	for q.slots[i].key != k && q.slots[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
 
 // Lookup consults the region for a tag.
 func (q *QSpace) Lookup(tag uint32) (qaddr uint32, ok bool) {
-	qaddr, ok = q.slots[tag]
-	return qaddr, ok
+	k := key(tag)
+	if q.n == 0 {
+		return 0, false
+	}
+	s := q.slots[q.find(k)]
+	return s.qaddr, s.key == k
 }
 
 // Store writes back an evicted mapping.
 func (q *QSpace) Store(tag, qaddr uint32) {
-	q.slots[tag] = qaddr
+	k := key(tag)
 	q.Writebacks++
+	if 2*(q.n+1) > len(q.slots) {
+		q.grow()
+	}
+	i := q.find(k)
+	if q.slots[i].key == 0 {
+		q.n++
+	}
+	q.slots[i] = qslot{k, qaddr}
+}
+
+// grow doubles the table (to 16 slots at first) and reinserts every
+// populated slot.
+func (q *QSpace) grow() {
+	old := q.slots
+	size := max(16, 2*len(old))
+	q.slots = make([]qslot, size)
+	q.shift = 32 - uint(bits.TrailingZeros(uint(size)))
+	for _, s := range old {
+		if s.key != 0 {
+			q.slots[q.find(s.key)] = s
+		}
+	}
 }
 
 // Invalidate removes a mapping (used when its pulse slot is recycled).
-func (q *QSpace) Invalidate(tag uint32) { delete(q.slots, tag) }
+// The entries after it in its probe run shift back over the hole unless
+// that would move one before its home slot.
+func (q *QSpace) Invalidate(tag uint32) {
+	k := key(tag)
+	if q.n == 0 {
+		return
+	}
+	hole := q.find(k)
+	if q.slots[hole].key == 0 {
+		return
+	}
+	q.n--
+	mask := len(q.slots) - 1
+	for j := (hole + 1) & mask; q.slots[j].key != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole when the hole lies on its probe
+		// path, home(j) … j.
+		if (j-q.home(q.slots[j].key))&mask >= (j-hole)&mask {
+			q.slots[hole] = q.slots[j]
+			hole = j
+		}
+	}
+	q.slots[hole] = qslot{}
+}
 
 // Allocator hands out .pulse entry indices for one qubit. When the pulse
 // store wraps, the recycled slot's old parameter mapping must be
@@ -79,14 +164,6 @@ func (q *QSpace) Invalidate(tag uint32) { delete(q.slots, tag) }
 type Allocator struct {
 	capacity int
 	next     int
-}
-
-// NewAllocator returns an allocator over `capacity` pulse entries.
-func NewAllocator(capacity int) *Allocator {
-	if capacity <= 0 {
-		panic("slt: non-positive allocator capacity")
-	}
-	return &Allocator{capacity: capacity}
 }
 
 // Alloc returns the next pulse slot index.
@@ -131,16 +208,21 @@ type Stats struct {
 type SLT struct {
 	ways    int
 	sets    int
-	entries [][]entry // [set][way]
+	entries []entry // set-major: set i holds entries[i*ways : (i+1)*ways]
 	qspace  *QSpace
 	alloc   *Allocator
-	// owner maps pulse slot → tag, so recycled slots invalidate their old
-	// parameter mapping.
-	owner map[uint32]uint32
+	// owner[slot] is the tag whose pulse the slot holds, or noOwner, so a
+	// recycled slot invalidates its old parameter mapping. Slots are
+	// handed out in order, so it grows by append to the pulse store's
+	// size.
+	owner []uint32
 
 	Stats Stats
 	m     instruments
 }
+
+// noOwner marks a pulse slot no tag owns; tags have TagBits bits.
+const noOwner = ^uint32(0)
 
 // instruments are the registry handles one SLT updates alongside its
 // Stats. A bank shares one set of handles across its qubits, so the
@@ -159,32 +241,6 @@ func resolveInstruments(reg *metrics.Registry) instruments {
 	}
 }
 
-// New returns an SLT with the given geometry backed by qspace and alloc.
-// ways and setCount default to the paper's 2×128 via DefaultNew.
-func New(ways, setCount int, qspace *QSpace, alloc *Allocator) *SLT {
-	if ways <= 0 || setCount <= 0 {
-		panic("slt: non-positive geometry")
-	}
-	s := &SLT{
-		ways:    ways,
-		sets:    setCount,
-		entries: make([][]entry, setCount),
-		qspace:  qspace,
-		alloc:   alloc,
-		owner:   make(map[uint32]uint32),
-	}
-	for i := range s.entries {
-		s.entries[i] = make([]entry, ways)
-	}
-	return s
-}
-
-// DefaultNew returns the Table 2 geometry: 2 ways × 128 entries, a fresh
-// QSpace, and an allocator over pulseEntries slots.
-func DefaultNew(pulseEntries int) *SLT {
-	return New(2, 1<<IndexBits, NewQSpace(), NewAllocator(pulseEntries))
-}
-
 // QSpace exposes the backing region (for the system model's DRAM
 // accounting).
 func (s *SLT) QSpace() *QSpace { return s.qspace }
@@ -195,7 +251,8 @@ func (s *SLT) Lookup(typ uint8, data uint32) Result {
 	s.Stats.Lookups++
 	s.m.lookups.Inc()
 	index, tag := Key(typ, data)
-	set := s.entries[int(index)%s.sets]
+	first := int(index) % s.sets * s.ways
+	set := s.entries[first : first+s.ways]
 
 	// ❶ Compare tags across the ways.
 	for w := range set {
@@ -237,15 +294,7 @@ func (s *SLT) Lookup(typ uint8, data uint32) Result {
 		s.Stats.QSpaceHits++
 		s.m.qspaceHits.Inc()
 	} else {
-		slot := uint32(s.alloc.Alloc())
-		if oldTag, used := s.owner[slot]; used {
-			// The pulse store wrapped; the old parameter no longer has a
-			// pulse anywhere. Drop its QSpace mapping and any SLT entry.
-			s.qspace.Invalidate(oldTag)
-			s.invalidateTag(oldTag)
-		}
-		s.owner[slot] = tag
-		qaddr = slot
+		qaddr = uint32(s.takeSlot(tag))
 		outcome = Allocated
 		s.Stats.Allocs++
 		s.m.allocs.Inc()
@@ -262,64 +311,87 @@ func (s *SLT) Lookup(typ uint8, data uint32) Result {
 func (s *SLT) AllocateAlways() uint32 {
 	s.Stats.Lookups++
 	s.m.lookups.Inc()
-	slot := uint32(s.alloc.Alloc())
-	if oldTag, used := s.owner[slot]; used {
-		s.qspace.Invalidate(oldTag)
-		s.invalidateTag(oldTag)
-		delete(s.owner, slot)
-	}
+	slot := s.takeSlot(noOwner)
 	s.Stats.Allocs++
 	s.m.allocs.Inc()
+	return uint32(slot)
+}
+
+// takeSlot allocates a pulse slot for owner (a tag, or noOwner). When
+// the pulse store has wrapped, the slot's old parameter no longer has a
+// pulse anywhere, so its QSpace mapping and any SLT entry holding its
+// tag are dropped.
+func (s *SLT) takeSlot(owner uint32) int {
+	slot := s.alloc.Alloc()
+	for len(s.owner) <= slot {
+		s.owner = append(s.owner, noOwner)
+	}
+	if old := s.owner[slot]; old != noOwner {
+		s.qspace.Invalidate(old)
+		s.invalidateTag(old)
+	}
+	s.owner[slot] = owner
 	return slot
 }
 
 // invalidateTag clears any SLT entry holding the tag (the set index of a
 // tag is not recoverable from the tag alone, so scan; wraps are rare).
 func (s *SLT) invalidateTag(tag uint32) {
-	for si := range s.entries {
-		for w := range s.entries[si] {
-			if s.entries[si][w].valid && s.entries[si][w].tag == tag {
-				s.entries[si][w].valid = false
-			}
+	for i := range s.entries {
+		if s.entries[i].valid && s.entries[i].tag == tag {
+			s.entries[i].valid = false
 		}
 	}
 }
 
 // Reset clears all entries and statistics but keeps QSpace contents.
 func (s *SLT) Reset() {
-	for si := range s.entries {
-		for w := range s.entries[si] {
-			s.entries[si][w] = entry{}
-		}
-	}
+	clear(s.entries)
 	s.Stats = Stats{}
 }
 
-// Bank is the full .slt segment: one SLT per qubit.
+// Bank is the full .slt segment: one SLT per qubit. Its tables, their
+// sets, QSpaces and allocators each come from one bank-wide allocation.
 type Bank struct {
-	tables []*SLT
+	tables []SLT
 }
 
-// NewBank builds a bank of nqubits SLTs, each with its own QSpace and
-// pulse allocator of pulseEntries slots.
+// NewBank builds a bank of nqubits SLTs in the Table 2 geometry (2 ways
+// × 128 sets), each with its own QSpace and pulse allocator of
+// pulseEntries slots.
 func NewBank(nqubits, pulseEntries int) *Bank {
-	b := &Bank{tables: make([]*SLT, nqubits)}
+	if pulseEntries <= 0 {
+		panic("slt: non-positive allocator capacity")
+	}
+	const ways, sets = 2, 1 << IndexBits
+	const per = ways * sets
+	b := &Bank{tables: make([]SLT, nqubits)}
+	entries := make([]entry, nqubits*per)
+	qspaces := make([]QSpace, nqubits)
+	allocs := make([]Allocator, nqubits)
 	for q := range b.tables {
-		b.tables[q] = DefaultNew(pulseEntries)
+		allocs[q].capacity = pulseEntries
+		b.tables[q] = SLT{
+			ways:    ways,
+			sets:    sets,
+			entries: entries[q*per : (q+1)*per : (q+1)*per],
+			qspace:  &qspaces[q],
+			alloc:   &allocs[q],
+		}
 	}
 	return b
 }
 
 // Qubit returns qubit q's SLT.
-func (b *Bank) Qubit(q int) *SLT { return b.tables[q] }
+func (b *Bank) Qubit(q int) *SLT { return &b.tables[q] }
 
 // Instrument attaches every SLT in the bank to a metrics registry with
 // one shared set of handles, so "slt.*" counters report bank-wide
 // totals. Nil registry detaches.
 func (b *Bank) Instrument(reg *metrics.Registry) {
 	m := resolveInstruments(reg)
-	for _, s := range b.tables {
-		s.m = m
+	for q := range b.tables {
+		b.tables[q].m = m
 	}
 }
 
@@ -329,12 +401,13 @@ func (b *Bank) NQubits() int { return len(b.tables) }
 // TotalStats sums statistics across qubits.
 func (b *Bank) TotalStats() Stats {
 	var t Stats
-	for _, s := range b.tables {
-		t.Lookups += s.Stats.Lookups
-		t.Hits += s.Stats.Hits
-		t.QSpaceHits += s.Stats.QSpaceHits
-		t.Allocs += s.Stats.Allocs
-		t.Evictions += s.Stats.Evictions
+	for q := range b.tables {
+		s := &b.tables[q].Stats
+		t.Lookups += s.Lookups
+		t.Hits += s.Hits
+		t.QSpaceHits += s.QSpaceHits
+		t.Allocs += s.Allocs
+		t.Evictions += s.Evictions
 	}
 	return t
 }

@@ -85,10 +85,22 @@ func (r *RBQ) Pending() int { return r.order.Len() }
 // addresses have had their PUT requests issued to the system bus, so the
 // host can query readiness non-blockingly over RoCC (single-cycle) rather
 // than executing a FENCE.
+//
+// It keeps the ranges it was asked to mark, not one entry per address:
+// the machine marks the same batch range on every evaluation and only
+// tests query, so marking costs one comparison per kept range and Query
+// walks the ranges.
 type Barrier struct {
-	synced map[uint64]bool
+	spans []span
 
 	cQueries *metrics.Counter
+}
+
+// span is one marked range: the n addresses addr + i·stride for
+// 0 ≤ i < n, wrapping modulo 2^64.
+type span struct {
+	addr, stride uint64
+	n            int
 }
 
 // Instrument attaches the barrier to a metrics registry: every Query
@@ -98,26 +110,43 @@ func (b *Barrier) Instrument(reg *metrics.Registry) {
 }
 
 // NewBarrier returns an empty barrier.
-func NewBarrier() *Barrier { return &Barrier{synced: make(map[uint64]bool)} }
+func NewBarrier() *Barrier { return &Barrier{} }
 
 // MarkSynced records that the write covering addr has been sent through
 // the system bus.
-func (b *Barrier) MarkSynced(addr uint64) { b.synced[addr] = true }
+func (b *Barrier) MarkSynced(addr uint64) { b.MarkRange(addr, 1, 0) }
 
 // MarkRange marks a contiguous range [addr, addr+n*stride) at the given
-// stride.
+// stride. A range already kept is not kept twice.
 func (b *Barrier) MarkRange(addr uint64, n int, stride uint64) {
-	for i := 0; i < n; i++ {
-		b.synced[addr+uint64(i)*stride] = true
+	if n <= 0 {
+		return
 	}
+	if n == 1 || stride == 0 {
+		n, stride = 1, 0
+	}
+	s := span{addr, stride, n}
+	for _, kept := range b.spans {
+		if kept == s {
+			return
+		}
+	}
+	b.spans = append(b.spans, s)
 }
 
 // Query reports whether addr is synchronized. Non-blocking; counts one
 // query transaction.
 func (b *Barrier) Query(addr uint64) bool {
 	b.cQueries.Inc()
-	return b.synced[addr]
+	for _, s := range b.spans {
+		for i := 0; i < s.n; i++ {
+			if s.addr+uint64(i)*s.stride == addr {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Reset clears all synchronization state (new iteration).
-func (b *Barrier) Reset() { b.synced = make(map[uint64]bool) }
+func (b *Barrier) Reset() { b.spans = b.spans[:0] }

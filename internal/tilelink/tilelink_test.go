@@ -214,6 +214,68 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
+// TestBarrierMatchesMap drives the barrier and a map of every marked
+// address with random MarkSynced, MarkRange, Query and Reset calls:
+// ranges of n ≤ 0, stride 0, strides that wrap i·stride past 2^64, and
+// bases near 2^64 whose addresses wrap to the bottom of the space.
+func TestBarrierMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	strides := []uint64{0, 1, 8, 64, 1 << 32, 1 << 63, 1<<63 + 1, ^uint64(0), 0x9e3779b97f4a7c15}
+	bases := []uint64{0, 0x9000_0000, ^uint64(0), ^uint64(0) - 40}
+	addr := func() uint64 {
+		switch rng.Intn(3) {
+		case 0:
+			return bases[rng.Intn(len(bases))] + uint64(rng.Intn(96))
+		case 1:
+			return bases[rng.Intn(len(bases))] - uint64(rng.Intn(96))
+		}
+		return rng.Uint64()
+	}
+	for trial := 0; trial < 200; trial++ {
+		b := NewBarrier()
+		reg := metrics.NewRegistry()
+		b.Instrument(reg)
+		want := map[uint64]bool{}
+		var marked []uint64
+		queries := int64(0)
+		for op := 0; op < 60; op++ {
+			switch k := rng.Intn(10); {
+			case k == 0:
+				b.Reset()
+				want = map[uint64]bool{}
+			case k <= 2:
+				a := addr()
+				b.MarkSynced(a)
+				want[a] = true
+				marked = append(marked, a)
+			case k <= 5:
+				a, n := addr(), rng.Intn(24)-3
+				stride := strides[rng.Intn(len(strides))]
+				if rng.Intn(2) == 0 {
+					stride = uint64(rng.Intn(32))
+				}
+				b.MarkRange(a, n, stride)
+				for i := 0; i < n; i++ {
+					want[a+uint64(i)*stride] = true
+					marked = append(marked, a+uint64(i)*stride)
+				}
+			default:
+				a := addr()
+				if len(marked) > 0 && rng.Intn(2) == 0 {
+					a = marked[rng.Intn(len(marked))] + uint64(rng.Intn(3)) - 1
+				}
+				queries++
+				if got := b.Query(a); got != want[a] {
+					t.Fatalf("trial %d op %d: Query(%#x) = %v, map says %v", trial, op, a, got, want[a])
+				}
+			}
+		}
+		if got := reg.Counter("tilelink.barrier_queries").Value(); got != queries {
+			t.Fatalf("trial %d: barrier_queries = %d, want %d", trial, got, queries)
+		}
+	}
+}
+
 func TestTransferReadInOrder(t *testing.T) {
 	bus, _ := NewBus(DefaultConfig())
 	rbq := NewRBQ(32, 8, 4096)
