@@ -250,8 +250,10 @@ func expectStr(st *qsim.State, s Str) float64 {
 
 // termChunk is the number of strings whose odd-parity counts one pass
 // over the outcomes gathers. Their masks and counts live in stack
-// arrays of this length, so an estimate allocates nothing.
-const termChunk = 128
+// arrays of this length, so an estimate allocates nothing. It covers
+// the 64-qubit VQE cost's 250 terms, so that cost transposes each block
+// of 64 shots once.
+const termChunk = 256
 
 // oddCounts sets odd[i] to the number of outcomes whose bits under
 // masks[i] have odd parity, for each i < len(masks). It copies each block

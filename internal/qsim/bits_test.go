@@ -27,12 +27,12 @@ const amplitudeBitsDigest uint64 = 0xe06c12cf05a90a33
 //
 // The digest holds on amd64 only. The engines round every product
 // that feeds a sum explicitly, so their own arithmetic is the same on
-// every GOARCH; but their gate matrices come from math.Sincos, Sin and
-// Cos, whose pure-Go kernels arm64 compiles with fused multiply-adds,
-// which round once where amd64 rounds twice (DESIGN.md §11.2).
+// every GOARCH; but their gate matrices come from math.Sincos, whose
+// pure-Go kernel arm64 compiles with fused multiply-adds, which round
+// once where amd64 rounds twice (DESIGN.md §11.2).
 func TestAmplitudeBitsFrozen(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skipf("digest recorded on amd64; %s may fuse multiply-adds in math.Sincos, Sin and Cos", runtime.GOARCH)
+		t.Skipf("digest recorded on amd64; %s may fuse multiply-adds in math.Sincos", runtime.GOARCH)
 	}
 	h := fnv.New64a()
 	var word [8]byte

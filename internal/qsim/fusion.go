@@ -14,6 +14,14 @@ func expI(x float64) complex128 {
 	return complex(c, s)
 }
 
+// expIPair returns e^{−ix} and e^{ix} from one Sincos, bit for bit
+// expI(−x) and expI(x) for every finite x: Sincos strips the sign
+// first, so Sincos(−x) is (−sin x, cos x) (DESIGN.md §11.2).
+func expIPair(x float64) (neg, pos complex128) {
+	s, c := math.Sincos(x)
+	return complex(c, -s), complex(c, s)
+}
+
 func panicUnsupported(g circuit.Gate) {
 	panic(fmt.Sprintf("qsim: unsupported gate kind %v", g.Kind))
 }
@@ -240,7 +248,7 @@ func fuse(gates []circuit.Gate, f *fuser) []fusedOp {
 				f: [4]complex128{1, 1, 1, -1},
 			}, g.Qubit, g.Qubit2)
 		case circuit.RZZ:
-			e0, e1 := expI(-g.Theta/2), expI(g.Theta/2)
+			e0, e1 := expIPair(g.Theta / 2)
 			lo, hi := minMax(g.Qubit, g.Qubit2)
 			f.addDiag(diagTerm{
 				sA: lo, sB: hi,

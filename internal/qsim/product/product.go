@@ -76,12 +76,16 @@ func expI(x float64) complex128 {
 	return complex(c, s)
 }
 
+// rz takes both phases from one Sincos: Sincos(−x) is (−sin x, cos x)
+// bit for bit for every finite x, since Sincos strips the sign first
+// (DESIGN.md §11.2).
 func (ps *State) rz(q int, theta float64) {
-	ps.apply1Q(q, expI(-theta/2), 0, 0, expI(theta/2))
+	s, c := math.Sincos(theta / 2)
+	ps.apply1Q(q, complex(c, -s), 0, 0, complex(c, s))
 }
 
 func (ps *State) rx(q int, theta float64) {
-	c, s := math.Cos(theta/2), math.Sin(theta/2)
+	s, c := math.Sincos(theta / 2)
 	ps.apply1Q(q, complex(c, 0), complex(0, -s), complex(0, -s), complex(c, 0))
 }
 
@@ -105,7 +109,7 @@ func (ps *State) Apply(g circuit.Gate) {
 	case circuit.RX:
 		ps.rx(g.Qubit, g.Theta)
 	case circuit.RY:
-		c, s := math.Cos(g.Theta/2), math.Sin(g.Theta/2)
+		s, c := math.Sincos(g.Theta / 2)
 		ps.apply1Q(g.Qubit, complex(c, 0), complex(-s, 0), complex(s, 0), complex(c, 0))
 	case circuit.RZ:
 		ps.rz(g.Qubit, g.Theta)
@@ -151,10 +155,11 @@ func (ps *State) Run(c *circuit.Circuit) error {
 //
 // The draws are those of src.Float64() < P1(q), shot-major and
 // qubit-minor, made with integers: each draw is an Int63 x, drawn again
-// while x ≥ redraw (where Float64 would round to 1 and draw again), and
-// the bit is set when x < threshold(P1(q)), branch-free. Each shot
-// reads its first min(n, 64) draws as one block; a block that holds a
-// draw at or above redraw (about 2⁻⁵⁴ per draw) is redone with scalar
+// while x ≥ rng.Redraw (where Float64 would round to 1 and draw again),
+// and the bit is set when x < threshold(P1(q)), branch-free. Each shot
+// reads its first min(n, 64) draws as one rng.Below block, which
+// compares them as the stream draws them; a block that holds a draw at
+// or above rng.Redraw (about 2⁻⁵⁴ per draw) is redone with scalar
 // redraws. DESIGN.md §14 gives the argument;
 // TestSampleMatchesFloat64Draw checks the words.
 func (ps *State) Sample(shots int, src rng.Source) []uint64 {
@@ -167,16 +172,9 @@ func (ps *State) Sample(shots int, src rng.Source) []uint64 {
 	out := make([]uint64, shots)
 	var x [64]int64
 	for s := range out {
-		xs := x[:len(ks)]
-		rng.Read63(src, xs)
-		var v uint64
-		all := int64(-1) // keeps its sign bit while every draw is below redraw
-		for q, kq := range ks {
-			v |= uint64(xs[q]-kq) >> 63 << q
-			all &= xs[q] - redraw
-		}
-		if all >= 0 {
-			v = redo(xs, ks, src)
+		v, ok := rng.Below(src, ks, &x)
+		if !ok {
+			v = redo(x[:len(ks)], ks, src)
 		}
 		// Qubits past the word still advance the stream: read them in
 		// blocks, one more draw for each one Float64 would discard.
@@ -184,7 +182,7 @@ func (ps *State) Sample(shots int, src rng.Source) []uint64 {
 			xs := x[:min(rest, 64)]
 			rng.Read63(src, xs)
 			for _, xq := range xs {
-				if xq < redraw {
+				if xq < rng.Redraw {
 					rest--
 				}
 			}
@@ -195,14 +193,15 @@ func (ps *State) Sample(shots int, src rng.Source) []uint64 {
 }
 
 // redo returns the outcome word of a shot whose block xs holds a draw
-// at or above redraw: it takes the block's draws in order, skips each
-// such draw, and reads one more from src for every draw it skipped.
+// at or above rng.Redraw: it takes the block's draws in order, skips
+// each such draw, and reads one more from src for every draw it
+// skipped.
 func redo(xs, ks []int64, src rng.Source) uint64 {
 	var v uint64
 	j := 0
 	for q, kq := range ks {
-		x := int64(redraw)
-		for x >= redraw {
+		x := int64(rng.Redraw)
+		for x >= rng.Redraw {
 			if j < len(xs) {
 				x = xs[j]
 				j++
@@ -215,29 +214,24 @@ func redo(xs, ks []int64, src rng.Source) uint64 {
 	return v
 }
 
-// redraw is the least Int63 that math/rand's Float64 rounds to 1 and so
-// draws again: float64(x)/2⁶³ == 1 exactly when x ≥ 2⁶³−512, since
-// float64 spacing below 2⁶³ is 1024 and a tie rounds to even.
-const redraw = 1<<63 - 512
-
-// threshold returns the least x in [0, redraw] with
+// threshold returns the least x in [0, rng.Redraw] with
 // !(float64(x)/2⁶³ < p), so that for every accepted draw x,
 // float64(x)/2⁶³ < p exactly when x < threshold(p). Rounding to float64
 // is monotone, so the predicate holds on a prefix and bisection finds
 // its end exactly. p ≤ 0 and NaN give 0 (never set); p ≥ 1 gives
-// redraw (always set).
+// rng.Redraw (always set).
 func threshold(p float64) int64 {
 	switch {
 	case !(p > 0):
 		return 0
 	case p >= 1:
-		return redraw
+		return rng.Redraw
 	}
 	// p·2⁶³ is exact and below 2⁶³, and rounding below 2⁶³ moves a value
 	// by at most 512, so the end lies within 1024 of c: 11 steps find it.
 	// The upper end is clamped before adding, since c can be 2⁶³−1024.
 	c := int64(p * (1 << 63))
-	lo, hi := max(c-1024, 0), min(c, redraw-1024)+1024
+	lo, hi := max(c-1024, 0), min(c, rng.Redraw-1024)+1024
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		if float64(mid)/(1<<63) < p {

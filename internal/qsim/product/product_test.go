@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"qtenon/internal/circuit"
 	"qtenon/internal/rng"
+	"qtenon/internal/vqa"
 )
 
 // sampleFloat64 is Sample as it was written before the integer
@@ -144,6 +146,45 @@ func TestSampleMatchesFloat64Draw(t *testing.T) {
 	}
 }
 
+// TestRotationsMatchOldMatrices holds RX, RY and RZ, which now make one
+// math.Sincos call, to the matrices they applied before, bit for bit:
+// RX and RY from math.Cos and math.Sin, RZ from Sincos at −θ/2 and at
+// θ/2. The angles are ±0, subnormals, multiples of π/4, angles whose
+// half is past 2²⁹ (math's trigReduce path) and random ones.
+func TestRotationsMatchOldMatrices(t *testing.T) {
+	th := []float64{0, math.Copysign(0, -1), 5e-324, 0x1p-1022, 0x1p30, 0x1p30 + 2, 1e15, 1e300, math.MaxFloat64}
+	for k := -64; k <= 64; k++ {
+		th = append(th, float64(k)*math.Pi/4)
+	}
+	r := rand.New(rand.NewSource(31))
+	for range 20000 {
+		th = append(th, (r.Float64()*2-1)*4*math.Pi, (r.Float64()*2-1)*1000)
+	}
+	same := func(x, y complex128) bool {
+		return math.Float64bits(real(x)) == math.Float64bits(real(y)) && math.Float64bits(imag(x)) == math.Float64bits(imag(y))
+	}
+	for _, x := range th {
+		for _, theta := range []float64{x, -x} {
+			c, s := math.Cos(theta/2), math.Sin(theta/2)
+			old := map[circuit.Kind][4]complex128{
+				circuit.RX: {complex(c, 0), complex(0, -s), complex(0, -s), complex(c, 0)},
+				circuit.RY: {complex(c, 0), complex(-s, 0), complex(s, 0), complex(c, 0)},
+				circuit.RZ: {expI(-theta / 2), 0, 0, expI(theta / 2)},
+			}
+			for k, m := range old {
+				got, want := New(1), New(1)
+				got.a[0], got.b[0] = complex(0.6, -0.2), complex(0.3, 0.7)
+				want.a[0], want.b[0] = got.a[0], got.b[0]
+				got.Apply(circuit.Gate{Kind: k, Theta: theta})
+				want.apply1Q(0, m[0], m[1], m[2], m[3])
+				if !same(got.a[0], want.a[0]) || !same(got.b[0], want.b[0]) {
+					t.Fatalf("%v(%v): amplitudes %v %v, before %v %v", k, theta, got.a[0], got.b[0], want.a[0], want.b[0])
+				}
+			}
+		}
+	}
+}
+
 // FuzzSampleThreshold requires x < threshold(p) to hold exactly when
 // math/rand's Float64 would return float64(x)/2⁶³ < p, for every float64
 // p and every draw x that Float64 does not discard.
@@ -151,9 +192,9 @@ func FuzzSampleThreshold(f *testing.F) {
 	for _, p := range []float64{0, math.Copysign(0, -1), 0.5, 1, math.Nextafter(1, 2), math.Nextafter(1, 0),
 		math.NaN(), math.Inf(1), math.Inf(-1), -0.5, 5e-324, 0x1p-63, 0x1p-64} {
 		f.Add(math.Float64bits(p), int64(0))
-		f.Add(math.Float64bits(p), int64(redraw-1))
+		f.Add(math.Float64bits(p), int64(rng.Redraw-1))
 	}
-	for _, x := range []int64{1, 1 << 52, 1<<53 + 1, 1<<62 + 511, 1<<62 + 513, redraw - 1024, redraw - 1} {
+	for _, x := range []int64{1, 1 << 52, 1<<53 + 1, 1<<62 + 511, 1<<62 + 513, rng.Redraw - 1024, rng.Redraw - 1} {
 		p := float64(x) / (1 << 63)
 		for _, q := range []float64{p, math.Nextafter(p, 0), math.Nextafter(p, 2)} {
 			for d := int64(-2); d <= 2; d++ {
@@ -163,7 +204,7 @@ func FuzzSampleThreshold(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, pbits uint64, x int64) {
 		p := math.Float64frombits(pbits)
-		x = (x & math.MaxInt64) % redraw // a draw Float64 does not discard
+		x = (x & math.MaxInt64) % rng.Redraw // a draw Float64 does not discard
 		k := threshold(p)
 		if got, want := x < k, float64(x)/(1<<63) < p; got != want {
 			t.Fatalf("p=%v x=%d: x < threshold (%d) is %v, Float64 test is %v", p, x, k, got, want)
@@ -173,8 +214,28 @@ func FuzzSampleThreshold(f *testing.F) {
 		if k > 0 && !(float64(k-1)/(1<<63) < p) {
 			t.Fatalf("p=%v: draw %d below threshold fails the Float64 test", p, k-1)
 		}
-		if k < redraw && float64(k)/(1<<63) < p {
+		if k < rng.Redraw && float64(k)/(1<<63) < p {
 			t.Fatalf("p=%v: draw at threshold %d passes the Float64 test", p, k)
 		}
 	})
+}
+
+// BenchmarkSample64q measures one 500-shot Sample of Figure 13's
+// 64-qubit VQE state at its initial parameters, from an rng.Stream, as
+// the chip samples it on every evaluation.
+func BenchmarkSample64q(b *testing.B) {
+	w, err := vqa.New(vqa.VQE, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ps := New(64)
+	if err := ps.Run(w.Circuit.Bind(w.InitialParams)); err != nil {
+		b.Fatal(err)
+	}
+	src := rng.NewStream(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ps.Sample(500, src)
+	}
 }

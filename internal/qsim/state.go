@@ -266,13 +266,14 @@ func gateMatrix1Q(g circuit.Gate) (m [4]complex128, ok bool) {
 	case circuit.T:
 		return [4]complex128{1, 0, 0, expI(math.Pi / 4)}, true
 	case circuit.RX:
-		c, sn := math.Cos(g.Theta/2), math.Sin(g.Theta/2)
+		sn, c := math.Sincos(g.Theta / 2)
 		return [4]complex128{complex(c, 0), complex(0, -sn), complex(0, -sn), complex(c, 0)}, true
 	case circuit.RY:
-		c, sn := math.Cos(g.Theta/2), math.Sin(g.Theta/2)
+		sn, c := math.Sincos(g.Theta / 2)
 		return [4]complex128{complex(c, 0), complex(-sn, 0), complex(sn, 0), complex(c, 0)}, true
 	case circuit.RZ:
-		return [4]complex128{expI(-g.Theta / 2), 0, 0, expI(g.Theta / 2)}, true
+		e0, e1 := expIPair(g.Theta / 2)
+		return [4]complex128{e0, 0, 0, e1}, true
 	default:
 		return m, false
 	}

@@ -13,7 +13,8 @@
 // every seed, NewStream(seed) draws exactly what
 // rand.New(rand.NewSource(seed)) draws, call for call (DESIGN.md §14.5).
 // Owning it lets the hot paths call it as a concrete type, fill blocks
-// of draws at once (Read63) and reseed a stream in place, none of which
+// of draws at once (Read63), compare a block against thresholds as it
+// is drawn (Below) and reseed a stream in place, none of which
 // math/rand's interface-typed Rand allows.
 //
 // Source is the one-method view a sampler reads, Int63; *Stream and
@@ -158,6 +159,54 @@ func (s *Stream) read63(dst []int64) {
 	}
 }
 
+// below is Below on a Stream: it adds the two lagged runs as read63
+// does and folds each sum into the word and the redraw check in the
+// same loop, writing no buffer. A feed word is next rewritten length
+// draws after it is written and next read as a tap lag draws after, so
+// a block of at most 64 draws leaves its own draws in its feed words:
+// the slow path re-reads them from there into xs.
+func (s *Stream) below(ks []int64, xs []int64) (v uint64, ok bool) {
+	var over int64 // takes the sign bit of x+512, set when x ≥ Redraw
+	for k := ks; len(k) > 0; {
+		m := min(len(k), length-s.feed, length-s.tap)
+		f := s.vec[s.feed : s.feed+m]
+		t := s.vec[s.tap:][:len(f)]
+		kf := k[:len(f)]
+		for i := range f {
+			x := f[i] + t[i]
+			f[i] = x
+			x &= mask
+			v = v>>1 | uint64(x-kf[i])>>63<<63
+			over |= x + (1<<63 - Redraw)
+		}
+		k = k[m:]
+		if s.feed += m; s.feed == length {
+			s.feed = 0
+		}
+		if s.tap += m; s.tap == length {
+			s.tap = 0
+		}
+	}
+	if over < 0 {
+		f := s.feed - len(xs)
+		if f < 0 {
+			f += length
+		}
+		for i := range xs {
+			xs[i] = s.vec[f] & mask
+			if f++; f == length {
+				f = 0
+			}
+		}
+	}
+	return v, over >= 0
+}
+
+// Redraw is the least Int63 that Float64 rounds to 1 and so draws
+// again: float64(x)/2⁶³ == 1 exactly when x ≥ 2⁶³−512, since float64
+// spacing below 2⁶³ is 1024 and a tie rounds to even.
+const Redraw = 1<<63 - 512
+
 // Float64 returns a draw in [0, 1): the next Int63 over 2⁶³, drawn
 // again when that rounds to 1.
 func (s *Stream) Float64() float64 {
@@ -246,7 +295,8 @@ type Source interface {
 
 // Read63 fills dst with src's next len(dst) draws, in order: from a
 // *Stream in contiguous runs, from any other Source one Int63 at a
-// time. This is the one place a path is picked by the source's type.
+// time. It and Below are the only places that pick a path by the
+// source's type.
 func Read63(src Source, dst []int64) {
 	if s, ok := src.(*Stream); ok {
 		s.read63(dst)
@@ -255,6 +305,32 @@ func Read63(src Source, dst []int64) {
 	for i := range dst {
 		dst[i] = src.Int63()
 	}
+}
+
+// Below reads src's next len(ks) draws, for len(ks) ≤ 64 and each
+// ks[q] in [0, Redraw], and returns the word whose bit q is set when
+// draw q is below ks[q]. ok is false when some draw is at or above
+// Redraw, one that Float64 would discard; xs[:len(ks)] then holds the
+// block's draws, in order, for the caller to redo. From a *Stream the
+// compare and the check run inside the lagged-Fibonacci loop, and xs
+// is written only when ok is false; any other Source is read one Int63
+// at a time into xs. Each bit enters at the top of the word, which is
+// shifted into place once at the end.
+func Below(src Source, ks []int64, xs *[64]int64) (word uint64, ok bool) {
+	d := xs[:len(ks)]
+	if s, isStream := src.(*Stream); isStream {
+		word, ok = s.below(ks, d)
+	} else {
+		var over int64
+		for i, k := range ks {
+			x := src.Int63()
+			d[i] = x
+			word = word>>1 | uint64(x-k)>>63<<63
+			over |= x + (1<<63 - Redraw)
+		}
+		ok = over >= 0
+	}
+	return word >> (64 - len(ks)), ok
 }
 
 // New returns rand.New(rand.NewSource(seed)), the math/rand stream

@@ -205,13 +205,21 @@ func (s *script) Int63() int64 {
 
 func (s *script) Seed(int64) {}
 
+// Plant sets s's draw i places ahead to x, for 0 ≤ x ≤ 2⁶³−1 and
+// i < lag: that draw adds tap word tap+i, which no draw before it
+// writes, into feed word feed+i, which no draw before it reads. It
+// reaches draws a seeded stream never makes, such as those at or above
+// Redraw; the external tests use it too.
+func Plant(s *Stream, i int, x int64) {
+	s.vec[(s.feed+i)%length] = x - s.vec[(s.tap+i)%length]
+}
+
 // primed returns a Stream whose next len(vals) draws are vals, for at
-// most lag values: right after seeding, draw i adds word i into word
-// lag+i, and no draw before it has written either word.
+// most lag values.
 func primed(vals []int64) *Stream {
 	s := NewStream(1)
 	for i, v := range vals {
-		s.vec[s.feed+i] = v - s.vec[s.tap+i]
+		Plant(s, i, v)
 	}
 	return s
 }
@@ -341,6 +349,80 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 	})
 }
 
+// int63Only is a Source that is not a *Stream, so Below reads it one
+// Int63 at a time.
+type int63Only struct{ s *Stream }
+
+func (o int63Only) Int63() int64 { return o.s.Int63() }
+
+// FuzzBelowMatchesRead63 holds Below to Read63 plus a scalar compare:
+// the word, ok, the draws left in xs when ok is false, and the stream's
+// position afterwards, on a *Stream and through a plain Source. The
+// stream is advanced 0–606 draws first, so blocks of 1–64 draws start
+// anywhere and straddle the feed or tap index wrap. Thresholds are 0,
+// Redraw, a draw itself and the value above it, and random. plant can
+// put one draw at Redraw−1, Redraw or 2⁶³−1, which a seeded stream
+// never draws, at any block position: bits 0–5 pick the position and
+// bits 6–7 the value, 0 for none.
+func FuzzBelowMatchesRead63(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint8(63), int64(1), uint8(0))
+	f.Add(int64(-5), uint16(300), uint8(63), int64(2), uint8(2<<6|40))
+	f.Add(int64(lcgMod), uint16(570), uint8(63), int64(3), uint8(3<<6|50))
+	f.Add(int64(7), uint16(606), uint8(0), int64(4), uint8(2<<6))
+	f.Add(int64(8), uint16(543), uint8(31), int64(5), uint8(1<<6|20))
+	f.Fuzz(func(t *testing.T, seed int64, advance uint16, n uint8, kseed int64, plant uint8) {
+		s := NewStream(seed)
+		var d [64]int64
+		for a := int(advance) % length; a > 0; a -= 64 {
+			Read63(s, d[:min(a, 64)])
+		}
+		m := 1 + int(n)%64
+		if pos, v := int(plant&63), plant>>6; v != 0 && pos < m {
+			Plant(s, pos, []int64{Redraw - 1, Redraw, mask}[v-1])
+		}
+		want := *s
+		Read63(&want, d[:m])
+		r := rand.New(rand.NewSource(kseed))
+		ks := make([]int64, m)
+		var word uint64
+		ok := true
+		for q := range ks {
+			switch r.Intn(5) {
+			case 0:
+			case 1:
+				ks[q] = Redraw
+			case 2:
+				ks[q] = min(d[q], Redraw)
+			case 3:
+				ks[q] = min(d[q], Redraw-1) + 1
+			default:
+				ks[q] = r.Int63n(Redraw + 1)
+			}
+			if d[q] < ks[q] {
+				word |= 1 << q
+			}
+			ok = ok && d[q] < Redraw
+		}
+		slow := *s
+		for _, src := range []Source{s, int63Only{&slow}} {
+			var xs [64]int64
+			got, gotOK := Below(src, ks, &xs)
+			if got != word || gotOK != ok {
+				t.Fatalf("%T, %d draws: Below = %#x, %v; want %#x, %v", src, m, got, gotOK, word, ok)
+			}
+			if !ok && !slices.Equal(xs[:m], d[:m]) {
+				t.Fatalf("%T: xs = %v, want %v", src, xs[:m], d[:m])
+			}
+		}
+		for i := range length + 1 {
+			x, y, w := s.Int63(), slow.Int63(), want.Int63()
+			if x != w || y != w {
+				t.Fatalf("draw %d after Below: %d on the Stream, %d through Source, want %d", i, x, y, w)
+			}
+		}
+	})
+}
+
 // BenchmarkSeed reseeds one stream in place.
 func BenchmarkSeed(b *testing.B) {
 	s := NewStream(1)
@@ -355,5 +437,18 @@ func BenchmarkRead63(b *testing.B) {
 	var buf [64]int64
 	for i := 0; i < b.N; i++ {
 		Read63(s, buf[:])
+	}
+}
+
+// BenchmarkBelow compares one product-sampler shot, 64 draws, per op.
+func BenchmarkBelow(b *testing.B) {
+	s := NewStream(1)
+	var ks [64]int64
+	for q := range ks {
+		ks[q] = int64(q) << 56
+	}
+	var xs [64]int64
+	for i := 0; i < b.N; i++ {
+		Below(s, ks[:], &xs)
 	}
 }

@@ -92,10 +92,17 @@ type Analysis struct {
 }
 
 // Analyze scans a circuit once. A Measure is mid-circuit when a later
-// non-Measure gate touches the same qubit.
+// non-Measure gate touches the same qubit. The measured flags live on
+// the stack for up to 64 qubits.
 func Analyze(c *circuit.Circuit) Analysis {
 	a := Analysis{NQubits: c.NQubits, Gates: len(c.Gates)}
-	measured := make([]bool, c.NQubits)
+	var buf [64]bool
+	var measured []bool
+	if c.NQubits <= len(buf) {
+		measured = buf[:c.NQubits]
+	} else {
+		measured = make([]bool, c.NQubits)
+	}
 	for _, g := range c.Gates {
 		if g.Kind == circuit.Measure {
 			measured[g.Qubit] = true

@@ -12,20 +12,22 @@ import (
 // make. It is the measured count of the 12-qubit/100-shot evaluation:
 // fresh Outcomes and the batch plan remain by design, 1 is the dense
 // engine's Run, which internal/route's BenchmarkRunAllocRegression pins
-// on its own, and the rest are the event engine's closures. No tag maps
-// are left: the SLT's only amortized growth is its QSpace tables and
-// pulse-slot owner slices, which the fewest-over-windows rule below
-// absorbs. Losing any scratch buffer (statevector, alias table,
-// sub-stream, regfile image, diff plan, RBQ data), or one new
-// allocation per kernel call, trips it.
-const evaluateAllocCeiling = 10
+// on its own, and the rest are the event engine's closures. The
+// router's circuit analysis keeps its flags on the stack up to 64
+// qubits, and no tag maps are left: the SLT's only amortized growth is
+// its QSpace tables and pulse-slot owner slices, which the
+// fewest-over-windows rule below absorbs. Losing any scratch buffer
+// (statevector, alias table, sub-stream, regfile image, diff plan, RBQ
+// data), or one new allocation per kernel call, trips it.
+const evaluateAllocCeiling = 9
 
 // spsaEvaluateAllocCeiling is the measured count of a 64-qubit/500-shot
 // Evaluate in which every parameter moves, as under SPSA (Figure 13):
 // the SLT misses on nearly every gate, so each call writes back, looks
 // up and allocates pulse slots on all 64 qubits, and none of that may
-// allocate once the tables are grown.
-const spsaEvaluateAllocCeiling = 8
+// allocate once the tables are grown, nor may the router's analysis of
+// the 64-qubit circuit.
+const spsaEvaluateAllocCeiling = 7
 
 // BenchmarkEvaluateAllocRegression fails the build when a warmed-up cost
 // evaluation starts allocating like the arenas are gone. CI runs it via
