@@ -22,57 +22,108 @@ import "qtenon/internal/par"
 // qubit at or above k selects. Grouping never reorders ops, and no
 // kernel's arithmetic depends on k, so the amplitudes are the same bits
 // at any chunk size and any worker count.
+//
+// An op before the end of the program's real prefix finds every
+// imaginary part ±0, as the build or the checkpoint wrote it, and
+// leaves it so: the executor passes the real pair kernel, the real
+// butterfly and the sign sweeps a nil im, and they sweep re alone
+// (DESIGN.md §11.3). Those kernels update re and im independently, so
+// skipping im leaves re's bits as they were. The CX swaps do no
+// arithmetic and keep both arrays.
 
 // tileBits sizes the dense engine's chunks: 2^12 amplitudes = 2 × 32 KiB
 // of SoA floats, so a tile's re and im arrays together fit in a 64 KiB
 // L1 slice with room for the matrix constants (DESIGN.md §11.3).
 const tileBits = 12
 
-// run executes ops [lo, hi) of the program on a state stored as chunks
-// re[c], im[c] of 2^k amplitudes each. moveData selects how a CX with
-// both qubits at or above k exchanges chunks: chunks that view one array
+// chunks is an engine's state as the executor sees it: re[c] and im[c]
+// hold chunk c's 2^k amplitudes. moveData selects how a CX with both
+// qubits at or above k exchanges chunks: chunks that view one array
 // trade contents, separately allocated chunks trade headers in O(1).
-func (p *program) run(re, im [][]float64, k int, moveData bool, lo, hi int) {
+//
+// The rest is the job of the current call, which the job bodies read:
+// its program and its ops [lo, hi). The bodies' function values are
+// made once, by newChunks, and do runs them, so no call allocates a
+// closure.
+type chunks struct {
+	re, im   [][]float64
+	k        int
+	moveData bool
+
+	p                           *program
+	lo, hi                      int
+	groupJob, pairJob, buildJob func(int)
+}
+
+// newChunks returns the executor's view of chunks re and im, with its
+// job bodies' function values made.
+func newChunks(re, im [][]float64, k int, moveData bool) *chunks {
+	x := &chunks{re: re, im: im, k: k, moveData: moveData}
+	x.groupJob, x.pairJob, x.buildJob = x.group, x.pair, x.buildChunk
+	return x
+}
+
+// do runs job(i) for every i in [0, n): directly for one index, which
+// a one-chunk state's jobs always are, else through par.Do.
+func do(n int, job func(int)) {
+	if n == 1 {
+		job(0)
+		return
+	}
+	par.Do(n, job)
+}
+
+// run executes ops [lo, hi) of the program on x's chunks.
+func (p *program) run(x *chunks, lo, hi int) {
+	x.p = p
 	for i := lo; i < hi; {
 		j := i
-		for j < hi && p.ops[j].local(k) {
+		for j < hi && p.ops[j].local(x.k) {
 			j++
 		}
-		if j == i {
-			p.ops[i].runGlobal(re, im, k, moveData)
-			j++
+		if j > i {
+			x.lo, x.hi = i, j
+			do(len(x.re), x.groupJob)
 		} else {
-			p.runLocal(re, im, k, i, j)
+			x.runGlobal(i)
+			j++
 		}
 		i = j
 	}
 }
 
-// build writes the state that the program's product prefix, ops
-// [0, pre), leaves on |0…0⟩, as one par.Do job per chunk; an empty
-// prefix writes |0…0⟩. Each prefix op acts on a qubit no earlier op
-// touched, so the partner amplitude of every pair it updates is ±0, and
-// the pair kernels' result reduces to one matrix entry times the
-// amplitude: u00 where the op's qubit is 0, u10 where it is 1. The
-// build multiplies those entries in op order with the kernels'
-// arithmetic, so for finite matrices it equals running the prefix op by
-// op up to the signs of zeros (DESIGN.md §11.2).
-func (p *program) build(re, im [][]float64, k int) {
-	ops := p.ops[:p.pre]
-	if len(re) == 1 {
-		buildChunk(re[0], im[0], ops, k, 0)
-		return
+// imOf returns the imaginary array that op i's real pair kernel,
+// butterfly or sign sweep updates: none before the real prefix ends, m
+// after.
+func (p *program) imOf(i int, m []float64) []float64 {
+	if i < p.real {
+		return nil
 	}
-	par.Do(len(re), func(c int) { buildChunk(re[c], im[c], ops, k, c) })
+	return m
 }
 
-// buildChunk writes chunk c of 2^k amplitudes. It starts with 1 at
-// index 0; an op on a qubit below k doubles the support, the indices
-// whose set bits are all prefix qubits seen so far, and consecutive ops
-// on qubits at or above k scale it. Every amplitude outside the support
-// is 0, and so is the whole chunk when its index sets a bit no prefix op
-// acts on.
-func buildChunk(r, m []float64, ops []fusedOp, k, c int) {
+// build writes the state that the program's product prefix, ops
+// [0, pre), leaves on |0…0⟩, as one job per chunk; an empty prefix
+// writes |0…0⟩. Each prefix op acts on a qubit no earlier op touched,
+// so the partner amplitude of every pair it updates is ±0, and the pair
+// kernels' result reduces to one matrix entry times the amplitude: u00
+// where the op's qubit is 0, u10 where it is 1. The build multiplies
+// those entries in op order with the kernels' arithmetic, so for finite
+// matrices it equals running the prefix op by op up to the signs of
+// zeros (DESIGN.md §11.2).
+func (p *program) build(x *chunks) {
+	x.p = p
+	do(len(x.re), x.buildJob)
+}
+
+// buildChunk writes chunk c. It starts with 1 at index 0; an op on a
+// qubit below k doubles the support, the indices whose set bits are all
+// prefix qubits seen so far, and consecutive ops on qubits at or above
+// k scale it. Every amplitude outside the support is 0, and so is the
+// whole chunk when its index sets a bit no prefix op acts on.
+func (x *chunks) buildChunk(c int) {
+	ops, k := x.p.ops[:x.p.pre], x.k
+	r, m := x.re[c], x.im[c]
 	low, high := 0, 0
 	for i := range ops {
 		if q := ops[i].q; q < k {
@@ -179,86 +230,85 @@ func (op *fusedOp) local(k int) bool {
 	}
 }
 
-// runLocal runs ops [lo, hi), all local, as one par.Do job per chunk.
-// Chunks are disjoint, so no two jobs write the same amplitude.
-func (p *program) runLocal(re, im [][]float64, k, lo, hi int) {
-	ops, preps := p.ops[lo:hi], p.preps[lo:hi]
-	signs, phases := p.signs, p.phases
-	par.Do(len(re), func(c int) {
-		r, m := re[c], im[c]
-		base := c << k
-		for i := range ops {
-			op := &ops[i]
-			switch op.kind {
-			case op1Q:
-				// The chunk base is 2·stride-aligned, so the chunk's pairs
-				// are exactly its pair indices [0, len/2).
-				stride := 1 << op.q
-				if matIsReal(&op.u) {
-					u := [4]float64{real(op.u[0]), real(op.u[1]), real(op.u[2]), real(op.u[3])}
-					apply1QRealPairs(r, m, stride, u, 0, len(r)>>1)
-				} else {
-					apply1QCmplxPairs(r, m, stride, &op.u, 0, len(r)>>1)
-				}
-			case opCX:
-				if op.q < k {
-					applyCXRange(r, m, 1<<op.q, 1<<op.q2, 0, len(r))
-				} else if c>>(op.q-k)&1 != 0 {
-					applyX(r, m, op.q2)
-				}
-			default:
-				d := preps[i]
-				applyPhaseTermsChunk(r, m, phases[d.phaseOff:d.phaseOff+d.phaseLen], base)
-				applySignTermsChunk(r, m, signs[d.signOff:d.signOff+d.signLen], base)
+// group runs ops [lo, hi), all local, on chunk c. Chunks are disjoint,
+// so no two jobs write the same amplitude.
+func (x *chunks) group(c int) {
+	p, k := x.p, x.k
+	r, m := x.re[c], x.im[c]
+	base := c << k
+	for i := x.lo; i < x.hi; i++ {
+		op := &p.ops[i]
+		switch op.kind {
+		case op1Q:
+			// The chunk base is 2·stride-aligned, so the chunk's pairs
+			// are exactly its pair indices [0, len/2).
+			stride := 1 << op.q
+			if matIsReal(&op.u) {
+				apply1QRealPairs(r, p.imOf(i, m), stride, realMatrix(&op.u), 0, len(r)>>1)
+			} else {
+				apply1QCmplxPairs(r, m, stride, &op.u, 0, len(r)>>1)
 			}
+		case opCX:
+			if op.q < k {
+				applyCXRange(r, m, 1<<op.q, 1<<op.q2, 0, len(r))
+			} else if c>>(op.q-k)&1 != 0 {
+				applyX(r, m, op.q2)
+			}
+		default:
+			d := p.preps[i]
+			applyPhaseTermsChunk(r, m, p.phases[d.phaseOff:d.phaseOff+d.phaseLen], base)
+			applySignTermsChunk(r, p.imOf(i, m), p.signs[d.signOff:d.signOff+d.signLen], base)
 		}
-	})
+	}
 }
 
-// runGlobal runs one op that couples chunks: a 1q matrix on qubit q ≥ k
+// realMatrix returns the real parts of u, which matIsReal accepted.
+func realMatrix(u *[4]complex128) [4]float64 {
+	return [4]float64{real(u[0]), real(u[1]), real(u[2]), real(u[3])}
+}
+
+// runGlobal runs op i, which couples chunks: a 1q matrix on qubit q ≥ k
 // is a butterfly over the chunk pairs (c, c|2^(q−k)); a CX with a local
 // control and a global target swaps the control-set amplitudes between
 // the same pairs; a CX with both qubits global exchanges whole chunks.
 // Each pair belongs to one par.Do index, so parallel pairs never
 // overlap.
-func (op *fusedOp) runGlobal(re, im [][]float64, k int, moveData bool) {
+func (x *chunks) runGlobal(i int) {
+	op := &x.p.ops[i]
+	if op.kind == opCX && op.q >= x.k && !x.moveData {
+		cbit, tbit := 1<<(op.q-x.k), 1<<(op.q2-x.k)
+		for c := range x.re {
+			if c&cbit != 0 && c&tbit == 0 {
+				o := c | tbit
+				x.re[c], x.re[o] = x.re[o], x.re[c]
+				x.im[c], x.im[o] = x.im[o], x.im[c]
+			}
+		}
+		return
+	}
+	x.lo, x.hi = i, i+1
+	do(len(x.re)/2, x.pairJob)
+}
+
+// pair runs op lo, which couples chunks, on its i-th chunk pair (c0, c1).
+func (x *chunks) pair(i int) {
+	op := &x.p.ops[x.lo]
+	t := op.q // the qubit whose bit pairs the chunks: the 1q op's or the CX target
+	if op.kind == opCX {
+		t = op.q2
+	}
+	bit := 1 << (t - x.k)
+	c0 := pairLow(i, bit)
+	c1 := c0 | bit
+	r0, r1 := x.re[c0], x.re[c1]
+	m0, m1 := x.im[c0], x.im[c1]
 	switch {
 	case op.kind == op1Q:
-		bit := 1 << (op.q - k)
-		par.Do(len(re)/2, func(i int) {
-			c0 := pairLow(i, bit)
-			butterfly(re[c0], im[c0], re[c0|bit], im[c0|bit], &op.u)
-		})
-	case op.q < k:
-		bit := 1 << (op.q2 - k)
-		par.Do(len(re)/2, func(i int) {
-			c0 := pairLow(i, bit)
-			swapWhereSet(re[c0], im[c0], re[c0|bit], im[c0|bit], op.q)
-		})
-	default:
-		cbit, tbit := 1<<(op.q-k), 1<<(op.q2-k)
-		if !moveData {
-			for c := range re {
-				if c&cbit != 0 && c&tbit == 0 {
-					o := c | tbit
-					re[c], re[o] = re[o], re[c]
-					im[c], im[o] = im[o], im[c]
-				}
-			}
-			return
-		}
-		par.Do(len(re)/2, func(i int) {
-			c0 := pairLow(i, tbit)
-			if c0&cbit == 0 {
-				return
-			}
-			r0, m0 := re[c0], im[c0]
-			r1, m1 := re[c0|tbit][:len(r0)], im[c0|tbit][:len(r0)]
-			for j := range r0 {
-				r0[j], r1[j] = r1[j], r0[j]
-				m0[j], m1[j] = m1[j], m0[j]
-			}
-		})
+		butterfly(r0, x.p.imOf(x.lo, m0), r1, x.p.imOf(x.lo, m1), &op.u)
+	case op.q < x.k:
+		swapWhereSet(r0, m0, r1, m1, 1<<op.q)
+	case c0&(1<<(op.q-x.k)) != 0:
+		swapWhereSet(r0, m0, r1, m1, 0)
 	}
 }
 
@@ -269,16 +319,33 @@ func pairLow(i, bit int) int {
 	return (i&^low)<<1 | i&low
 }
 
+// butterflyReal applies the real matrix u to the pairs (a0[x], a1[x])
+// of one array, with apply1QRealPairs' float expression.
+func butterflyReal(a0, a1 []float64, u [4]float64) {
+	u00, u01, u10, u11 := u[0], u[1], u[2], u[3]
+	a1 = a1[:len(a0)]
+	for x := range a0 {
+		v0, v1 := a0[x], a1[x]
+		a0[x] = float64(u00*v0) + float64(u01*v1)
+		a1[x] = float64(u10*v0) + float64(u11*v1)
+	}
+}
+
 // butterfly applies u to the pairs (element j of chunk 0, element j of
-// chunk 1): a 1q matrix on the qubit whose stride is the distance
-// between the chunks. The inner loops are apply1QRealPairs' and
-// apply1QCmplxPairs' float expressions verbatim, with the same
-// real-matrix dispatch, so the arithmetic is the same bits.
+// chunk 1), of re and im, or of re alone when im0 and im1 are nil: a 1q
+// matrix on the qubit whose stride is the distance between the chunks.
+// The inner loops are apply1QRealPairs' and apply1QCmplxPairs' float
+// expressions verbatim, with the same real-matrix dispatch, so the
+// arithmetic is the same bits.
 func butterfly(re0, im0, re1, im1 []float64, u *[4]complex128) {
 	n := len(re0)
 	r0 := re0[:n]
-	m0 := im0[:n]
 	r1 := re1[:n]
+	if im0 == nil {
+		butterflyReal(r0, r1, realMatrix(u))
+		return
+	}
+	m0 := im0[:n]
 	m1 := im1[:n]
 	if matIsReal(u) {
 		u00, u01 := real(u[0]), real(u[1])
@@ -321,18 +388,23 @@ func applyX(re, im []float64, target int) {
 	}
 }
 
-// swapWhereSet swaps element j between two chunks for every j with the
-// control bit set: a CX whose control is below the chunk length and
-// whose target bit lives in the chunk index. Pure swaps, hence exact.
-func swapWhereSet(re0, im0, re1, im1 []float64, control int) {
-	mc := 1 << control
+// swapWhereSet swaps element j between two chunks for every j with bit
+// mc set: a CX whose control is below the chunk length (mc = 2^control)
+// and whose target bit lives in the chunk index. An mc of 0 swaps every
+// element: a CX with both bits in the chunk index. Pure swaps, hence
+// exact.
+func swapWhereSet(re0, im0, re1, im1 []float64, mc int) {
 	n := len(re0)
+	step, run := mc<<1, mc
+	if mc == 0 {
+		step, run = n, n
+	}
 	r0 := re0[:n]
 	m0 := im0[:n]
 	r1 := re1[:n]
 	m1 := im1[:n]
-	for b := mc; b < n; b += mc << 1 {
-		for j := b; j < b+mc; j++ {
+	for b := mc; b < n; b += step {
+		for j := b; j < b+run; j++ {
 			r0[j], r1[j] = r1[j], r0[j]
 			m0[j], m1[j] = m1[j], m0[j]
 		}
@@ -381,13 +453,13 @@ func applyPhaseTermsChunk(re, im []float64, terms []phaseTerm, base int) {
 	}
 }
 
-// applySignTermsChunk applies pure ±1 terms to a chunk whose first
-// amplitude has basis index base. Bits at or above the chunk length are
-// constant across the chunk and folded out of the lut (selecting a half,
-// or a single negate/skip decision); each negative pattern of the bits
-// inside the chunk is visited directly by nested stride loops, so a CZ
-// negates exactly a quarter of the amplitudes with no per-run factor
-// lookup and no complex arithmetic.
+// applySignTermsChunk applies pure ±1 terms to a chunk, of re and of im
+// unless it is nil, whose first amplitude has basis index base. Bits at
+// or above the chunk length are constant across the chunk and folded
+// out of the lut (selecting a half, or a single negate/skip decision);
+// each negative pattern of the bits inside the chunk is visited directly
+// by nested stride loops, so a CZ negates exactly a quarter of the
+// amplitudes with no per-run factor lookup and no complex arithmetic.
 func applySignTermsChunk(re, im []float64, terms []signTerm, base int) {
 	n := len(re)
 	for ti := range terms {
@@ -403,10 +475,7 @@ func applySignTermsChunk(re, im []float64, terms []signTerm, base int) {
 			// factor pattern.
 			p := ((base >> sA) & 1) | (((base >> sB) & 1) << 1)
 			if lut>>p&1 != 0 {
-				for j := 0; j < n; j++ {
-					re[j] = -re[j]
-					im[j] = -im[j]
-				}
+				negate(re, im, 0, n)
 			}
 		case 1<<sB >= n:
 			// Bit sB constant; select its lut half and sweep bit sA.
@@ -427,10 +496,7 @@ func applySignTermsChunk(re, im []float64, terms []signTerm, base int) {
 			}
 			off := int(p&1)<<sA | int(p>>1)<<sB
 			for b := off; b < n; b += stepB << 1 {
-				for i := b; i < b+stepA; i++ {
-					re[i] = -re[i]
-					im[i] = -im[i]
-				}
+				negate(re, im, b, b+stepA)
 			}
 		default:
 			stepA, stepB := 1<<sA, 1<<sB
@@ -442,10 +508,7 @@ func applySignTermsChunk(re, im []float64, terms []signTerm, base int) {
 				offB := int(p>>1) << sB
 				for bB := offB; bB < n; bB += stepB << 1 {
 					for b := bB + offA; b < bB+stepB; b += stepA << 1 {
-						for i := b; i < b+stepA; i++ {
-							re[i] = -re[i]
-							im[i] = -im[i]
-						}
+						negate(re, im, b, b+stepA)
 					}
 				}
 			}
@@ -453,25 +516,35 @@ func applySignTermsChunk(re, im []float64, terms []signTerm, base int) {
 	}
 }
 
-// negateBit negates a chunk's amplitudes whose bit sA (below the chunk
-// length) is clear (neg0) and/or set (neg1).
+// negateBit negates a chunk's amplitudes, of re and of im unless it is
+// nil, whose bit sA (below the chunk length) is clear (neg0) and/or set
+// (neg1).
 func negateBit(re, im []float64, sA uint, neg0, neg1 bool) {
 	n := len(re)
 	step := 1 << sA
 	if neg0 {
 		for b := 0; b < n; b += step << 1 {
-			for i := b; i < b+step; i++ {
-				re[i] = -re[i]
-				im[i] = -im[i]
-			}
+			negate(re, im, b, b+step)
 		}
 	}
 	if neg1 {
 		for b := step; b < n; b += step << 1 {
-			for i := b; i < b+step; i++ {
-				re[i] = -re[i]
-				im[i] = -im[i]
-			}
+			negate(re, im, b, b+step)
 		}
+	}
+}
+
+// negate negates amplitudes [lo, hi) of re and im, or of re alone when
+// im is nil.
+func negate(re, im []float64, lo, hi int) {
+	if im == nil {
+		for i := lo; i < hi; i++ {
+			re[i] = -re[i]
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		re[i] = -re[i]
+		im[i] = -im[i]
 	}
 }

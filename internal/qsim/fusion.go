@@ -309,13 +309,18 @@ type diagPrep struct {
 // program is a compiled circuit: the fused ops, with every diagonal
 // batch's terms classified into sign and phase terms. pre is the length
 // of its product prefix: the leading run of op1Q ops on pairwise
-// distinct qubits, which build writes in one pass (exec.go). The zero
+// distinct qubits, which build writes in one pass (exec.go). real is
+// the length of its real prefix: the leading run of ops that keep a
+// real state real, an op1Q whose matrix passes matIsReal, an opCX, or
+// an opDiag of sign terms alone; from |0…0⟩ those ops leave every
+// imaginary part 0, so the executor runs them over re alone. The zero
 // value is ready; compile recycles all storage, so re-compiling
 // same-shaped circuits allocates nothing in steady state.
 type program struct {
 	fs     fuser
 	ops    []fusedOp
 	pre    int
+	real   int
 	preps  []diagPrep
 	signs  []signTerm
 	phases []phaseTerm
@@ -385,6 +390,23 @@ func (p *program) compile(gates []circuit.Gate) {
 		d.signLen = len(p.signs) - d.signOff
 		d.phaseLen = len(p.phases) - d.phaseOff
 		p.preps[k] = d
+	}
+	p.real = 0
+	for p.real < len(p.ops) && p.keepsReal(p.real) {
+		p.real++
+	}
+}
+
+// keepsReal reports whether op i maps a state with real amplitudes to
+// one with real amplitudes.
+func (p *program) keepsReal(i int) bool {
+	switch op := &p.ops[i]; op.kind {
+	case op1Q:
+		return matIsReal(&op.u)
+	case opCX:
+		return true
+	default:
+		return p.preps[i].phaseLen == 0
 	}
 }
 

@@ -14,9 +14,11 @@ import (
 // FuzzFusedSoAMatchesReference drives the full SoA pipeline — fusion,
 // cache-blocked tiling, sign/phase term splitting, parallel sweeps —
 // against the naive serial complex128 reference on random circuits, and
-// checks that fixed-seed sampling is identical across worker counts. The
-// seed-derived generator keeps every input valid; the fuzzer explores
-// circuit shapes through the (seed, qubits, gates) triple.
+// checks that fixed-seed sampling is identical across worker counts. A
+// circuit is a random mix or real gates only, whose leading ops Run
+// executes over re alone. The seed-derived generator keeps every input
+// valid; the fuzzer explores circuit shapes through the (seed, qubits,
+// gates) triple.
 func FuzzFusedSoAMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(40))
 	f.Add(int64(2), uint8(2), uint8(5))
@@ -24,11 +26,15 @@ func FuzzFusedSoAMatchesReference(f *testing.F) {
 	f.Add(int64(4), uint8(14), uint8(120)) // multiple par chunks
 	f.Add(int64(5), uint8(9), uint8(1))
 	f.Add(int64(6), uint8(11), uint8(80))
+	f.Add(int64(8), uint8(12), uint8(110)) // real gates on 14 qubits: every real-prefix kernel
 	f.Fuzz(func(t *testing.T, seed int64, nq, gates uint8) {
 		n := 2 + int(nq)%13      // 2..14 qubits
 		ng := 1 + int(gates)%120 // 1..120 gates
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCircuit(rng, n, ng)
+		if rng.Intn(2) == 1 {
+			c.Gates = realGates(rng, n, ng)
+		}
 
 		par.SetWorkers(4)
 		defer par.SetWorkers(0)
@@ -143,6 +149,23 @@ func randomGates(rng *rand.Rand, n, count int) []circuit.Gate {
 			g.Qubit2 = (g.Qubit + 1 + rng.Intn(n-1)) % n
 		}
 		gates[i] = g
+	}
+	return gates
+}
+
+// realGates draws count gates that keep a real state real: randomGates'
+// draw with Y, S and T made X, Z and Z, and RX, RZ and RZZ at angle 0.
+func realGates(rng *rand.Rand, n, count int) []circuit.Gate {
+	gates := randomGates(rng, n, count)
+	for i := range gates {
+		switch g := &gates[i]; g.Kind {
+		case circuit.Y:
+			g.Kind = circuit.X
+		case circuit.S, circuit.T:
+			g.Kind = circuit.Z
+		case circuit.RX, circuit.RZ, circuit.RZZ:
+			g.Theta = 0
+		}
 	}
 	return gates
 }

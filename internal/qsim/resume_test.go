@@ -123,26 +123,30 @@ func TestSPSANeverCheckpoints(t *testing.T) {
 	}
 }
 
-// frozenRun is the reference for the product-prefix build: it runs the
-// compiled program's prefix op by op through the frozen whole-array 1q
-// kernel (frozen_test.go) on |0…0⟩, and the other ops through the
-// executor on one chunk.
+// frozenRun is the reference for the product-prefix build and the real
+// prefix: it runs the compiled program's product prefix op by op
+// through the frozen whole-array 1q kernel (frozen_test.go) on |0…0⟩,
+// and the other ops through the executor on one chunk with the real
+// prefix cut to zero, so every op sweeps re and im.
 func frozenRun(c *circuit.Circuit) *frozenState {
 	var p program
 	p.compile(c.Gates)
+	p.real = 0
 	n := c.NQubits
 	ref := &frozenState{re: make([]float64, 1<<n), im: make([]float64, 1<<n)}
 	ref.re[0] = 1
 	for _, op := range p.ops[:p.pre] {
 		ref.apply1Q(op.q, op.u[0], op.u[1], op.u[2], op.u[3])
 	}
-	p.run([][]float64{ref.re}, [][]float64{ref.im}, n, true, p.pre, len(p.ops))
+	p.run(newChunks([][]float64{ref.re}, [][]float64{ref.im}, n, true), p.pre, len(p.ops))
 	return ref
 }
 
 // rotationLayer draws a leading layer of 1q gates, one per qubit in a
 // random order, so the product prefix covers the qubits in any order.
-func rotationLayer(rng *rand.Rand, n int) []circuit.Gate {
+// With realOnly set it draws RX and RZ at angle 0, so the layer keeps a
+// real state real.
+func rotationLayer(rng *rand.Rand, n int, realOnly bool) []circuit.Gate {
 	kinds := []circuit.Kind{circuit.RX, circuit.RY, circuit.RY, circuit.H, circuit.X, circuit.RZ}
 	special := []float64{0, math.Pi, -math.Pi, math.Pi / 2}
 	gates := make([]circuit.Gate, 0, n)
@@ -150,6 +154,9 @@ func rotationLayer(rng *rand.Rand, n int) []circuit.Gate {
 		g := circuit.Gate{Kind: kinds[rng.Intn(len(kinds))], Qubit: q, Theta: rng.NormFloat64() * 2, Param: circuit.NoParam}
 		if rng.Intn(4) == 0 {
 			g.Theta = special[rng.Intn(len(special))]
+		}
+		if realOnly && (g.Kind == circuit.RX || g.Kind == circuit.RZ) {
+			g.Theta = 0
 		}
 		gates = append(gates, g)
 	}
@@ -160,14 +167,18 @@ func rotationLayer(rng *rand.Rand, n int) []circuit.Gate {
 // sequence of Runs: a random circuit with a leading rotation layer, and
 // before each Run a move that changes the angle of one gate, several,
 // none or all (a gate without an angle ignores it), or draws a
-// different circuit of the same width. Apply,
+// different circuit of the same width. A circuit is a random mix, a
+// real layer and real gates, or those followed by a random mix, so its
+// real prefix ends in the build, covers the whole program or ends
+// inside it, and a move can end it earlier. Apply,
 // MeasureQubit and Sample calls between Runs change the live state but
 // not the checkpoint, and the worker count varies from 1 to 3. After
 // each Run the raw amplitude bits must equal a fresh State's. The last
 // circuit then runs on the dense State and on a sharded state whose
 // shards are smaller than the register, so its prefix spans global
-// qubits, and both must equal, as x+0 bits, the frozen kernels running
-// the prefix op by op.
+// qubits, and both must equal, as x+0 bits, frozenRun: the frozen
+// kernels running the product prefix op by op, and the two-array
+// kernels the rest, real prefix included.
 func FuzzRunResumeMatchesFresh(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(20), uint8(12), uint8(1))
 	f.Add(int64(2), uint8(0), uint8(5), uint8(6), uint8(0))
@@ -181,7 +192,14 @@ func FuzzRunResumeMatchesFresh(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		defer par.SetWorkers(0)
 		draw := func() *circuit.Circuit {
-			gs := append(rotationLayer(rng, n), randomGates(rng, n, ng)...)
+			shape := rng.Intn(3)
+			gs := rotationLayer(rng, n, shape > 0)
+			if shape > 0 {
+				gs = append(gs, realGates(rng, n, ng)...)
+			}
+			if shape != 1 {
+				gs = append(gs, randomGates(rng, n, ng)...)
+			}
 			return &circuit.Circuit{NQubits: n, Gates: gs}
 		}
 		c := draw()
@@ -260,10 +278,13 @@ func FuzzRunResumeMatchesFresh(f *testing.F) {
 
 // BenchmarkRunParameterShift replays one GD iteration's bound VQE
 // circuits in the optimizer's order through one recycled State, which
-// is what the dense engine runs on vqe12-gd. It reports ns per Run and
-// the ops each Run executes after its build or resume; without the
-// product prefix and the checkpoint every Run would execute every op,
-// 39 at 12 qubits and 51 at 16.
+// is what the dense engine runs on vqe12-gd. It reports ns per Run, the
+// ops each Run executes after its build or resume, and the amplitude
+// arrays those ops sweep: one for an op before the real prefix ends,
+// re and im for an op after. Without the product prefix and the
+// checkpoint every Run would execute every op, 39 at 12 qubits and 51
+// at 16; the VQE program is real throughout, so each op sweeps re
+// alone.
 func BenchmarkRunParameterShift(b *testing.B) {
 	for _, n := range []int{12, 16} {
 		b.Run(fmt.Sprintf("%dq", n), func(b *testing.B) {
@@ -274,15 +295,19 @@ func BenchmarkRunParameterShift(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			ops := 0
+			ops, sweeps := 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := s.Run(seq[i%len(seq)]); err != nil {
 					b.Fatal(err)
 				}
+				p := &s.runs[s.cur]
+				start := len(p.ops) - s.ran
 				ops += s.ran
+				sweeps += s.ran + len(p.ops) - max(start, p.real)
 			}
 			b.ReportMetric(float64(ops)/float64(b.N), "ops/Run")
+			b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/Run")
 		})
 	}
 }

@@ -32,7 +32,9 @@ type Sharded struct {
 	shardBits int // log2 amplitudes per shard
 	re, im    [][]float64
 
-	// prog and smp are the reusable working memory of Run and Sample.
+	// x is the executor's view of the shards, and prog and smp are the
+	// reusable working memory of Run and Sample.
+	x    *chunks
 	prog program
 	smp  sampler
 }
@@ -65,6 +67,7 @@ func NewShardedBits(n, k int) (*Sharded, error) {
 		s.im[i] = make([]float64, chunk)
 	}
 	s.re[0][0] = 1
+	s.x = newChunks(s.re, s.im, k, false)
 	return s, nil
 }
 
@@ -94,8 +97,8 @@ func (s *Sharded) Run(c *circuit.Circuit) error {
 		return err
 	}
 	s.prog.compile(c.Gates)
-	s.prog.build(s.re, s.im, s.shardBits)
-	s.prog.run(s.re, s.im, s.shardBits, false, s.prog.pre, len(s.prog.ops))
+	s.prog.build(s.x)
+	s.prog.run(s.x, s.prog.pre, len(s.prog.ops))
 	return nil
 }
 

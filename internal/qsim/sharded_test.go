@@ -45,10 +45,12 @@ func runBoth(t *testing.T, c *circuit.Circuit, shardBits int) (*Sharded, *State)
 // exact (==) amplitude equality, so it checks that results do not
 // depend on the chunk size: local-group batching, cross-chunk
 // butterflies, all four CX placements and base-offset diagonal sweeps
-// must compute the same bits wherever the chunk boundary falls. The
-// shard-bits dimension forces registers as small as 2 qubits through
-// many-shard layouts, so global-qubit paths are hit constantly rather
-// than only past the tile.
+// must compute the same bits wherever the chunk boundary falls. A
+// circuit is a random mix, real gates, or real gates followed by a
+// random mix, so the real prefix ends early, covers the whole program
+// or ends inside it. The shard-bits dimension forces registers as small
+// as 2 qubits through many-shard layouts, so global-qubit paths are hit
+// constantly rather than only past the tile.
 func FuzzShardedMatchesDense(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(40), uint8(2))
 	f.Add(int64(2), uint8(2), uint8(5), uint8(1))
@@ -62,6 +64,12 @@ func FuzzShardedMatchesDense(f *testing.F) {
 		sb := 1 + int(bits)%16   // 1..16 shard bits (clamped to n inside)
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCircuit(rng, n, ng)
+		if shape := rng.Intn(3); shape > 0 {
+			c.Gates = realGates(rng, n, ng)
+			if shape == 2 {
+				c.Gates = append(c.Gates, randomGates(rng, n, ng)...)
+			}
+		}
 
 		par.SetWorkers(4)
 		defer par.SetWorkers(0)
@@ -89,7 +97,9 @@ func FuzzShardedMatchesDense(f *testing.F) {
 
 // TestShardedMatchesDense is the deterministic slice of the fuzz
 // property: fixed seeds across a spread of register widths and shard
-// geometries, exact equality demanded. CI runs it under -race at
+// geometries, exact equality demanded. A real case draws real gates
+// only, so every op runs in the real prefix: over re alone, with the
+// real butterflies on the global qubits. CI runs it under -race at
 // GOMAXPROCS=4, so the shard-parallel writes (disjoint chunks, paired
 // butterflies) are exercised by the race detector rather than hidden by
 // a single-core runner.
@@ -100,18 +110,23 @@ func TestShardedMatchesDense(t *testing.T) {
 		seed      int64
 		n, gates  int
 		shardBits int
+		realOnly  bool
 	}{
-		{1, 2, 12, 1},    // minimal register, 2 shards
-		{2, 6, 60, 2},    // 16 shards, every qubit global past bit 1
-		{3, 10, 90, 4},   // 64 shards
-		{4, 13, 120, 6},  // multi-tile chunks
-		{5, 14, 150, 10}, // 16 shards of 2^10
-		{6, 16, 80, 12},  // 16 shards of one tile each
-		{7, 12, 40, 16},  // single shard (pure local path)
+		{1, 2, 12, 1, false},    // minimal register, 2 shards
+		{2, 6, 60, 2, false},    // 16 shards, every qubit global past bit 1
+		{3, 10, 90, 4, false},   // 64 shards
+		{4, 13, 120, 6, false},  // multi-tile chunks
+		{5, 14, 150, 10, false}, // 16 shards of 2^10
+		{6, 16, 80, 12, false},  // 16 shards of one tile each
+		{7, 12, 40, 16, false},  // single shard (pure local path)
+		{8, 14, 150, 10, true},  // real: qubits 10–11 global here, local in the dense tiles
 	}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(tc.seed))
 		c := randomCircuit(rng, tc.n, tc.gates)
+		if tc.realOnly {
+			c.Gates = realGates(rng, tc.n, tc.gates)
+		}
 		s, ref := runBoth(t, c, tc.shardBits)
 		requireExactMatch(t, s, ref, "table")
 	}

@@ -18,7 +18,8 @@
 // slices rather than one []complex128 (DESIGN.md §11). The gate kernels
 // are plain float loops over the two arrays, which keeps them branch-free,
 // lets matrices with exactly-zero imaginary parts take halved-flop real
-// kernels, and reduces ±1 phase batches to integer parity sweeps.
+// kernels, and reduces ±1 phase batches to integer parity sweeps. A
+// circuit's leading ops that keep a real state real sweep re alone.
 // Amplitudes() returns a complex128 copy for tests.
 //
 // # Parallel execution
@@ -61,14 +62,14 @@ type State struct {
 	// The rest is working memory that never escapes the State, and Clone
 	// copies none of it. runs holds the programs of the last two Runs,
 	// runs[cur] the last one's, and one is Apply's. smp is Sample's.
-	// tileRe and tileIm are the executor's 2^tileBits-amplitude views of
-	// re and im, and whole views each array as one chunk, the sampler's.
-	runs           [2]program
-	cur            int
-	one            program
-	smp            sampler
-	tileRe, tileIm [][]float64
-	whole          [2][]float64
+	// tiled is the executor's view of re and im as 2^tileBits-amplitude
+	// tiles, and whole views each array as one chunk, the sampler's.
+	runs  [2]program
+	cur   int
+	one   program
+	smp   sampler
+	tiled *chunks
+	whole [2][]float64
 	// ckRe and ckIm are the prefix checkpoint (see Run): when ckAt > 0,
 	// the amplitudes after ops [0, ckAt) of runs[cur]. They are a
 	// function of that program prefix, not of the live state. ran counts
@@ -154,15 +155,25 @@ func matIsReal(u *[4]complex128) bool {
 }
 
 // apply1QRealPairs applies a real 2×2 matrix over the pair-index range
-// [lo, hi). Within a range the pair index is decoded once per contiguous
-// run (a run ends at a stride block or the range boundary, whichever is
-// first), keeping the inner loop a branch-free four-multiply float sweep.
+// [lo, hi) to re and im, or to re alone when im is nil. Within a range
+// the pair index is decoded once per contiguous run (a run ends at a
+// stride block or the range boundary, whichever is first), keeping the
+// inner loop a branch-free float sweep. One loop updates both arrays:
+// on a state past the caches it measured faster than a sweep of each.
 func apply1QRealPairs(re, im []float64, stride int, u [4]float64, lo, hi int) {
 	u00, u01, u10, u11 := u[0], u[1], u[2], u[3]
 	if stride == 1 {
 		// Pairs are adjacent: one contiguous window, two amplitudes per
 		// step, no run decode at all.
 		r := re[2*lo : 2*hi]
+		if im == nil {
+			for x := 0; x+1 < len(r); x += 2 {
+				a0r, a1r := r[x], r[x+1]
+				r[x] = float64(u00*a0r) + float64(u01*a1r)
+				r[x+1] = float64(u10*a0r) + float64(u11*a1r)
+			}
+			return
+		}
 		m := im[2*lo : 2*hi]
 		for x := 0; x+1 < len(r); x += 2 {
 			a0r, a0i := r[x], m[x]
@@ -184,8 +195,13 @@ func apply1QRealPairs(re, im []float64, stride int, u [4]float64, lo, hi int) {
 		// Equal-length windows over the run let the compiler drop the
 		// bounds checks from the inner loop.
 		r0 := re[i:][:run]
-		m0 := im[i:][:run]
 		r1 := re[i+stride:][:run]
+		if im == nil {
+			butterflyReal(r0, r1, u)
+			k += run
+			continue
+		}
+		m0 := im[i:][:run]
 		m1 := im[i+stride:][:run]
 		for x := 0; x < run; x++ {
 			a0r, a0i := r0[x], m0[x]
@@ -280,7 +296,9 @@ func gateMatrix1Q(g circuit.Gate) (m [4]complex128, ok bool) {
 }
 
 // Apply executes one gate as a one-gate program through the chunk
-// executor, the path Run takes. Measure gates are ignored here; use
+// executor, the path Run takes, except that it sweeps re and im for
+// every gate: the live state may be complex, so no op of Apply's
+// program is in a real prefix. Measure gates are ignored here; use
 // Sample or MeasureQubit for readout. A qubit outside the register
 // panics.
 func (s *State) Apply(g circuit.Gate) {
@@ -288,8 +306,8 @@ func (s *State) Apply(g circuit.Gate) {
 		panic(fmt.Sprintf("qsim: %v outside the %d-qubit register", g, s.n))
 	}
 	s.one.compile([]circuit.Gate{g})
-	re, im, k := s.tiles()
-	s.one.run(re, im, k, true, 0, len(s.one.ops))
+	s.one.real = 0
+	s.one.run(s.tiles(), 0, len(s.one.ops))
 }
 
 // Run executes a fully bound circuit starting from |0…0⟩ on a freshly
@@ -344,19 +362,19 @@ func (s *State) Run(c *circuit.Circuit) error {
 	if d <= p.pre {
 		d = 0
 	}
-	re, im, k := s.tiles()
+	x := s.tiles()
 	start := p.pre
 	if 0 < ckAt && ckAt <= d {
 		copy(s.re, s.ckRe)
 		copy(s.im, s.ckIm)
 		start = ckAt
 	} else {
-		p.build(re, im, k)
+		p.build(x)
 		ckAt = 0
 	}
 	s.ran = len(p.ops) - start
 	if start < d && d < len(p.ops) {
-		p.run(re, im, k, true, start, d)
+		p.run(x, start, d)
 		if s.ckRe == nil {
 			s.ckRe = make([]float64, len(s.re))
 			s.ckIm = make([]float64, len(s.im))
@@ -365,24 +383,25 @@ func (s *State) Run(c *circuit.Circuit) error {
 		copy(s.ckIm, s.im)
 		start, ckAt = d, d
 	}
-	p.run(re, im, k, true, start, len(p.ops))
+	p.run(x, start, len(p.ops))
 	s.ckAt = ckAt
 	return nil
 }
 
 // tiles returns the executor's view of the state: its 2^k-amplitude
 // tiles.
-func (s *State) tiles() (re, im [][]float64, k int) {
-	k = min(s.n, tileBits)
-	if s.tileRe == nil {
-		s.tileRe = make([][]float64, len(s.re)>>k)
-		s.tileIm = make([][]float64, len(s.re)>>k)
-		for t := range s.tileRe {
-			s.tileRe[t] = s.re[t<<k : (t+1)<<k]
-			s.tileIm[t] = s.im[t<<k : (t+1)<<k]
+func (s *State) tiles() *chunks {
+	if s.tiled == nil {
+		k := min(s.n, tileBits)
+		re := make([][]float64, len(s.re)>>k)
+		im := make([][]float64, len(s.re)>>k)
+		for t := range re {
+			re[t] = s.re[t<<k : (t+1)<<k]
+			im[t] = s.im[t<<k : (t+1)<<k]
 		}
+		s.tiled = newChunks(re, im, k, true)
 	}
-	return s.tileRe, s.tileIm, k
+	return s.tiled
 }
 
 // Sample draws `shots` full-register measurement outcomes (basis-state

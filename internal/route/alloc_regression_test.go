@@ -15,20 +15,18 @@ import (
 // Run makes on each engine, over the bound VQE ansatz the chip runs.
 // testing.AllocsPerRun sets GOMAXPROCS to 1 while it measures, so
 // internal/par runs every chunk inline and the counts are the engines'
-// own. The dense and sharded engines still allocate on every Run: the
-// executor's par.Do closures escape to the heap, one per local group,
-// global op or multi-chunk build; the product surrogate allocates
-// nothing. A case with shots also samples the system's default
-// 500 shots after each Run, which rebuilds the sampler's alias tables
-// into recycled storage and reseeds its recycled sub-stream in place;
+// own. No engine allocates in Run: the chunk executor calls a one-chunk
+// job's body directly and hands par.Do function values its engine made
+// once. A case with shots also samples the system's default 500 shots
+// after each Run, which rebuilds the sampler's alias tables into
+// recycled storage and reseeds its recycled sub-stream in place;
 // sampling allocates the outcome slice and its reductions' closures and
-// partial sums, and nothing per block. The dense12-shift case runs one gradient-descent
-// iteration's 73 circuits in the optimizer's order, so most of its Runs
-// resume from the dense engine's prefix checkpoint, whose storage the
-// warm-up allocates once; a Run that saves a checkpoint splits its
-// local group in two, so the 24 saving Runs cost one closure more. Each pin is the measured count, so one new
-// allocation per call fails it. CI runs it via `-bench=Alloc
-// -benchtime=1x`.
+// partial sums, and nothing per block. The dense12-shift case runs one
+// gradient-descent iteration's 73 circuits in the optimizer's order, so
+// most of its Runs resume from the dense engine's prefix checkpoint,
+// whose storage the warm-up allocates once. Each pin is the measured
+// count, so one new allocation per call fails it. CI runs it via
+// `-bench=Alloc -benchtime=1x`.
 func BenchmarkRunAllocRegression(b *testing.B) {
 	cases := []struct {
 		name   string
@@ -38,11 +36,11 @@ func BenchmarkRunAllocRegression(b *testing.B) {
 		shots  int
 		allocs float64
 	}{
-		{"dense12", route.Dense, 12, false, 0, 1},
-		{"dense16", route.Dense, 16, false, 0, 12},
-		{"dense12-shift", route.Dense, 12, true, 0, 97},
-		{"sharded17", route.Sharded, 17, false, 0, 6},
-		{"sharded17+sample", route.Sharded, 17, false, 500, 14},
+		{"dense12", route.Dense, 12, false, 0, 0},
+		{"dense16", route.Dense, 16, false, 0, 0},
+		{"dense12-shift", route.Dense, 12, true, 0, 0},
+		{"sharded17", route.Sharded, 17, false, 0, 0},
+		{"sharded17+sample", route.Sharded, 17, false, 500, 8},
 		{"product64", route.Product, 64, false, 0, 0},
 	}
 	for _, tc := range cases {
