@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"qtenon/internal/backend"
 	"qtenon/internal/bench"
 	"qtenon/internal/route"
 )
@@ -81,14 +82,14 @@ func main() {
 			sc = bench.QuickScale
 		}
 		sc.Method = forced
-		for _, spsa := range []bool{false, true} {
-			rows, err := bench.SweepRows(sc, spsa)
+		for _, alg := range []backend.Algorithm{backend.GD, backend.SPSA} {
+			rows, err := bench.SweepRows(sc, alg)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "qtenon-bench:", err)
 				os.Exit(1)
 			}
 			name := "fig11_gd.csv"
-			if spsa {
+			if alg == backend.SPSA {
 				name = "fig12_spsa.csv"
 			}
 			path := *csvDir + "/" + name

@@ -64,12 +64,12 @@ type Instrumented interface {
 	Metrics() *metrics.Registry
 }
 
-// Batcher is implemented by backends that can evaluate a whole batch of
-// parameter vectors in one call — the batched parameter-shift path.
-// EvaluateBatch must be equivalent to calling Evaluate once per vector
-// in batch order: identical values, identical accounting. The accounting
-// machines satisfy this trivially (their evaluations are inherently
-// serial events on one machine timeline).
+// Batcher is implemented by backends that evaluate a list of parameter
+// vectors in one call, one Evaluate per vector in list order. Nothing in
+// this module calls EvaluateBatch: RunOn drives every optimizer through
+// Evaluate. It stays only because perfbench's probe refuses a machine
+// that does not implement it; it goes with the probe's check, when the
+// benchmark drops its replay (ROADMAP.md item 6).
 type Batcher interface {
 	EvaluateBatch(sets [][]float64, out []float64) error
 }
@@ -91,15 +91,6 @@ func CheckParams(params []float64, want int) error {
 	return nil
 }
 
-// BatchOf returns b's batch evaluator when it implements Batcher, else
-// nil.
-func BatchOf(b Backend) opt.BatchEvaluator {
-	if bb, ok := b.(Batcher); ok {
-		return bb.EvaluateBatch
-	}
-	return nil
-}
-
 // MetricsOf returns b's metrics registry, or nil when b is not
 // instrumented — safe to snapshot either way.
 func MetricsOf(b Backend) *metrics.Registry {
@@ -114,16 +105,7 @@ func MetricsOf(b Backend) *metrics.Registry {
 // optimizer, which is authoritative for the run (the backend may have
 // been evaluated before, e.g. by a warm-up; a fresh instance agrees with
 // its own counts).
-//
-// GD issues each gradient's 2P shifted points as one batch: a
-// Batcher backend takes it in one EvaluateBatch call, any other backend
-// through opt.Batch, one Evaluate per point in batch order — identical
-// results by the Batcher contract.
 func RunOn(b Backend, initial []float64, alg Algorithm, o opt.Options) (report.RunResult, error) {
-	batch := BatchOf(b)
-	if batch == nil {
-		batch = opt.Batch(b.Evaluate)
-	}
 	var res opt.Result
 	var err error
 	switch alg {
@@ -132,7 +114,7 @@ func RunOn(b Backend, initial []float64, alg Algorithm, o opt.Options) (report.R
 	default:
 		// Unknown values fall back to GD, the historical front-door
 		// behaviour.
-		res, err = opt.GradientDescentBatch(batch, initial, o)
+		res, err = opt.GradientDescent(b.Evaluate, initial, o)
 	}
 	if err != nil {
 		return report.RunResult{}, err

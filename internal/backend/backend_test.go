@@ -51,6 +51,24 @@ func TestMetricsOf(t *testing.T) {
 	}
 }
 
+// Both machines implement Batcher: perfbench's probe refuses a backend
+// that does not (perfbench/run.go, probeFactory.New).
+func TestMachinesImplementBatcher(t *testing.T) {
+	w := goldenWorkload(t)
+	for name, f := range map[string]backend.Factory{
+		"qtenon":   system.Factory{Cfg: system.DefaultConfig(host.BoomL())},
+		"baseline": baseline.Factory{Cfg: baseline.DefaultConfig()},
+	} {
+		b, err := f.New(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := b.(backend.Batcher); !ok {
+			t.Errorf("%s backend does not implement backend.Batcher", name)
+		}
+	}
+}
+
 // TestSnapshotCoversMachineLayers is the acceptance check for the
 // metrics registry: one optimization run on the Qtenon machine must
 // leave a live (non-zero) count from every hardware/software layer in a

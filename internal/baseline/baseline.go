@@ -166,10 +166,11 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 // Metrics exposes the instance's metrics registry.
 func (s *System) Metrics() *metrics.Registry { return s.reg }
 
-// EvaluateBatch evaluates every parameter vector in batch order —
-// backend.Batcher. Like the Qtenon machine, baseline evaluations are
-// serial accounting events, so the batch is the serial sequence with
-// identical results; see system.EvaluateBatch.
+// EvaluateBatch calls Evaluate on each vector in order and writes the
+// costs to out; it is backend.Batcher. Nothing in this module calls it.
+// It stays only because perfbench's probe requires every machine to be a
+// backend.Batcher; it goes when the benchmark drops that check
+// (ROADMAP.md item 6).
 func (s *System) EvaluateBatch(sets [][]float64, out []float64) error {
 	for k, p := range sets {
 		v, err := s.Evaluate(p)

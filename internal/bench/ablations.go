@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"qtenon/internal/backend"
 	"qtenon/internal/host"
 	"qtenon/internal/opt"
 	"qtenon/internal/quantum"
@@ -23,13 +24,13 @@ func Ablations(sc Scale) (string, error) {
 	sb.WriteString(header(fmt.Sprintf("Ablations, %d-qubit VQE, SPSA (Boom core)", nq)))
 
 	// SLT on/off.
-	withSLT, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), vqa.VQE, nq, true, sc)
+	withSLT, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), vqa.VQE, nq, backend.SPSA, sc)
 	if err != nil {
 		return "", err
 	}
 	noSLTCfg := system.DefaultConfig(host.BoomL())
 	noSLTCfg.UseSLT = false
-	noSLT, err := runQtenonCfg(noSLTCfg, vqa.VQE, nq, true, sc)
+	noSLT, err := runQtenonCfg(noSLTCfg, vqa.VQE, nq, backend.SPSA, sc)
 	if err != nil {
 		return "", err
 	}
@@ -46,7 +47,7 @@ func Ablations(sc Scale) (string, error) {
 	for _, pgus := range []int{1, 2, 4, 8, 16} {
 		cfg := system.DefaultConfig(host.BoomL())
 		cfg.PGUs = pgus
-		res, err := runQtenonCfg(cfg, vqa.VQE, nq, true, sc)
+		res, err := runQtenonCfg(cfg, vqa.VQE, nq, backend.SPSA, sc)
 		if err != nil {
 			return "", err
 		}

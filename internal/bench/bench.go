@@ -86,47 +86,44 @@ func (s Scale) options() opt.Options {
 	return o
 }
 
-func algorithm(spsa bool) backend.Algorithm {
-	if spsa {
-		return backend.SPSA
-	}
-	return backend.GD
-}
+// algorithms lists the paper's two optimizers in the order the tables
+// print them.
+var algorithms = []backend.Algorithm{backend.GD, backend.SPSA}
 
 // runQtenon executes a full optimization on the Qtenon system.
-func runQtenon(kind vqa.Kind, nq int, core host.Core, spsa bool, sc Scale) (report.RunResult, error) {
-	return runQtenonCfg(system.DefaultConfig(core), kind, nq, spsa, sc)
+func runQtenon(kind vqa.Kind, nq int, core host.Core, alg backend.Algorithm, sc Scale) (report.RunResult, error) {
+	return runQtenonCfg(system.DefaultConfig(core), kind, nq, alg, sc)
 }
 
-func runQtenonCfg(cfg system.Config, kind vqa.Kind, nq int, spsa bool, sc Scale) (report.RunResult, error) {
+func runQtenonCfg(cfg system.Config, kind vqa.Kind, nq int, alg backend.Algorithm, sc Scale) (report.RunResult, error) {
 	cfg.Shots = sc.Shots()
 	if sc.Method != route.Auto {
 		cfg.Method = sc.Method
 	}
 	o := sc.options()
-	return cache.do(qtenonKey(cfg, kind, nq, spsa, o), func() (report.RunResult, error) {
+	return cache.do(qtenonKey(cfg, kind, nq, alg, o), func() (report.RunResult, error) {
 		w, err := vqa.New(kind, nq)
 		if err != nil {
 			return report.RunResult{}, err
 		}
-		return backend.Run(system.Factory{Cfg: cfg}, w, algorithm(spsa), o)
+		return backend.Run(system.Factory{Cfg: cfg}, w, alg, o)
 	})
 }
 
 // runBaseline executes a full optimization on the decoupled baseline.
-func runBaseline(kind vqa.Kind, nq int, spsa bool, sc Scale) (report.RunResult, error) {
+func runBaseline(kind vqa.Kind, nq int, alg backend.Algorithm, sc Scale) (report.RunResult, error) {
 	cfg := baseline.DefaultConfig()
 	cfg.Shots = sc.Shots()
 	if sc.Method != route.Auto {
 		cfg.Method = sc.Method
 	}
 	o := sc.options()
-	return cache.do(baselineKey(cfg, kind, nq, spsa, o), func() (report.RunResult, error) {
+	return cache.do(baselineKey(cfg, kind, nq, alg, o), func() (report.RunResult, error) {
 		w, err := vqa.New(kind, nq)
 		if err != nil {
 			return report.RunResult{}, err
 		}
-		return backend.Run(baseline.Factory{Cfg: cfg}, w, algorithm(spsa), o)
+		return backend.Run(baseline.Factory{Cfg: cfg}, w, alg, o)
 	})
 }
 
@@ -144,13 +141,6 @@ func forEachPoint(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-func optimizerName(spsa bool) string {
-	if spsa {
-		return "SPSA"
-	}
-	return "GD"
 }
 
 func header(title string) string {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"qtenon/internal/backend"
 	"qtenon/internal/baseline"
 	"qtenon/internal/opt"
 	"qtenon/internal/report"
@@ -100,7 +101,7 @@ func CacheStatsLine() string {
 // qtenonKey renders a full-Qtenon run configuration as a content key.
 // system.Config is a value struct except for the coupling pointer, which
 // is replaced by its structural fingerprint.
-func qtenonKey(cfg system.Config, kind vqa.Kind, nq int, spsa bool, o opt.Options) string {
+func qtenonKey(cfg system.Config, kind vqa.Kind, nq int, alg backend.Algorithm, o opt.Options) string {
 	coup := ""
 	if cfg.Coupling != nil {
 		coup = cfg.Coupling.Fingerprint()
@@ -110,13 +111,13 @@ func qtenonKey(cfg system.Config, kind vqa.Kind, nq int, spsa bool, o opt.Option
 	// Method gets its own component: the original keys predate method
 	// routing, and a forced-method run must never be served a cached
 	// result that executed on a different engine.
-	return fmt.Sprintf("qtenon|cfg=%+v|coupling=%s|method=%s|kind=%d|nq=%d|spsa=%t|opt=%+v",
-		flat, coup, cfg.Method, kind, nq, spsa, o)
+	return fmt.Sprintf("qtenon|cfg=%+v|coupling=%s|method=%s|kind=%d|nq=%d|alg=%s|opt=%+v",
+		flat, coup, cfg.Method, kind, nq, alg, o)
 }
 
 // baselineKey renders a decoupled-baseline run configuration as a
 // content key (baseline.Config is a pure value struct).
-func baselineKey(cfg baseline.Config, kind vqa.Kind, nq int, spsa bool, o opt.Options) string {
-	return fmt.Sprintf("baseline|cfg=%+v|method=%s|kind=%d|nq=%d|spsa=%t|opt=%+v",
-		cfg, cfg.Method, kind, nq, spsa, o)
+func baselineKey(cfg baseline.Config, kind vqa.Kind, nq int, alg backend.Algorithm, o opt.Options) string {
+	return fmt.Sprintf("baseline|cfg=%+v|method=%s|kind=%d|nq=%d|alg=%s|opt=%+v",
+		cfg, cfg.Method, kind, nq, alg, o)
 }

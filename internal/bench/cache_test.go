@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"qtenon/internal/backend"
 	"qtenon/internal/baseline"
 	"qtenon/internal/host"
 	"qtenon/internal/report"
@@ -104,8 +105,8 @@ func TestRunCachePanicRecordedAsError(t *testing.T) {
 func TestRunCacheKeysDiscriminate(t *testing.T) {
 	base := system.DefaultConfig(host.BoomL())
 	o := QuickScale.options()
-	k0 := qtenonKey(base, vqa.VQE, 8, true, o)
-	if k1 := qtenonKey(base, vqa.VQE, 8, true, o); k1 != k0 {
+	k0 := qtenonKey(base, vqa.VQE, 8, backend.SPSA, o)
+	if k1 := qtenonKey(base, vqa.VQE, 8, backend.SPSA, o); k1 != k0 {
 		t.Fatalf("identical configs produced different keys:\n%s\n%s", k0, k1)
 	}
 	mutants := []system.Config{}
@@ -127,19 +128,19 @@ func TestRunCacheKeysDiscriminate(t *testing.T) {
 	}
 	seen := map[string]int{k0: -1}
 	for i, c := range mutants {
-		k := qtenonKey(c, vqa.VQE, 8, true, o)
+		k := qtenonKey(c, vqa.VQE, 8, backend.SPSA, o)
 		if prev, dup := seen[k]; dup {
 			t.Fatalf("mutant %d collides with %d: %s", i, prev, k)
 		}
 		seen[k] = i
 	}
-	if k := qtenonKey(base, vqa.QAOA, 8, true, o); seen[k] == -1 {
+	if k := qtenonKey(base, vqa.QAOA, 8, backend.SPSA, o); seen[k] == -1 {
 		t.Fatal("workload kind missing from key")
 	}
-	if k := qtenonKey(base, vqa.VQE, 10, true, o); seen[k] == -1 {
+	if k := qtenonKey(base, vqa.VQE, 10, backend.SPSA, o); seen[k] == -1 {
 		t.Fatal("qubit count missing from key")
 	}
-	if k := qtenonKey(base, vqa.VQE, 8, false, o); seen[k] == -1 {
+	if k := qtenonKey(base, vqa.VQE, 8, backend.GD, o); seen[k] == -1 {
 		t.Fatal("algorithm missing from key")
 	}
 }
@@ -156,7 +157,7 @@ func TestMethodPinnedRunsDoNotShareCache(t *testing.T) {
 		{Quick: true},
 		{Quick: true, Method: route.Dense},
 	} {
-		res, err := runQtenon(vqa.VQE, 4, host.BoomL(), true, sc)
+		res, err := runQtenon(vqa.VQE, 4, host.BoomL(), backend.SPSA, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestMethodPinnedRunsDoNotShareCache(t *testing.T) {
 	bk := func(m route.Method) string {
 		cfg := baseline.DefaultConfig()
 		cfg.Method = m
-		return baselineKey(cfg, vqa.VQE, 8, true, QuickScale.options())
+		return baselineKey(cfg, vqa.VQE, 8, backend.SPSA, QuickScale.options())
 	}
 	if bk(route.Auto) == bk(route.Product) {
 		t.Error("baselineKey ignores Config.Method")

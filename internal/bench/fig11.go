@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"qtenon/internal/backend"
 	"qtenon/internal/host"
 	"qtenon/internal/report"
 	"qtenon/internal/route"
@@ -25,20 +26,20 @@ type SweepRow struct {
 // end-to-end speedup of Qtenon (Rocket and Boom-L) over the decoupled
 // baseline, for 8–64 qubits across the three workloads.
 func Figure11(sc Scale) (string, error) {
-	rows, err := SweepRows(sc, false)
+	rows, err := SweepRows(sc, backend.GD)
 	if err != nil {
 		return "", err
 	}
-	return formatSweep(rows, false), nil
+	return formatSweep(rows, backend.GD), nil
 }
 
 // Figure12 is the same sweep under SPSA.
 func Figure12(sc Scale) (string, error) {
-	rows, err := SweepRows(sc, true)
+	rows, err := SweepRows(sc, backend.SPSA)
 	if err != nil {
 		return "", err
 	}
-	return formatSweep(rows, true), nil
+	return formatSweep(rows, backend.SPSA), nil
 }
 
 // sweepScale returns the scale one sweep point runs at. Points wider
@@ -58,7 +59,7 @@ func sweepScale(sc Scale, nq int) Scale {
 // qubit-count) grid points are independent full optimizations, so they
 // fan out across the worker pool; rows are assembled by grid index, so
 // the output order matches the serial sweep exactly.
-func SweepRows(sc Scale, spsa bool) ([]SweepRow, error) {
+func SweepRows(sc Scale, alg backend.Algorithm) ([]SweepRow, error) {
 	cores := []host.Core{host.Rocket(), host.BoomL()}
 	type point struct {
 		k  vqa.Kind
@@ -74,12 +75,12 @@ func SweepRows(sc Scale, spsa bool) ([]SweepRow, error) {
 	err := forEachPoint(len(points), func(i int) error {
 		pt := points[i]
 		psc := sweepScale(sc, pt.nq)
-		base, err := runBaseline(pt.k, pt.nq, spsa, psc)
+		base, err := runBaseline(pt.k, pt.nq, alg, psc)
 		if err != nil {
 			return err
 		}
 		for _, core := range cores {
-			qt, err := runQtenon(pt.k, pt.nq, core, spsa, psc)
+			qt, err := runQtenon(pt.k, pt.nq, core, alg, psc)
 			if err != nil {
 				return err
 			}
@@ -114,11 +115,11 @@ func SweepCSV(rows []SweepRow) string {
 	return sb.String()
 }
 
-func formatSweep(rows []SweepRow, spsa bool) string {
+func formatSweep(rows []SweepRow, alg backend.Algorithm) string {
 	var sb strings.Builder
 	figure := "Figure 11 (GD)"
 	paperNote := "paper @64q end-to-end: QAOA 14.7×, VQE 11.7×, QNN 6.9×; classical avg: 354×/376×/222×"
-	if spsa {
+	if alg == backend.SPSA {
 		figure = "Figure 12 (SPSA)"
 		paperNote = "paper @64q end-to-end: QAOA 14.9×, VQE 11.5×, QNN 6.9×; classical avg: 167×/132×/125×"
 	}

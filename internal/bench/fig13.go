@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"qtenon/internal/backend"
 	"qtenon/internal/host"
 	"qtenon/internal/report"
 	"qtenon/internal/system"
@@ -16,15 +17,15 @@ import (
 // Qtenon.
 func Figure13(sc Scale) (string, error) {
 	nq := sc.HeadlineQubits()
-	base, err := runBaseline(vqa.VQE, nq, true, sc)
+	base, err := runBaseline(vqa.VQE, nq, backend.SPSA, sc)
 	if err != nil {
 		return "", err
 	}
-	hw, err := runQtenonCfg(system.HardwareOnlyConfig(host.BoomL()), vqa.VQE, nq, true, sc)
+	hw, err := runQtenonCfg(system.HardwareOnlyConfig(host.BoomL()), vqa.VQE, nq, backend.SPSA, sc)
 	if err != nil {
 		return "", err
 	}
-	full, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), vqa.VQE, nq, true, sc)
+	full, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), vqa.VQE, nq, backend.SPSA, sc)
 	if err != nil {
 		return "", err
 	}

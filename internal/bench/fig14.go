@@ -18,15 +18,15 @@ func Figure14(sc Scale) (string, error) {
 	var sb strings.Builder
 	sb.WriteString(header(fmt.Sprintf("Figure 14: quantum-host communication, %d qubits (Boom core)", nq)))
 
-	for _, spsa := range []bool{false, true} {
+	for _, alg := range algorithms {
 		tb := newTable("workload", "baseline comm", "Qtenon comm", "speedup",
 			"q_set %", "q_update %", "q_acquire %")
 		for _, k := range vqa.Kinds() {
-			base, err := runBaseline(k, nq, spsa, sc)
+			base, err := runBaseline(k, nq, alg, sc)
 			if err != nil {
 				return "", err
 			}
-			qt, err := runQtenon(k, nq, host.BoomL(), spsa, sc)
+			qt, err := runQtenon(k, nq, host.BoomL(), alg, sc)
 			if err != nil {
 				return "", err
 			}
@@ -35,7 +35,7 @@ func Figure14(sc Scale) (string, error) {
 				fmt.Sprintf("%.0f", report.Speedup(base.Breakdown.Comm, qt.Breakdown.Comm)),
 				fmt.Sprintf("%.1f", cp[0]), fmt.Sprintf("%.1f", cp[1]), fmt.Sprintf("%.1f", cp[2]))
 		}
-		fmt.Fprintf(&sb, "-- %s --\n%s", optimizerName(spsa), tb.String())
+		fmt.Fprintf(&sb, "-- %s --\n%s", alg, tb.String())
 	}
 	sb.WriteString("paper (GD): baseline QAOA 94.3 ms / QNN 2.7 s; Qtenon QAOA 14.2 µs / QNN 456 µs\n")
 	sb.WriteString("            (5921× and 6647×); q_acquire 85.2% (QAOA) / 98.1% (QNN)\n")

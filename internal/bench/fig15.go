@@ -23,26 +23,25 @@ func Figure15(sc Scale) (string, error) {
 	type cell struct {
 		base, boom, rocket report.RunResult
 	}
-	optimizers := []bool{false, true}
 	kinds := vqa.Kinds()
-	cells := make([]cell, len(optimizers)*len(kinds))
+	cells := make([]cell, len(algorithms)*len(kinds))
 	err := forEachPoint(len(cells), func(i int) error {
-		spsa := optimizers[i/len(kinds)]
+		alg := algorithms[i/len(kinds)]
 		k := kinds[i%len(kinds)]
 		var err error
-		if cells[i].base, err = runBaseline(k, nq, spsa, sc); err != nil {
+		if cells[i].base, err = runBaseline(k, nq, alg, sc); err != nil {
 			return err
 		}
-		if cells[i].boom, err = runQtenon(k, nq, host.BoomL(), spsa, sc); err != nil {
+		if cells[i].boom, err = runQtenon(k, nq, host.BoomL(), alg, sc); err != nil {
 			return err
 		}
-		cells[i].rocket, err = runQtenon(k, nq, host.Rocket(), spsa, sc)
+		cells[i].rocket, err = runQtenon(k, nq, host.Rocket(), alg, sc)
 		return err
 	})
 	if err != nil {
 		return "", err
 	}
-	for oi, spsa := range optimizers {
+	for oi, alg := range algorithms {
 		tb := newTable("workload", "baseline", "Qtenon-Boom", "Qtenon-Rocket", "speedup (Boom)")
 		for ki, k := range kinds {
 			c := cells[oi*len(kinds)+ki]
@@ -50,7 +49,7 @@ func Figure15(sc Scale) (string, error) {
 				c.boom.HostActivity.String(), c.rocket.HostActivity.String(),
 				fmt.Sprintf("%.0f", report.Speedup(c.base.Breakdown.HostComp, c.boom.HostActivity)))
 		}
-		fmt.Fprintf(&sb, "-- %s --\n%s", optimizerName(spsa), tb.String())
+		fmt.Fprintf(&sb, "-- %s --\n%s", alg, tb.String())
 	}
 	sb.WriteString("paper: Boom-core speedups GD 308.7×/357.9×/175.0×, SPSA 461.4×/123.8×/132.8×;\n")
 	sb.WriteString("       the two RISC-V cores are nearly identical.\n")

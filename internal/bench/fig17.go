@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"qtenon/internal/backend"
 	"qtenon/internal/host"
 	"qtenon/internal/report"
 	"qtenon/internal/sim"
@@ -33,7 +34,7 @@ func runScaleGrid(sc Scale) ([]report.RunResult, error) {
 		k := kinds[i/len(qubits)]
 		nq := qubits[i%len(qubits)]
 		var err error
-		results[i], err = runQtenon(k, nq, host.BoomL(), true, sc)
+		results[i], err = runQtenon(k, nq, host.BoomL(), backend.SPSA, sc)
 		return err
 	})
 	if err != nil {

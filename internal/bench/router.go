@@ -106,7 +106,7 @@ func engineRuns(sc Scale, title, workload string, cells []engineCell,
 func runStabilizer(cfg system.Config, nq int, sc Scale) (report.RunResult, error) {
 	cfg.Shots = sc.Shots()
 	o := sc.options()
-	return cache.do(qtenonKey(cfg, vqa.Stabilizer, nq, false, o), func() (report.RunResult, error) {
+	return cache.do(qtenonKey(cfg, vqa.Stabilizer, nq, backend.GD, o), func() (report.RunResult, error) {
 		w, err := vqa.New(vqa.Stabilizer, nq)
 		if err != nil {
 			return report.RunResult{}, err

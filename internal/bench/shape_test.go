@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"qtenon/internal/backend"
 	"qtenon/internal/host"
 	"qtenon/internal/system"
 	"qtenon/internal/vqa"
@@ -13,8 +14,8 @@ import (
 // here, not in a manual reading of the full harness output.
 
 func TestShapeSweepSpeedupsAboveOne(t *testing.T) {
-	for _, spsa := range []bool{false, true} {
-		rows, err := SweepRows(QuickScale, spsa)
+	for _, alg := range algorithms {
+		rows, err := SweepRows(QuickScale, alg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -23,12 +24,12 @@ func TestShapeSweepSpeedupsAboveOne(t *testing.T) {
 		}
 		for _, r := range rows {
 			if r.EndToEnd <= 1 {
-				t.Errorf("spsa=%v %s@%dq %s: end-to-end speedup %.2f ≤ 1",
-					spsa, r.Workload, r.Qubits, r.Core, r.EndToEnd)
+				t.Errorf("%s %s@%dq %s: end-to-end speedup %.2f ≤ 1",
+					alg, r.Workload, r.Qubits, r.Core, r.EndToEnd)
 			}
 			if r.Classical <= 10 {
-				t.Errorf("spsa=%v %s@%dq %s: classical speedup %.1f ≤ 10",
-					spsa, r.Workload, r.Qubits, r.Core, r.Classical)
+				t.Errorf("%s %s@%dq %s: classical speedup %.1f ≤ 10",
+					alg, r.Workload, r.Qubits, r.Core, r.Classical)
 			}
 		}
 	}
@@ -39,15 +40,15 @@ func TestShapeFigure13Ordering(t *testing.T) {
 	// flips from baseline (minor) to Qtenon (major).
 	sc := QuickScale
 	nq := sc.HeadlineQubits()
-	base, err := runBaseline(vqa.VQE, nq, true, sc)
+	base, err := runBaseline(vqa.VQE, nq, backend.SPSA, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw, err := runQtenonCfg(system.HardwareOnlyConfig(host.BoomL()), vqa.VQE, nq, true, sc)
+	hw, err := runQtenonCfg(system.HardwareOnlyConfig(host.BoomL()), vqa.VQE, nq, backend.SPSA, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), vqa.VQE, nq, true, sc)
+	full, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), vqa.VQE, nq, backend.SPSA, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,18 +70,18 @@ func TestShapeTable5Reductions(t *testing.T) {
 	// parameters update).
 	sc := QuickScale
 	nq := sc.HeadlineQubits()
-	reduction := func(spsa bool) float64 {
-		base, err := runBaseline(vqa.VQE, nq, spsa, sc)
+	reduction := func(alg backend.Algorithm) float64 {
+		base, err := runBaseline(vqa.VQE, nq, alg, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qt, err := runQtenon(vqa.VQE, nq, host.BoomL(), spsa, sc)
+		qt, err := runQtenon(vqa.VQE, nq, host.BoomL(), alg, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return 1 - float64(qt.PulsesGenerated)/float64(base.PulsesGenerated)
 	}
-	gd, spsa := reduction(false), reduction(true)
+	gd, spsa := reduction(backend.GD), reduction(backend.SPSA)
 	if gd <= 0 || spsa <= 0 {
 		t.Fatalf("non-positive reductions: gd=%v spsa=%v", gd, spsa)
 	}
@@ -90,7 +91,7 @@ func TestShapeTable5Reductions(t *testing.T) {
 }
 
 func TestShapeCommDominatedByAcquireUnderGD(t *testing.T) {
-	res, err := runQtenon(vqa.VQE, QuickScale.HeadlineQubits(), host.BoomL(), false, QuickScale)
+	res, err := runQtenon(vqa.VQE, QuickScale.HeadlineQubits(), host.BoomL(), backend.GD, QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func runShardedVQE(cfg system.Config, nq int, sc Scale) (report.RunResult, error
 	cfg.Shots = sc.Shots()
 	o := sc.options()
 	o.Iterations = sc.ShardedIterations()
-	return cache.do(qtenonKey(cfg, vqa.VQE, nq, true, o), func() (report.RunResult, error) {
+	return cache.do(qtenonKey(cfg, vqa.VQE, nq, backend.SPSA, o), func() (report.RunResult, error) {
 		w, err := vqa.New(vqa.VQE, nq)
 		if err != nil {
 			return report.RunResult{}, err

@@ -17,15 +17,15 @@ func Table5(sc Scale) (string, error) {
 	nq := sc.HeadlineQubits()
 	var sb strings.Builder
 	sb.WriteString(header(fmt.Sprintf("Table 5: pulse generation, %d qubits", nq)))
-	for _, spsa := range []bool{false, true} {
+	for _, alg := range algorithms {
 		tb := newTable("workload", "baseline pulses", "Qtenon pulses", "reduction %",
 			"SLT hit %", "baseline time", "Qtenon time", "speedup")
 		for _, k := range vqa.Kinds() {
-			base, err := runBaseline(k, nq, spsa, sc)
+			base, err := runBaseline(k, nq, alg, sc)
 			if err != nil {
 				return "", err
 			}
-			qt, err := runQtenon(k, nq, host.BoomL(), spsa, sc)
+			qt, err := runQtenon(k, nq, host.BoomL(), alg, sc)
 			if err != nil {
 				return "", err
 			}
@@ -36,7 +36,7 @@ func Table5(sc Scale) (string, error) {
 				base.Breakdown.PulseGen.String(), qt.Breakdown.PulseGen.String(),
 				fmt.Sprintf("%.1f", report.Speedup(base.Breakdown.PulseGen, qt.Breakdown.PulseGen)))
 		}
-		fmt.Fprintf(&sb, "-- %s --\n%s", optimizerName(spsa), tb.String())
+		fmt.Fprintf(&sb, "-- %s --\n%s", alg, tb.String())
 	}
 	sb.WriteString("paper (GD):   speedup 204.2×/339.0×/647.9×, reduction 96.8%/98.3%/98.9%\n")
 	sb.WriteString("paper (SPSA): speedup 23.3×/13.5×/27.8×,   reduction 61.3%/55.7%/72.1%\n")

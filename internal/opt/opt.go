@@ -23,7 +23,9 @@ import (
 
 // Evaluator estimates the cost at a parameter vector. The optimizers call
 // it serially, in a fixed order, so a stateful machine model may
-// accumulate timing per call.
+// accumulate timing per call. The optimizer reuses the vector it passes
+// between calls, so an Evaluator must not retain it; one that keeps the
+// point copies it.
 type Evaluator func(params []float64) (float64, error)
 
 // Options configures an optimization run.
@@ -70,10 +72,47 @@ func (o Options) validate(nparams int) error {
 }
 
 // GradientDescent minimizes eval with the parameter-shift rule: each
-// iteration evaluates θ ± s·e_i for every parameter i, in that order,
-// then the cost at the updated point.
+// iteration evaluates θ+s·e_i and θ−s·e_i for every parameter i, in the
+// order [+0, −0, +1, −1, …], then the cost at the updated point
+// (DESIGN.md §11.4). The shifted points are one vector shifted in place,
+// so consecutive points differ in at most two entries.
 func GradientDescent(eval Evaluator, initial []float64, o Options) (Result, error) {
-	return GradientDescentBatch(Batch(eval), initial, o)
+	if err := o.validate(len(initial)); err != nil {
+		return Result{}, err
+	}
+	params := append([]float64(nil), initial...)
+	point := append([]float64(nil), initial...)
+	grad := make([]float64, len(params))
+	var res Result
+	for iter := 0; iter < o.Iterations; iter++ {
+		for i := range params {
+			point[i] = params[i] + o.ShiftScale
+			plus, err := eval(point)
+			if err != nil {
+				return res, err
+			}
+			point[i] = params[i] - o.ShiftScale
+			minus, err := eval(point)
+			if err != nil {
+				return res, err
+			}
+			point[i] = params[i]
+			grad[i] = (plus - minus) / 2
+		}
+		res.Evaluations += 2 * len(params)
+		for i := range params { // rounded before the sum (DESIGN.md §11.2)
+			params[i] -= float64(o.LearningRate * grad[i])
+		}
+		copy(point, params)
+		cost, err := eval(point)
+		if err != nil {
+			return res, err
+		}
+		res.Evaluations++
+		res.History = append(res.History, cost)
+	}
+	res.Params = params
+	return res, nil
 }
 
 // SPSA minimizes eval with simultaneous perturbation stochastic

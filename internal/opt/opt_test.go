@@ -3,6 +3,7 @@ package opt
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -86,6 +87,56 @@ func TestGDEvaluationCount(t *testing.T) {
 	want := (2*n + 1) * iters
 	if calls != want || res.Evaluations != want {
 		t.Errorf("calls = %d, res = %d, want %d", calls, res.Evaluations, want)
+	}
+}
+
+// Each iteration evaluates [+0, −0, +1, −1, …] around the current
+// parameters and then the updated point, one Evaluate per point
+// (DESIGN.md §11.4). The evaluator records copies: GradientDescent
+// shifts one vector in place.
+func TestGradientDescentShiftOrder(t *testing.T) {
+	o := DefaultOptions()
+	o.Iterations = 2
+	var points [][]float64
+	var costs []float64
+	cost := sinusoidal(2)
+	eval := func(p []float64) (float64, error) {
+		points = append(points, append([]float64(nil), p...))
+		c, err := cost(p)
+		costs = append(costs, c)
+		return c, err
+	}
+	res, err := GradientDescent(eval, []float64{1, 2}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, lr := o.ShiftScale, o.LearningRate
+	var want [][]float64
+	theta := []float64{1, 2}
+	for iter := 0; iter < o.Iterations; iter++ {
+		first := len(want)
+		for i := range theta {
+			plus := append([]float64(nil), theta...)
+			minus := append([]float64(nil), theta...)
+			plus[i] = theta[i] + s
+			minus[i] = theta[i] - s
+			want = append(want, plus, minus)
+		}
+		next := append([]float64(nil), theta...)
+		for i := range next {
+			next[i] -= float64(lr * ((costs[first+2*i] - costs[first+2*i+1]) / 2))
+		}
+		want = append(want, next)
+		theta = next
+	}
+	if !reflect.DeepEqual(points, want) {
+		t.Fatalf("evaluated points = %v, want %v", points, want)
+	}
+	if !reflect.DeepEqual(res.Params, theta) {
+		t.Errorf("params = %v, want the last updated point %v", res.Params, theta)
+	}
+	if want := []float64{costs[4], costs[9]}; !reflect.DeepEqual(res.History, want) {
+		t.Errorf("history = %v, want the updated points' costs %v", res.History, want)
 	}
 }
 

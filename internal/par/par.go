@@ -82,7 +82,10 @@ type job struct {
 func (j *job) run() {
 	defer func() {
 		if r := recover(); r != nil {
-			j.panicked.CompareAndSwap(nil, &r)
+			// Store the address of a copy: &r would move r to the heap
+			// on every run, panicking or not (TestDoAllocs).
+			p := r
+			j.panicked.CompareAndSwap(nil, &p)
 			j.aborted.Store(true)
 		}
 	}()

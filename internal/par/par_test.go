@@ -314,3 +314,17 @@ func TestDispatchLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("%d live goroutines after %d rounds of dispatch, %d after warm-up", live, rounds, warm)
 	}
 }
+
+// A Do that does not panic allocates only its job and the closure that
+// adapts body to a chunk range. The deferred recover in job.run must
+// not move its value to the heap on every run: that cost one more
+// allocation per participating goroutine.
+func TestDoAllocs(t *testing.T) {
+	SetWorkers(2)
+	defer SetWorkers(0)
+	noop := func(int) {}
+	Do(4, noop) // spawn the pool
+	if got := testing.AllocsPerRun(100, func() { Do(4, noop) }); got > 2 {
+		t.Errorf("Do(4, noop) allocates %.2f times per call, want at most 2", got)
+	}
+}

@@ -3,6 +3,7 @@ package system
 import (
 	"testing"
 
+	"qtenon/internal/backend"
 	"qtenon/internal/baseline"
 	"qtenon/internal/host"
 	"qtenon/internal/opt"
@@ -27,8 +28,8 @@ func TestSystemsComputeIdenticalTrajectories(t *testing.T) {
 			qcfg.Shots = 200
 			bcfg := baseline.DefaultConfig()
 			bcfg.Shots = 200
-			qres := runQtenon(t, qcfg, w, true, o)
-			bres := runBase(t, bcfg, w, true, o)
+			qres := runQtenon(t, qcfg, w, backend.SPSA, o)
+			bres := runBase(t, bcfg, w, backend.SPSA, o)
 			if len(qres.History) != len(bres.History) {
 				t.Fatalf("history lengths differ: %d vs %d", len(qres.History), len(bres.History))
 			}
@@ -54,7 +55,7 @@ func TestQuantumTimeInvariantAcrossConfigs(t *testing.T) {
 		cfg := DefaultConfig(host.Rocket())
 		cfg.Shots = 100
 		mut(&cfg)
-		return int64(runQtenon(t, cfg, w, true, o).Breakdown.Quantum)
+		return int64(runQtenon(t, cfg, w, backend.SPSA, o).Breakdown.Quantum)
 	}
 	ref := mk(func(*Config) {})
 	variants := map[string]func(*Config){

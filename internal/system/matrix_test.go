@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"qtenon/internal/backend"
 	"qtenon/internal/host"
 	"qtenon/internal/opt"
 	"qtenon/internal/sched"
@@ -57,7 +58,7 @@ func TestConfigurationMatrix(t *testing.T) {
 	var refQuantum int64
 	results := make([]int64, len(variants))
 	for i, v := range variants {
-		res := runQtenon(t, v.cfg, w, true, o)
+		res := runQtenon(t, v.cfg, w, backend.SPSA, o)
 		b := res.Breakdown
 		if b.Quantum <= 0 || b.Total() < b.Quantum {
 			t.Errorf("%s: inconsistent breakdown %v", v.name, b)

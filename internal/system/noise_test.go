@@ -3,6 +3,7 @@ package system
 import (
 	"testing"
 
+	"qtenon/internal/backend"
 	"qtenon/internal/host"
 	"qtenon/internal/opt"
 	"qtenon/internal/quantum"
@@ -22,8 +23,8 @@ func TestNoisyExecutionRunsAndDiverges(t *testing.T) {
 	noisy := clean
 	noisy.Noise = quantum.Noise{Readout: 0.2}
 
-	cres := runQtenon(t, clean, w, true, o)
-	nres := runQtenon(t, noisy, w, true, o)
+	cres := runQtenon(t, clean, w, backend.SPSA, o)
+	nres := runQtenon(t, noisy, w, backend.SPSA, o)
 	// Heavy readout noise changes the observed costs...
 	same := true
 	for i := range cres.History {

@@ -283,23 +283,20 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 // every layer of the machine, snapshot-able at any point of a run.
 func (s *System) Metrics() *metrics.Registry { return s.reg }
 
-// transferCycles runs a real bus transfer of `beats` beats and returns
-// its cycle count.
-func (s *System) transferCycles(beats int, write bool) (int64, error) {
+// transferCycles runs a real bus write of `beats` beats and returns its
+// cycle count.
+func (s *System) transferCycles(beats int) (int64, error) {
 	if beats <= 0 {
 		return 0, nil
 	}
-	var data []uint64
-	if write {
-		if cap(s.beatScratch) < beats {
-			s.beatScratch = make([]uint64, beats)
-		}
-		data = s.beatScratch[:beats]
-		for i := range data {
-			data[i] = 0
-		}
+	if cap(s.beatScratch) < beats {
+		s.beatScratch = make([]uint64, beats)
 	}
-	res, err := tilelink.TransferReuse(s.bus, s.rbq, s.hostResultBase, beats, write, data, s.dataScratch[:0])
+	data := s.beatScratch[:beats]
+	for i := range data {
+		data[i] = 0
+	}
+	res, err := tilelink.TransferReuse(s.bus, s.rbq, s.hostResultBase, beats, true, data, s.dataScratch[:0])
 	s.dataScratch = res.Data
 	if err != nil {
 		return 0, err
@@ -307,33 +304,31 @@ func (s *System) transferCycles(beats int, write bool) (int64, error) {
 	return res.Cycles, nil
 }
 
-// setup performs the one-time program upload (q_set) and returns its
-// communication time.
+// setup uploads the whole program (q_set) and returns its communication
+// time: once per run with the software on, every evaluation without it.
 func (s *System) setup(params []float64) (sim.Time, error) {
 	if err := s.prog.Load(s.cache, params); err != nil {
 		return 0, err
 	}
 	bytes := s.prog.TotalEntries() * 9 // 65-bit entries on the wire
 	beats := (bytes + s.cfg.Bus.BeatBytes - 1) / s.cfg.Bus.BeatBytes
-	cycles, err := s.transferCycles(beats, true)
+	cycles, err := s.transferCycles(beats)
 	if err != nil {
 		return 0, err
 	}
 	s.m.qSet.Inc() // one bulk q_set
 	t := s.controller.Cycles(cycles)
 	s.comm.QSet += t
-	s.cur = append([]float64(nil), params...)
+	s.cur = append(s.cur[:0], params...)
 	s.loaded = true
 	return t, nil
 }
 
-// EvaluateBatch evaluates every parameter vector in batch order —
-// backend.Batcher. A machine's evaluations are inherently serial events
-// on one accounting timeline (each one advances the incremental-compile
-// diff state, the engine clock and the metrics registry), so the batch
-// is exactly the serial sequence and the accounting is identical to
-// per-call Evaluate; what the batch form buys is the optimizer-side
-// amortization (one call per gradient, shared shifted-vector storage).
+// EvaluateBatch calls Evaluate on each vector in order and writes the
+// costs to out; it is backend.Batcher. Nothing in this module calls it.
+// It stays only because perfbench's probe requires every machine to be a
+// backend.Batcher; it goes when the benchmark drops that check
+// (ROADMAP.md item 6).
 func (s *System) EvaluateBatch(sets [][]float64, out []float64) error {
 	for k, p := range sets {
 		v, err := s.Evaluate(p)
@@ -385,20 +380,11 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	} else {
 		// Software disabled: full recompile + full q_set re-upload.
 		hostPrep += s.cfg.Core.Time(s.cfg.Costs.JITCompile(s.prog.Gates))
-		if err := s.prog.Load(s.cache, params); err != nil {
-			return 0, err
-		}
-		bytes := s.prog.TotalEntries() * 9
-		beats := (bytes + s.cfg.Bus.BeatBytes - 1) / s.cfg.Bus.BeatBytes
-		cycles, err := s.transferCycles(beats, true)
+		t, err := s.setup(params)
 		if err != nil {
 			return 0, err
 		}
-		t := s.controller.Cycles(cycles)
 		commPrep += t
-		s.comm.QSet += t
-		s.m.qSet.Inc()
-		s.cur = append(s.cur[:0], params...)
 	}
 
 	// q_gen: the four-stage pipeline walks the program.
@@ -443,7 +429,7 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	s.measureCursor = (s.measureCursor + len(ex.Outcomes)*wordsPerShot) % s.cacheCfg.MeasureEntries
 	batchBytes := k * wordsPerShot * 8
 	beats := (batchBytes + s.cfg.Bus.BeatBytes - 1) / s.cfg.Bus.BeatBytes
-	cycles, err := s.transferCycles(beats, true)
+	cycles, err := s.transferCycles(beats)
 	if err != nil {
 		return 0, err
 	}

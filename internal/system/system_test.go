@@ -24,12 +24,8 @@ func smallQAOA(t *testing.T) *vqa.Workload {
 
 // runQtenon drives a full optimization through the shared backend run
 // loop on a factory-minted Qtenon system.
-func runQtenon(t *testing.T, cfg Config, w *vqa.Workload, spsa bool, o opt.Options) report.RunResult {
+func runQtenon(t *testing.T, cfg Config, w *vqa.Workload, alg backend.Algorithm, o opt.Options) report.RunResult {
 	t.Helper()
-	alg := backend.GD
-	if spsa {
-		alg = backend.SPSA
-	}
 	res, err := backend.Run(Factory{Cfg: cfg}, w, alg, o)
 	if err != nil {
 		t.Fatal(err)
@@ -38,12 +34,8 @@ func runQtenon(t *testing.T, cfg Config, w *vqa.Workload, spsa bool, o opt.Optio
 }
 
 // runBase is the same loop on the decoupled baseline.
-func runBase(t *testing.T, cfg baseline.Config, w *vqa.Workload, spsa bool, o opt.Options) report.RunResult {
+func runBase(t *testing.T, cfg baseline.Config, w *vqa.Workload, alg backend.Algorithm, o opt.Options) report.RunResult {
 	t.Helper()
-	alg := backend.GD
-	if spsa {
-		alg = backend.SPSA
-	}
 	res, err := backend.Run(baseline.Factory{Cfg: cfg}, w, alg, o)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +173,7 @@ func TestFineGrainedBeatsFENCEEndToEnd(t *testing.T) {
 		cfg := DefaultConfig(host.Rocket())
 		cfg.Shots = 100
 		cfg.Sync = mode
-		return runQtenon(t, cfg, w, true, o).Breakdown.Total()
+		return runQtenon(t, cfg, w, backend.SPSA, o).Breakdown.Total()
 	}
 	fence, fine := run(sched.FENCE), run(sched.FineGrained)
 	if fine >= fence {
@@ -199,7 +191,7 @@ func TestBatchingReducesHostActivity(t *testing.T) {
 		cfg := DefaultConfig(host.Rocket())
 		cfg.Shots = 200
 		cfg.Batching = batching
-		res := runQtenon(t, cfg, w, true, o)
+		res := runQtenon(t, cfg, w, backend.SPSA, o)
 		return res.HostActivity, res.CommActivity
 	}
 	bHost, bComm := run(true)
@@ -216,8 +208,8 @@ func TestHardwareOnlySlowerThanFull(t *testing.T) {
 	w := smallQAOA(t)
 	o := opt.DefaultOptions()
 	o.Iterations = 2
-	full := runQtenon(t, DefaultConfig(host.Rocket()), w, true, o)
-	hw := runQtenon(t, HardwareOnlyConfig(host.Rocket()), w, true, o)
+	full := runQtenon(t, DefaultConfig(host.Rocket()), w, backend.SPSA, o)
+	hw := runQtenon(t, HardwareOnlyConfig(host.Rocket()), w, backend.SPSA, o)
 	if full.Breakdown.Total() >= hw.Breakdown.Total() {
 		t.Errorf("full Qtenon %v not below hardware-only %v", full.Breakdown.Total(), hw.Breakdown.Total())
 	}
@@ -230,8 +222,8 @@ func TestInstructionEconomyVsBaseline(t *testing.T) {
 	w := smallQAOA(t)
 	o := opt.DefaultOptions()
 	o.Iterations = 2
-	qres := runQtenon(t, DefaultConfig(host.Rocket()), w, false, o)
-	bres := runBase(t, baseline.DefaultConfig(), w, false, o)
+	qres := runQtenon(t, DefaultConfig(host.Rocket()), w, backend.GD, o)
+	bres := runBase(t, baseline.DefaultConfig(), w, backend.GD, o)
 	if qres.InstructionCount*10 > bres.InstructionCount {
 		t.Errorf("Qtenon %d instrs vs baseline %d: advantage < 10×",
 			qres.InstructionCount, bres.InstructionCount)
@@ -250,8 +242,8 @@ func TestEndToEndSpeedupShape64q(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := opt.DefaultOptions() // 10 iterations, the paper's setting
-	base := runBase(t, baseline.DefaultConfig(), w, true, o)
-	qt := runQtenon(t, DefaultConfig(host.BoomL()), w, true, o)
+	base := runBase(t, baseline.DefaultConfig(), w, backend.SPSA, o)
+	qt := runQtenon(t, DefaultConfig(host.BoomL()), w, backend.SPSA, o)
 	speedup := float64(base.Breakdown.Total()) / float64(qt.Breakdown.Total())
 	// Paper: 11.5× for 64q VQE under SPSA. Accept the right regime.
 	if speedup < 5 || speedup > 25 {

@@ -25,24 +25,15 @@ type Span struct {
 // *Recorder is a valid no-op sink, so instrumented code never needs nil
 // checks.
 //
-// Spans are indexed per resource as they arrive, and per-resource busy
-// time is memoized, so Busy and Render stay cheap on multi-thousand-span
-// traces instead of re-scanning and re-sorting the full span list on
-// every call.
+// Spans are indexed per resource as they arrive, so Busy and Render
+// visit only one resource's spans instead of scanning the full span
+// list.
 type Recorder struct {
 	spans []Span
 	// byResource holds each resource's span indices in insertion order;
 	// order lists resources in first-seen order.
 	byResource map[string][]int
 	order      []string
-	// busy memoizes Busy per resource; an entry is valid while its n
-	// still matches the resource's span count.
-	busy map[string]busyEntry
-}
-
-type busyEntry struct {
-	n    int
-	busy sim.Time
 }
 
 // Add records a span. Calling on a nil recorder is a no-op.
@@ -72,17 +63,12 @@ func (r *Recorder) Len() int {
 }
 
 // Busy sums the time a resource was occupied (overlapping spans on the
-// same resource are merged first). The result is memoized per resource
-// and recomputed only after new spans land on that resource, so repeated
-// queries — the Render pattern — are O(1).
+// same resource are merged first).
 func (r *Recorder) Busy(resource string) sim.Time {
 	if r == nil {
 		return 0
 	}
 	idxs := r.byResource[resource]
-	if e, ok := r.busy[resource]; ok && e.n == len(idxs) {
-		return e.busy
-	}
 	starts := make([]sim.Time, len(idxs))
 	ends := make([]sim.Time, len(idxs))
 	for i, k := range idxs {
@@ -105,10 +91,6 @@ func (r *Recorder) Busy(resource string) sim.Time {
 	if curEnd >= 0 {
 		busy += curEnd - curStart
 	}
-	if r.busy == nil {
-		r.busy = make(map[string]busyEntry)
-	}
-	r.busy[resource] = busyEntry{n: len(idxs), busy: busy}
 	return busy
 }
 

@@ -16,7 +16,6 @@ package vqa
 
 import (
 	"fmt"
-	"math"
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/pauli"
@@ -356,5 +355,3 @@ func (w *Workload) ExactCost(params []float64) (float64, error) {
 	}
 	return w.Hamiltonian.Expectation(st), nil
 }
-
-var _ = math.Pi
