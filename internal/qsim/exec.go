@@ -1,6 +1,10 @@
 package qsim
 
-import "qtenon/internal/par"
+import (
+	"math/bits"
+
+	"qtenon/internal/par"
+)
 
 // The chunk executor. Both statevector engines run every gate through
 // it, Run as a compiled circuit and State.Apply as a one-gate program:
@@ -453,97 +457,125 @@ func applyPhaseTermsChunk(re, im []float64, terms []phaseTerm, base int) {
 	}
 }
 
+// blockBits sizes applySignTermsChunk's blocks: 2^6 amplitudes, one
+// bit each of a uint64 negation word.
+const blockBits = 6
+
+// sweepChunk bounds the terms one sweep folds; a longer batch takes one
+// sweep per sweepChunk terms.
+const sweepChunk = 32
+
 // applySignTermsChunk applies pure ±1 terms to a chunk, of re and of im
-// unless it is nil, whose first amplitude has basis index base. Bits at
-// or above the chunk length are constant across the chunk and folded
-// out of the lut (selecting a half, or a single negate/skip decision);
-// each negative pattern of the bits inside the chunk is visited directly
-// by nested stride loops, so a CZ negates exactly a quarter of the
-// amplitudes with no per-run factor lookup and no complex arithmetic.
+// unless it is nil, whose first amplitude has basis index base, in one
+// pass over blocks of 64 amplitudes. Negation flips the sign bit, also
+// of ±0 and NaN, so the batch's effect on an amplitude is the parity of
+// the terms that negate it: bit j of a block's word, the XOR of the
+// terms' words, negates amplitude j. A term's word depends only on the
+// block's index bits at or above blockBits. A term with no such bit
+// inside the chunk has one word for the whole chunk, and those words
+// fold into one constant; every other term picks one of four words by
+// its bits of the block index. A chunk under 64 amplitudes is one
+// partial block: a window at base's low bits into the aligned block
+// that holds it.
 func applySignTermsChunk(re, im []float64, terms []signTerm, base int) {
+	for len(terms) > sweepChunk {
+		applySignTermsChunk(re, im, terms[:sweepChunk], base)
+		terms = terms[sweepChunk:]
+	}
+	if len(terms) == 0 {
+		return
+	}
 	n := len(re)
-	for ti := range terms {
-		t := &terms[ti]
-		sA, sB := t.sA, t.sB
-		lut := t.lut
-		switch {
-		case lut == 0:
-			// No negative patterns — an all-ones factor table (e.g. an
-			// RZZ bound to θ=0) is a no-op.
-		case 1<<sA >= n:
-			// Both bits constant (sA ≤ sB): the whole chunk shares one
-			// factor pattern.
-			p := ((base >> sA) & 1) | (((base >> sB) & 1) << 1)
-			if lut>>p&1 != 0 {
-				negate(re, im, 0, n)
-			}
-		case 1<<sB >= n:
-			// Bit sB constant; select its lut half and sweep bit sA.
-			l := (lut >> (2 * uint((base>>sB)&1))) & 3
-			negateBit(re, im, sA, l&1 != 0, l>>1&1 != 0)
-		case sA == sB:
-			// Single-bit term: only patterns 0 (bit clear) and 3 (set)
-			// occur.
-			negateBit(re, im, sA, lut&1 != 0, lut>>3&1 != 0)
-		case sB == sA+1 && lut&(lut-1) == 0:
-			// Adjacent bits, single negative pattern — the CZ brick
-			// case: the inner stride loop has exactly one run per outer
-			// block, so flatten to one loop.
-			stepA, stepB := 1<<sA, 1<<sB
-			p := uint8(0)
-			for lut>>p&1 == 0 {
-				p++
-			}
-			off := int(p&1)<<sA | int(p>>1)<<sB
-			for b := off; b < n; b += stepB << 1 {
-				negate(re, im, b, b+stepA)
-			}
-		default:
-			stepA, stepB := 1<<sA, 1<<sB
-			for p := uint8(0); p < 4; p++ {
-				if lut>>p&1 == 0 {
-					continue
-				}
-				offA := int(p&1) << sA
-				offB := int(p>>1) << sB
-				for bB := offB; bB < n; bB += stepB << 1 {
-					for b := bB + offA; b < bB+stepB; b += stepA << 1 {
-						negate(re, im, b, b+stepA)
-					}
-				}
-			}
+	var vary [sweepChunk]struct {
+		w            [4]uint64 // by the block's bits a|b<<1
+		sA, sB, a, b uint      // a (b) is 1 when sA (sB) is at or above blockBits
+	}
+	nv := 0
+	fixed := uint64(0)
+	for i := range terms {
+		t := &terms[i]
+		a, b := uint(0), uint(0)
+		if t.sA >= blockBits {
+			a = 1
 		}
+		if t.sB >= blockBits {
+			b = 1
+		}
+		if b == 1 && 1<<t.sB < n || a == 1 && 1<<t.sA < n {
+			v := &vary[nv]
+			for q := range v.w {
+				v.w[q] = signWord(t, uint(q)&1, uint(q)>>1)
+			}
+			v.sA, v.sB, v.a, v.b = t.sA, t.sB, a, b
+			nv++
+			continue
+		}
+		fixed ^= signWord(t, uint(base)>>t.sA&1, uint(base)>>t.sB&1)
+	}
+	if n < 1<<blockBits {
+		// No term varies: every bit at or above blockBits is constant.
+		flipSigns(re, im, 0, fixed>>(base&(1<<blockBits-1))&(1<<n-1))
+		return
+	}
+	for lo := 0; lo < n; lo += 1 << blockBits {
+		w := fixed
+		g := uint(base + lo)
+		for i := 0; i < nv; i++ {
+			v := &vary[i]
+			w ^= v.w[g>>v.sA&v.a|g>>v.sB&v.b<<1]
+		}
+		flipSigns(re, im, lo, w)
 	}
 }
 
-// negateBit negates a chunk's amplitudes, of re and of im unless it is
-// nil, whose bit sA (below the chunk length) is clear (neg0) and/or set
-// (neg1).
-func negateBit(re, im []float64, sA uint, neg0, neg1 bool) {
-	n := len(re)
-	step := 1 << sA
-	if neg0 {
-		for b := 0; b < n; b += step << 1 {
-			negate(re, im, b, b+step)
-		}
-	}
-	if neg1 {
-		for b := step; b < n; b += step << 1 {
-			negate(re, im, b, b+step)
-		}
-	}
+// inBlock[s] is the word whose bit j is bit s of j.
+var inBlock = [blockBits]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
 }
 
-// negate negates amplitudes [lo, hi) of re and im, or of re alone when
-// im is nil.
-func negate(re, im []float64, lo, hi int) {
+// signWord returns t's negation word for a block whose bits sA and sB
+// are va and vb: bit j is set when t negates the block's amplitude j. A
+// bit below blockBits is amplitude j's own, and its value is ignored.
+func signWord(t *signTerm, va, vb uint) uint64 {
+	mA, mB := bitMask(t.sA, va), bitMask(t.sB, vb)
+	var w uint64
+	if t.lut&1 != 0 {
+		w |= ^mA & ^mB
+	}
+	if t.lut&2 != 0 {
+		w |= mA & ^mB
+	}
+	if t.lut&4 != 0 {
+		w |= ^mA & mB
+	}
+	if t.lut&8 != 0 {
+		w |= mA & mB
+	}
+	return w
+}
+
+// bitMask returns the word whose bit j is bit s of a block's amplitude
+// j: j's own bit below blockBits, else v for every j.
+func bitMask(s, v uint) uint64 {
+	if s < blockBits {
+		return inBlock[s]
+	}
+	return -uint64(v)
+}
+
+// flipSigns negates re[lo+j], and im[lo+j] unless im is nil, for every
+// set bit j of w.
+func flipSigns(re, im []float64, lo int, w uint64) {
 	if im == nil {
-		for i := lo; i < hi; i++ {
+		for ; w != 0; w &= w - 1 {
+			i := lo + bits.TrailingZeros64(w)
 			re[i] = -re[i]
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for ; w != 0; w &= w - 1 {
+		i := lo + bits.TrailingZeros64(w)
 		re[i] = -re[i]
 		im[i] = -im[i]
 	}

@@ -15,6 +15,10 @@ import (
 // types renamed: frozenState holds a dense state's arrays, and
 // frozenSharded a sharded state's shards. FuzzEngineMatchesFrozen
 // demands that Apply and the shared sampler reproduce them bit for bit.
+// The real pair kernel and the sign-term stride loops are frozen here
+// too, as they were before the block loops and the one-pass sign sweep:
+// frozenState runs the former, and FuzzSignSweepMatchesFrozen holds the
+// sweep to the latter.
 
 // frozenState is a dense statevector driven by the frozen kernels and
 // sampled by the frozen dense sampler.
@@ -43,7 +47,7 @@ func (s *frozenState) apply1Q(q int, u00, u01, u10, u11 complex128) {
 	if matIsReal(&u) {
 		r := [4]float64{real(u00), real(u01), real(u10), real(u11)}
 		par.For(len(re)>>1, func(lo, hi int) {
-			apply1QRealPairs(re, im, stride, r, lo, hi)
+			frozenApply1QRealPairs(re, im, stride, r, lo, hi)
 		})
 		return
 	}
@@ -342,4 +346,137 @@ func (s *frozenSharded) Sample(shots int, rng *rand.Rand) []uint64 {
 		}
 	})
 	return out
+}
+
+// frozenApply1QRealPairs is apply1QRealPairs before its block loops
+// for strides 2 and 4, with butterflyReal's loop inlined.
+func frozenApply1QRealPairs(re, im []float64, stride int, u [4]float64, lo, hi int) {
+	u00, u01, u10, u11 := u[0], u[1], u[2], u[3]
+	if stride == 1 {
+		r := re[2*lo : 2*hi]
+		if im == nil {
+			for x := 0; x+1 < len(r); x += 2 {
+				a0r, a1r := r[x], r[x+1]
+				r[x] = float64(u00*a0r) + float64(u01*a1r)
+				r[x+1] = float64(u10*a0r) + float64(u11*a1r)
+			}
+			return
+		}
+		m := im[2*lo : 2*hi]
+		for x := 0; x+1 < len(r); x += 2 {
+			a0r, a0i := r[x], m[x]
+			a1r, a1i := r[x+1], m[x+1]
+			r[x] = float64(u00*a0r) + float64(u01*a1r)
+			m[x] = float64(u00*a0i) + float64(u01*a1i)
+			r[x+1] = float64(u10*a0r) + float64(u11*a1r)
+			m[x+1] = float64(u10*a0i) + float64(u11*a1i)
+		}
+		return
+	}
+	mask := stride - 1
+	for k := lo; k < hi; {
+		run := stride - k&mask
+		if run > hi-k {
+			run = hi - k
+		}
+		i := (k&^mask)<<1 | k&mask
+		r0 := re[i:][:run]
+		r1 := re[i+stride:][:run]
+		if im == nil {
+			for x := range r0 {
+				v0, v1 := r0[x], r1[x]
+				r0[x] = float64(u00*v0) + float64(u01*v1)
+				r1[x] = float64(u10*v0) + float64(u11*v1)
+			}
+			k += run
+			continue
+		}
+		m0 := im[i:][:run]
+		m1 := im[i+stride:][:run]
+		for x := 0; x < run; x++ {
+			a0r, a0i := r0[x], m0[x]
+			a1r, a1i := r1[x], m1[x]
+			r0[x] = float64(u00*a0r) + float64(u01*a1r)
+			m0[x] = float64(u00*a0i) + float64(u01*a1i)
+			r1[x] = float64(u10*a0r) + float64(u11*a1r)
+			m1[x] = float64(u10*a0i) + float64(u11*a1i)
+		}
+		k += run
+	}
+}
+
+// frozenApplySignTermsChunk is applySignTermsChunk before the one-pass
+// sweep: nested stride loops for every batch.
+func frozenApplySignTermsChunk(re, im []float64, terms []signTerm, base int) {
+	n := len(re)
+	for ti := range terms {
+		t := &terms[ti]
+		sA, sB := t.sA, t.sB
+		lut := t.lut
+		switch {
+		case lut == 0:
+		case 1<<sA >= n:
+			p := ((base >> sA) & 1) | (((base >> sB) & 1) << 1)
+			if lut>>p&1 != 0 {
+				frozenNegate(re, im, 0, n)
+			}
+		case 1<<sB >= n:
+			l := (lut >> (2 * uint((base>>sB)&1))) & 3
+			frozenNegateBit(re, im, sA, l&1 != 0, l>>1&1 != 0)
+		case sA == sB:
+			frozenNegateBit(re, im, sA, lut&1 != 0, lut>>3&1 != 0)
+		case sB == sA+1 && lut&(lut-1) == 0:
+			stepA, stepB := 1<<sA, 1<<sB
+			p := uint8(0)
+			for lut>>p&1 == 0 {
+				p++
+			}
+			off := int(p&1)<<sA | int(p>>1)<<sB
+			for b := off; b < n; b += stepB << 1 {
+				frozenNegate(re, im, b, b+stepA)
+			}
+		default:
+			stepA, stepB := 1<<sA, 1<<sB
+			for p := uint8(0); p < 4; p++ {
+				if lut>>p&1 == 0 {
+					continue
+				}
+				offA := int(p&1) << sA
+				offB := int(p>>1) << sB
+				for bB := offB; bB < n; bB += stepB << 1 {
+					for b := bB + offA; b < bB+stepB; b += stepA << 1 {
+						frozenNegate(re, im, b, b+stepA)
+					}
+				}
+			}
+		}
+	}
+}
+
+func frozenNegateBit(re, im []float64, sA uint, neg0, neg1 bool) {
+	n := len(re)
+	step := 1 << sA
+	if neg0 {
+		for b := 0; b < n; b += step << 1 {
+			frozenNegate(re, im, b, b+step)
+		}
+	}
+	if neg1 {
+		for b := step; b < n; b += step << 1 {
+			frozenNegate(re, im, b, b+step)
+		}
+	}
+}
+
+func frozenNegate(re, im []float64, lo, hi int) {
+	if im == nil {
+		for i := lo; i < hi; i++ {
+			re[i] = -re[i]
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		re[i] = -re[i]
+		im[i] = -im[i]
+	}
 }

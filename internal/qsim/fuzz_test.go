@@ -181,3 +181,127 @@ func requireSameWords(t *testing.T, label string, got, want []uint64) {
 		}
 	}
 }
+
+// FuzzSignSweepMatchesFrozen holds applySignTermsChunk's sweep to the
+// frozen stride loops (frozen_test.go) on raw bits, zero and NaN signs
+// included: 1–100 terms with sA ≤ sB on bits 0–23 and any lut,
+// single-bit terms among them, on a chunk of 2^0–2^16 amplitudes at a
+// random aligned base, with and without im. The values mix ±0, ±Inf, NaN, subnormals and
+// random bit patterns.
+func FuzzSignSweepMatchesFrozen(f *testing.F) {
+	f.Add(int64(1), uint8(11), uint8(12), false)
+	f.Add(int64(2), uint8(23), uint8(16), true)
+	f.Add(int64(3), uint8(1), uint8(0), true)
+	f.Add(int64(4), uint8(4), uint8(5), false)
+	f.Add(int64(5), uint8(99), uint8(7), true)
+	f.Add(int64(6), uint8(40), uint8(3), false)
+	f.Fuzz(func(t *testing.T, seed int64, nterms, logn uint8, withIm bool) {
+		rng := rand.New(rand.NewSource(seed))
+		k := int(logn) % 17
+		n := 1 << k
+		terms := make([]signTerm, 1+int(nterms)%100)
+		for i := range terms {
+			a, b := uint(rng.Intn(24)), uint(rng.Intn(24))
+			if rng.Intn(4) == 0 {
+				b = a
+			}
+			terms[i] = signTerm{sA: min(a, b), sB: max(a, b), lut: uint8(rng.Intn(16))}
+		}
+		base := rng.Intn(1<<24) &^ (n - 1)
+		re := fuzzValues(rng, n)
+		wantRe := append([]float64(nil), re...)
+		var im, wantIm []float64
+		if withIm {
+			im = fuzzValues(rng, n)
+			wantIm = append([]float64(nil), im...)
+		}
+		applySignTermsChunk(re, im, terms, base)
+		frozenApplySignTermsChunk(wantRe, wantIm, terms, base)
+		for i := range re {
+			if math.Float64bits(re[i]) != math.Float64bits(wantRe[i]) {
+				t.Fatalf("n=%d base=%#x %d terms: re[%d] = %#x, frozen %#x", n, base, len(terms), i,
+					math.Float64bits(re[i]), math.Float64bits(wantRe[i]))
+			}
+			if withIm && math.Float64bits(im[i]) != math.Float64bits(wantIm[i]) {
+				t.Fatalf("n=%d base=%#x %d terms: im[%d] = %#x, frozen %#x", n, base, len(terms), i,
+					math.Float64bits(im[i]), math.Float64bits(wantIm[i]))
+			}
+		}
+	})
+}
+
+// fuzzValues returns n floats: ±0, ±Inf, NaN, subnormals, random bit
+// patterns and ordinary values.
+func fuzzValues(rng *rand.Rand, n int) []float64 {
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030}
+	v := make([]float64, n)
+	for i := range v {
+		switch rng.Intn(4) {
+		case 0:
+			v[i] = special[rng.Intn(len(special))]
+		case 1:
+			v[i] = math.Float64frombits(rng.Uint64())
+		default:
+			v[i] = rng.NormFloat64()
+		}
+	}
+	return v
+}
+
+// FuzzAliasTableMatchesFrozen holds aliasTable.build to the frozen
+// table build (newFrozenTable) on 1–2^13 weights: zeros, subnormals,
+// one-hot, uniform, all-zero and random. The prob bits and the aliases
+// must be equal.
+func FuzzAliasTableMatchesFrozen(f *testing.F) {
+	for kind := uint8(0); kind < 6; kind++ {
+		f.Add(int64(kind), uint16(4096), kind)
+	}
+	f.Add(int64(7), uint16(1), uint8(5))
+	f.Add(int64(8), uint16(8191), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, kind uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(size)%(1<<13)
+		p := make([]float64, n)
+		switch kind % 6 {
+		case 0: // random, a fifth of them zero
+			for i := range p {
+				if rng.Intn(5) != 0 {
+					p[i] = rng.Float64()
+				}
+			}
+		case 1: // subnormals and zeros
+			for i := range p {
+				p[i] = math.SmallestNonzeroFloat64 * float64(rng.Intn(4))
+			}
+		case 2: // one-hot
+			p[rng.Intn(n)] = 1
+		case 3: // uniform
+			for i := range p {
+				p[i] = 1 / float64(n)
+			}
+		case 4: // all zero
+		default: // squared amplitudes of a random state, spread over decades
+			for i := range p {
+				a := rng.NormFloat64() * math.Pow(10, -float64(rng.Intn(8)))
+				p[i] = a * a
+			}
+		}
+		want := newFrozenTable(p, &frozenScratch{}, nil)
+		total := par.SumFloat64(n, func(lo, hi int) float64 {
+			var t float64
+			for _, v := range p[lo:hi] {
+				t += v
+			}
+			return t
+		})
+		var got aliasTable
+		got.build(append([]float64(nil), p...), total, &aliasScratch{})
+		for i := range p {
+			if math.Float64bits(got.prob[i]) != math.Float64bits(want.prob[i]) || got.alias[i] != want.alias[i] {
+				t.Fatalf("n=%d kind=%d: slot %d = (%v, %d), frozen (%v, %d)", n, kind%6, i,
+					got.prob[i], got.alias[i], want.prob[i], want.alias[i])
+			}
+		}
+	})
+}

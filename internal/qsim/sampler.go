@@ -40,11 +40,35 @@ type aliasTable struct {
 }
 
 // aliasScratch is the reusable working memory of one group of table
-// builds: the weights of the chunk being built and the build's
-// worklists. It serves one build at a time.
+// builds: the chunk being built, its weights and the build's worklist.
+// It serves one build at a time. probs is its probability pass as a
+// function value, made once by newAliasScratch, so that handing it to
+// par.SumFloat64 allocates nothing.
 type aliasScratch struct {
-	w            []float64
-	small, large []int32
+	r, m  []float64
+	w     []float64
+	list  []int32
+	probs func(lo, hi int) float64
+}
+
+// newAliasScratch returns an empty scratch with its pass made.
+func newAliasScratch() *aliasScratch {
+	sc := &aliasScratch{}
+	sc.probs = sc.probPass
+	return sc
+}
+
+// probPass writes the probabilities of amplitudes [lo, hi) of the
+// chunk (r, m) into w and returns their sum.
+func (sc *aliasScratch) probPass(lo, hi int) float64 {
+	r, m, w := sc.r, sc.m, sc.w
+	var t float64
+	for i := lo; i < hi; i++ {
+		p := float64(r[i]*r[i]) + float64(m[i]*m[i])
+		w[i] = p
+		t += p
+	}
+	return t
 }
 
 // sampler holds the alias tables and build scratch one engine recycles
@@ -53,7 +77,7 @@ type sampler struct {
 	tables  []aliasTable // one per chunk
 	top     aliasTable   // over the chunk masses; built for more than one chunk
 	masses  []float64
-	scratch []aliasScratch // one per concurrent build group
+	scratch []*aliasScratch // one per concurrent build group
 	seeds   []int64
 	subs    []rng.Stream // one per concurrent group of shot blocks
 }
@@ -111,12 +135,14 @@ func (s *sampler) build(re, im [][]float64) {
 	groups := min(par.Workers(), n)
 	s.tables = slices.Grow(s.tables[:0], n)[:n]
 	s.masses = slices.Grow(s.masses[:0], n)[:n]
-	s.scratch = slices.Grow(s.scratch[:0], groups)[:groups]
+	for len(s.scratch) < groups {
+		s.scratch = append(s.scratch, newAliasScratch())
+	}
 	if groups == 1 {
-		s.buildChunks(re, im, 0, n, &s.scratch[0])
+		s.buildChunks(re, im, 0, n, s.scratch[0])
 	} else {
 		par.Do(groups, func(g int) {
-			s.buildChunks(re, im, g*n/groups, (g+1)*n/groups, &s.scratch[g])
+			s.buildChunks(re, im, g*n/groups, (g+1)*n/groups, s.scratch[g])
 		})
 	}
 	if n > 1 {
@@ -128,7 +154,7 @@ func (s *sampler) build(re, im [][]float64) {
 			}
 			return t
 		})
-		s.top.build(m, total, &s.scratch[0])
+		s.top.build(m, total, s.scratch[0])
 	}
 }
 
@@ -138,18 +164,10 @@ func (s *sampler) build(re, im [][]float64) {
 // mass the top-level table draws it by.
 func (s *sampler) buildChunks(re, im [][]float64, lo, hi int, sc *aliasScratch) {
 	for c := lo; c < hi; c++ {
-		r, m := re[c], im[c]
+		r := re[c]
 		w := slices.Grow(sc.w[:0], len(r))[:len(r)]
-		sc.w = w
-		total := par.SumFloat64(len(r), func(lo, hi int) float64 {
-			var t float64
-			for i := lo; i < hi; i++ {
-				p := float64(r[i]*r[i]) + float64(m[i]*m[i])
-				w[i] = p
-				t += p
-			}
-			return t
-		})
+		sc.r, sc.m, sc.w = r, im[c], w
+		total := par.SumFloat64(len(r), sc.probs)
 		if len(re) > 1 {
 			var mass float64
 			for _, p := range w {
@@ -162,9 +180,16 @@ func (s *sampler) buildChunks(re, im [][]float64, lo, hi int, sc *aliasScratch) 
 }
 
 // build fills t in O(N) from the weights w, whose par.SumFloat64 total
-// is total, using sc's worklists; it overwrites w. Exact zeros stay
+// is total, using sc's worklist; it overwrites w. Exact zeros stay
 // impossible: a zero-weight slot keeps probability 0 and always
 // forwards to its alias.
+//
+// The worklist holds the small slots (scaled weight below 1) from the
+// front and the large ones from the back, each a stack in slot order:
+// the pairing pops the last small slot and pairs it with the last large
+// one. The open large slot's weight stays in a register, wl, and is
+// stored back when it turns small, since it is then the next small slot
+// popped; no leftover's weight is read.
 func (t *aliasTable) build(w []float64, total float64, sc *aliasScratch) {
 	n := len(w)
 	if total <= 0 {
@@ -172,40 +197,55 @@ func (t *aliasTable) build(w []float64, total float64, sc *aliasScratch) {
 	}
 	t.prob = slices.Grow(t.prob[:0], n)[:n]
 	t.alias = slices.Grow(t.alias[:0], n)[:n]
-	small := sc.small[:0]
-	large := sc.large[:0]
+	list := slices.Grow(sc.list[:0], n)[:n]
+	sc.list = list
+	prob, alias := t.prob, t.alias
+	ns, nl := 0, n // small slots list[:ns], large slots list[nl:], last on top
 	scale := float64(n) / total
 	for i := range w {
 		w[i] *= scale
 		if w[i] < 1 {
-			small = append(small, int32(i))
+			list[ns] = int32(i)
+			ns++
 		} else {
-			large = append(large, int32(i))
+			nl--
+			list[nl] = int32(i)
 		}
 	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		t.prob[s] = w[s]
-		t.alias[s] = l
-		w[l] -= 1 - w[s]
-		if w[l] < 1 {
-			large = large[:len(large)-1]
-			small = append(small, l)
+	if ns > 0 && nl < n {
+		l := list[nl]
+		wl := w[l]
+		for {
+			ns--
+			s := list[ns]
+			ws := w[s]
+			prob[s] = ws
+			alias[s] = l
+			wl -= 1 - ws
+			if wl < 1 {
+				w[l] = wl
+				list[ns] = l
+				ns++
+				nl++
+				if nl == n {
+					break
+				}
+				l = list[nl]
+				wl = w[l]
+			} else if ns == 0 {
+				break
+			}
 		}
 	}
 	// Leftovers are within rounding of probability 1.
-	for _, l := range large {
-		t.prob[l] = 1
-		t.alias[l] = l
+	for _, l := range list[nl:] {
+		prob[l] = 1
+		alias[l] = l
 	}
-	for _, s := range small {
-		t.prob[s] = 1
-		t.alias[s] = s
+	for _, s := range list[:ns] {
+		prob[s] = 1
+		alias[s] = s
 	}
-	sc.small = small
-	sc.large = large
 }
 
 // draw returns one outcome: O(1) — one uniform slot pick plus one

@@ -158,22 +158,44 @@ func matIsReal(u *[4]complex128) bool {
 // [lo, hi) to re and im, or to re alone when im is nil. Within a range
 // the pair index is decoded once per contiguous run (a run ends at a
 // stride block or the range boundary, whichever is first), keeping the
-// inner loop a branch-free float sweep. One loop updates both arrays:
-// on a state past the caches it measured faster than a sweep of each.
+// inner loop a branch-free float sweep. Strides 1, 2 and 4 on re alone
+// step over whole stride blocks of 2, 4 and 8 amplitudes instead, when
+// the range holds whole blocks. One loop updates both arrays: on a
+// state past the caches it measured faster than a sweep of each.
 func apply1QRealPairs(re, im []float64, stride int, u [4]float64, lo, hi int) {
 	u00, u01, u10, u11 := u[0], u[1], u[2], u[3]
-	if stride == 1 {
-		// Pairs are adjacent: one contiguous window, two amplitudes per
-		// step, no run decode at all.
+	if im == nil && stride <= 4 && (lo|hi)&(stride-1) == 0 {
+		// Pairs (x+j, x+j+stride) of block x, in pair order, with no run
+		// decode at all.
 		r := re[2*lo : 2*hi]
-		if im == nil {
+		switch stride {
+		case 1:
 			for x := 0; x+1 < len(r); x += 2 {
 				a0r, a1r := r[x], r[x+1]
 				r[x] = float64(u00*a0r) + float64(u01*a1r)
 				r[x+1] = float64(u10*a0r) + float64(u11*a1r)
 			}
-			return
+		case 2:
+			for x := 0; x+4 <= len(r); x += 4 {
+				b := (*[4]float64)(r[x:])
+				b[0], b[2] = float64(u00*b[0])+float64(u01*b[2]), float64(u10*b[0])+float64(u11*b[2])
+				b[1], b[3] = float64(u00*b[1])+float64(u01*b[3]), float64(u10*b[1])+float64(u11*b[3])
+			}
+		case 4:
+			for x := 0; x+8 <= len(r); x += 8 {
+				b := (*[8]float64)(r[x:])
+				b[0], b[4] = float64(u00*b[0])+float64(u01*b[4]), float64(u10*b[0])+float64(u11*b[4])
+				b[1], b[5] = float64(u00*b[1])+float64(u01*b[5]), float64(u10*b[1])+float64(u11*b[5])
+				b[2], b[6] = float64(u00*b[2])+float64(u01*b[6]), float64(u10*b[2])+float64(u11*b[6])
+				b[3], b[7] = float64(u00*b[3])+float64(u01*b[7]), float64(u10*b[3])+float64(u11*b[7])
+			}
 		}
+		return
+	}
+	if stride == 1 {
+		// Pairs are adjacent: one contiguous window, two amplitudes per
+		// step, no run decode at all.
+		r := re[2*lo : 2*hi]
 		m := im[2*lo : 2*hi]
 		for x := 0; x+1 < len(r); x += 2 {
 			a0r, a0i := r[x], m[x]

@@ -19,9 +19,13 @@ import (
 // job's body directly and hands par.Do function values its engine made
 // once. A case with shots also samples the system's default 500 shots
 // after each Run, which rebuilds the sampler's alias tables into
-// recycled storage and reseeds its recycled sub-stream in place;
-// sampling allocates the outcome slice and its reductions' closures and
-// partial sums, and nothing per block. The dense12-shift case runs one
+// recycled storage and reseeds its recycled sub-stream in place. Its
+// probability pass is a function value each build scratch made once, so
+// the dense state's sample allocates the outcome slice alone; a sharded
+// state's also allocates the closure of its sum over the chunk masses
+// and, for each chunk, the partial sums and the closure par.SumFloat64
+// makes over more than one reduction chunk. Nothing is allocated per
+// block. The dense12-shift case runs one
 // gradient-descent iteration's 73 circuits in the optimizer's order, so
 // most of its Runs resume from the dense engine's prefix checkpoint,
 // whose storage the warm-up allocates once. Each pin is the measured
@@ -40,7 +44,8 @@ func BenchmarkRunAllocRegression(b *testing.B) {
 		{"dense16", route.Dense, 16, false, 0, 0},
 		{"dense12-shift", route.Dense, 12, true, 0, 0},
 		{"sharded17", route.Sharded, 17, false, 0, 0},
-		{"sharded17+sample", route.Sharded, 17, false, 500, 8},
+		{"dense12+sample", route.Dense, 12, false, 500, 1},
+		{"sharded17+sample", route.Sharded, 17, false, 500, 6},
 		{"product64", route.Product, 64, false, 0, 0},
 	}
 	for _, tc := range cases {

@@ -12,14 +12,15 @@ import (
 // make. It is the measured count of the 12-qubit/100-shot evaluation:
 // fresh Outcomes and the batch plan remain by design, and the rest are
 // the event engine's closures; the dense engine's Run allocates
-// nothing, which internal/route's BenchmarkRunAllocRegression pins on
-// its own. The router's circuit analysis keeps its flags on the stack
-// up to 64 qubits, and no tag maps are left: the SLT's only amortized
+// nothing and its Sample only the outcome slice, which
+// internal/route's BenchmarkRunAllocRegression pins on its own. The
+// router's circuit analysis keeps its flags on the stack up to 64
+// qubits, and no tag maps are left: the SLT's only amortized
 // growth is its QSpace tables and pulse-slot owner slices, which the
 // fewest-over-windows rule below absorbs. Losing any scratch buffer
 // (statevector, alias table, sub-stream, regfile image, diff plan, RBQ
 // data), or one new allocation per kernel call, trips it.
-const evaluateAllocCeiling = 8
+const evaluateAllocCeiling = 7
 
 // spsaEvaluateAllocCeiling is the measured count of a 64-qubit/500-shot
 // Evaluate in which every parameter moves, as under SPSA (Figure 13):
