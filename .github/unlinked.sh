@@ -7,7 +7,8 @@
 # eight examples, and perfbench built from its own module. They are
 # built with inlining off, so a function inlined at every call site
 # still counts as linked. The program packages name their symbols
-# main.*, so only internal/ is checked.
+# main.*, so only internal/ is checked. An assembly function links as
+# its name plus ".abi0", which is stripped.
 #
 # Run from the repository root: bash .github/unlinked.sh (needs GNU sed).
 set -eu
@@ -21,7 +22,7 @@ done
 (cd perfbench && go build -gcflags=all=-l -o "$d/bin/perfbench" .)
 for b in "$d"/bin/*; do go tool nm "$b"; done |
   awk '$2 == "T" && $3 ~ /^qtenon\// { print $3 }' |
-  sed -E 's/\[[^]]*\]//g' | sort -u > "$d/linked"
+  sed -E -e 's/\[[^]]*\]//g' -e 's/\.abi0$//' | sort -u > "$d/linked"
 # Each "func" line becomes its symbol name: the package path, then the
 # function, or the receiver type and method, with type arguments
 # stripped from generic symbols.

@@ -230,7 +230,9 @@ func Do(n int, body func(i int)) {
 // reduce partitions [0, n) into fixed chunkSize ranges, evaluates chunk
 // on each (in parallel when large enough), and folds the partials in
 // chunk order. The partition and fold order depend only on n, so the
-// result is bit-identical at any worker count.
+// result is bit-identical at any worker count. A reduction that runs on
+// the calling goroutine folds each chunk's partial as it comes, the
+// same adds in the same order, and allocates nothing.
 func reduce[T any](n int, chunk func(lo, hi int) T, add func(a, b T) T) T {
 	var zero T
 	if n <= 0 {
@@ -240,23 +242,22 @@ func reduce[T any](n int, chunk func(lo, hi int) T, add func(a, b T) T) T {
 	if nchunks == 1 {
 		return chunk(0, n)
 	}
+	w := Workers()
+	if n < SerialThreshold || w == 1 {
+		acc := chunk(0, chunkSize)
+		for lo := chunkSize; lo < n; lo += chunkSize {
+			acc = add(acc, chunk(lo, min(lo+chunkSize, n)))
+		}
+		return acc
+	}
 	partials := make([]T, nchunks)
-	eval := func(lo, hi int) {
+	j := &job{fn: func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			clo := c * chunkSize
-			chi := clo + chunkSize
-			if chi > n {
-				chi = n
-			}
-			partials[c] = chunk(clo, chi)
+			partials[c] = chunk(clo, min(clo+chunkSize, n))
 		}
-	}
-	if w := Workers(); n < SerialThreshold || w == 1 {
-		eval(0, nchunks)
-	} else {
-		j := &job{fn: eval, n: nchunks, chunk: 1}
-		dispatch(j, w-1)
-	}
+	}, n: nchunks, chunk: 1}
+	dispatch(j, w-1)
 	acc := partials[0]
 	for _, p := range partials[1:] {
 		acc = add(acc, p)

@@ -328,3 +328,17 @@ func TestDoAllocs(t *testing.T) {
 		t.Errorf("Do(4, noop) allocates %.2f times per call, want at most 2", got)
 	}
 }
+
+// A reduction on the calling goroutine folds its chunks as they come and
+// allocates nothing: below SerialThreshold, and over many chunks at one
+// worker.
+func TestSerialSumAllocs(t *testing.T) {
+	SetWorkers(1)
+	defer SetWorkers(0)
+	chunk := func(lo, hi int) float64 { return float64(hi - lo) }
+	for _, n := range []int{SerialThreshold - 1, 5*chunkSize + 3} {
+		if got := testing.AllocsPerRun(100, func() { SumFloat64(n, chunk) }); got != 0 {
+			t.Errorf("SumFloat64(%d) at one worker allocates %.2f times per call, want 0", n, got)
+		}
+	}
+}

@@ -4,32 +4,124 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
 
-// TestRealPairsMatchFrozen holds the real pair kernel on re alone to
-// its frozen copy (frozen_test.go) on raw bits, at every stride of a
-// 2^10-amplitude array, over the whole range, which takes the block
-// loops at strides 1, 2 and 4, and over ranges that cut stride blocks,
-// which take the run decode.
-func TestRealPairsMatchFrozen(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 1 << 10
-	u := [4]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-	for stride := 1; stride < n; stride <<= 1 {
-		for _, r := range [][2]int{{0, n / 2}, {1, n/2 - 3}, {stride, n / 2}, {3, 5}} {
-			lo, hi := r[0], r[1]
-			got := fuzzValues(rng, n)
-			want := append([]float64(nil), got...)
-			apply1QRealPairs(got, nil, stride, u, lo, hi)
-			frozenApply1QRealPairs(want, nil, stride, u, lo, hi)
+// FuzzRealPairsMatchFrozen holds the real pair kernel on re alone to
+// its frozen copy (frozen_test.go) on raw bits, twice: through the
+// dispatch (apply1QRealPairs, which runs the vector kernel where the
+// CPU has one) and through the Go loops called directly
+// (apply1QRealPairsGo). It covers 1–14 qubits, every stride, the whole
+// range, which takes the vector kernel or the block loops, and ranges
+// that cut stride blocks or hold no multiple of 8 amplitudes, which
+// take the Go loops. Matrix entries mix ordinary values with ±0,
+// subnormals, 1e±300 and 2^±1000; amplitudes are fuzzValues' with no
+// NaN, since no engine sees one (DESIGN.md §11.2). A NaN that the
+// arithmetic makes (∞·0, ∞−∞) matches any NaN: its payload may differ
+// between the paths (§11.5).
+func FuzzRealPairsMatchFrozen(f *testing.F) {
+	// Every stride of a 10-qubit re, over the whole range, over ranges
+	// that cut blocks, and over pairs [3, 5).
+	for q := uint8(0); q < 9; q++ {
+		stride := uint16(1) << q
+		for _, r := range [][2]uint16{{0, 512}, {1, 509}, {stride, 512}, {3, 5}} {
+			f.Add(int64(1), uint8(10), q, r[0], r[1])
+		}
+	}
+	// 1- and 2-qubit states, where strides 1 and 2 keep the block loops,
+	// and 3 qubits, the smallest the vector kernel takes at every stride.
+	f.Add(int64(2), uint8(1), uint8(0), uint16(0), uint16(1))
+	f.Add(int64(3), uint8(2), uint8(0), uint16(0), uint16(2))
+	f.Add(int64(4), uint8(2), uint8(1), uint16(0), uint16(2))
+	f.Add(int64(5), uint8(3), uint8(2), uint16(0), uint16(4))
+	f.Add(int64(6), uint8(14), uint8(13), uint16(0), uint16(8192))
+	f.Add(int64(7), uint8(12), uint8(1), uint16(6), uint16(2046))
+	f.Fuzz(func(t *testing.T, seed int64, nq, q uint8, lo, hi uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(nq)%14
+		stride := 1 << (int(q) % n)
+		pairs := 1 << (n - 1)
+		l, h := min(int(lo), pairs), min(int(hi), pairs)
+		if h < l {
+			l, h = h, l
+		}
+		var u [4]float64
+		for i := range u {
+			u[i] = fuzzEntry(rng)
+		}
+		re := fuzzValues(rng, 1<<n)
+		for i, v := range re {
+			if math.IsNaN(v) {
+				re[i] = 0
+			}
+		}
+		want := append([]float64(nil), re...)
+		frozenApply1QRealPairs(want, nil, stride, u, l, h)
+		for _, path := range []struct {
+			name  string
+			apply func(re, im []float64, stride int, u [4]float64, lo, hi int)
+		}{{"dispatch", apply1QRealPairs}, {"go", apply1QRealPairsGo}} {
+			got := append([]float64(nil), re...)
+			path.apply(got, nil, stride, u, l, h)
 			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("stride %d pairs [%d,%d): re[%d] = %#x, frozen %#x", stride, lo, hi, i,
-						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				g, w := got[i], want[i]
+				if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("%s: %d qubits, stride %d, pairs [%d,%d), u %v: re[%d] = %#x, frozen %#x",
+						path.name, n, stride, l, h, u, i, math.Float64bits(g), math.Float64bits(w))
 				}
 			}
 		}
+	})
+}
+
+// fuzzEntry returns a matrix entry: an ordinary value half the time,
+// else ±0, a subnormal, or a scale of 1e±300 or 2^±1000.
+func fuzzEntry(rng *rand.Rand) float64 {
+	special := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0x1p-1030,
+		1e300, 1e-300, 0x1p1000, 0x1p-1000}
+	if rng.Intn(2) == 0 {
+		return rng.NormFloat64()
+	}
+	v := special[rng.Intn(len(special))]
+	if rng.Intn(2) == 0 {
+		v = -v
+	}
+	return v
+}
+
+// TestAVXKernelVEXOnly reads kernels_amd64.s and fails on an
+// instruction that names an X or Y register without a VEX encoding (a
+// mnemonic not starting with V), and on a RET of a function that uses a
+// Y register when VZEROUPPER does not come right before it. One legacy
+// SSE instruction after a 256-bit one costs a state transition every
+// time it runs (DESIGN.md §11.5).
+func TestAVXKernelVEXOnly(t *testing.T) {
+	src, err := os.ReadFile("kernels_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecReg, yReg := regexp.MustCompile(`\b[XY]\d+\b`), regexp.MustCompile(`\bY\d+\b`)
+	var ymm bool
+	var prev string
+	for i, line := range strings.Split(string(src), "\n") {
+		line, _, _ = strings.Cut(line, "//")
+		f := strings.Fields(line)
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") || strings.HasSuffix(f[0], ":") {
+			continue
+		}
+		switch op := f[0]; {
+		case op == "TEXT":
+			ymm = false
+		case op == "RET" && ymm && prev != "VZEROUPPER":
+			t.Errorf("line %d: RET without VZEROUPPER before it", i+1)
+		case vecReg.MatchString(line) && !strings.HasPrefix(op, "V"):
+			t.Errorf("line %d: %s is not VEX-encoded", i+1, strings.TrimSpace(line))
+		}
+		ymm = ymm || yReg.MatchString(line)
+		prev = f[0]
 	}
 }
 
@@ -122,8 +214,10 @@ func BenchmarkAliasBuild(b *testing.B) {
 }
 
 // BenchmarkApply1QRealStride times the real pair kernel on re alone, a
-// real-prefix RY, over a 12-qubit array at qubits 0–4 and 8: the block
-// loops at qubits 0–2 and the run decode above.
+// real-prefix RY, over a 12-qubit array at qubits 0–4, 8 and 11, each
+// two ways: through the dispatch, which runs the vector kernel where
+// the CPU has one (DESIGN.md §11.5), and through the Go loops called
+// directly, the block loops at qubits 0–2 and the run decode above.
 func BenchmarkApply1QRealStride(b *testing.B) {
 	re := make([]float64, 1<<12)
 	for i := range re {
@@ -131,11 +225,16 @@ func BenchmarkApply1QRealStride(b *testing.B) {
 	}
 	sn, c := math.Sincos(0.3)
 	u := [4]float64{c, -sn, sn, c}
-	for _, q := range []int{0, 1, 2, 3, 4, 8} {
-		b.Run(fmt.Sprintf("q%d", q), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				apply1QRealPairs(re, nil, 1<<q, u, 0, len(re)/2)
-			}
-		})
+	for _, q := range []int{0, 1, 2, 3, 4, 8, 11} {
+		for _, path := range []struct {
+			name  string
+			apply func(re, im []float64, stride int, u [4]float64, lo, hi int)
+		}{{"dispatch", apply1QRealPairs}, {"go", apply1QRealPairsGo}} {
+			b.Run(fmt.Sprintf("q%d/%s", q, path.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					path.apply(re, nil, 1<<q, u, 0, len(re)/2)
+				}
+			})
+		}
 	}
 }

@@ -155,14 +155,26 @@ func matIsReal(u *[4]complex128) bool {
 }
 
 // apply1QRealPairs applies a real 2×2 matrix over the pair-index range
-// [lo, hi) to re and im, or to re alone when im is nil. Within a range
+// [lo, hi) to re and im, or to re alone when im is nil. On re alone, a
+// range of whole stride blocks that holds a multiple of 8 amplitudes
+// goes to the vector kernel where the CPU has one (realPairsVec,
+// DESIGN.md §11.5), which computes the Go loops' bits; everything else,
+// and every range on a CPU without one, runs apply1QRealPairsGo.
+func apply1QRealPairs(re, im []float64, stride int, u [4]float64, lo, hi int) {
+	if im == nil && (lo|hi)&(stride-1) == 0 && (hi-lo)&3 == 0 && realPairsVec(re[2*lo:2*hi], stride, &u) {
+		return
+	}
+	apply1QRealPairsGo(re, im, stride, u, lo, hi)
+}
+
+// apply1QRealPairsGo is apply1QRealPairs in Go loops. Within a range
 // the pair index is decoded once per contiguous run (a run ends at a
 // stride block or the range boundary, whichever is first), keeping the
 // inner loop a branch-free float sweep. Strides 1, 2 and 4 on re alone
 // step over whole stride blocks of 2, 4 and 8 amplitudes instead, when
 // the range holds whole blocks. One loop updates both arrays: on a
 // state past the caches it measured faster than a sweep of each.
-func apply1QRealPairs(re, im []float64, stride int, u [4]float64, lo, hi int) {
+func apply1QRealPairsGo(re, im []float64, stride int, u [4]float64, lo, hi int) {
 	u00, u01, u10, u11 := u[0], u[1], u[2], u[3]
 	if im == nil && stride <= 4 && (lo|hi)&(stride-1) == 0 {
 		// Pairs (x+j, x+j+stride) of block x, in pair order, with no run
