@@ -16,8 +16,14 @@ import "math"
 const AngleBits = 24
 
 // QuantizeAngle folds theta into [0, 2π) and quantizes to AngleBits bits.
+// math.Mod(x, 2π) returns x itself when |x| < 2π, since its reduction
+// loop runs only while the remainder is at least 2π, so only angles
+// outside (−2π, 2π), NaN and ±Inf among them, call it.
 func QuantizeAngle(theta float64) uint32 {
-	t := math.Mod(theta, 2*math.Pi)
+	t := theta
+	if !(theta > -2*math.Pi && theta < 2*math.Pi) {
+		t = math.Mod(theta, 2*math.Pi)
+	}
 	if t < 0 {
 		t += 2 * math.Pi
 	}

@@ -2,6 +2,7 @@ package qcc
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -56,5 +57,37 @@ func TestQuantizeRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// frozenQuantizeAngle is QuantizeAngle before it skipped math.Mod
+// inside (−2π, 2π): it reduces every angle.
+func frozenQuantizeAngle(theta float64) uint32 {
+	t := math.Mod(theta, 2*math.Pi)
+	if t < 0 {
+		t += 2 * math.Pi
+	}
+	q := uint32(math.Round(t / (2 * math.Pi) * (1 << AngleBits)))
+	return q & (1<<AngleBits - 1)
+}
+
+// TestQuantizeAngleMatchesMod holds QuantizeAngle to its frozen form on
+// ±0, ±2π and the floats on either side of each, ±π, subnormals,
+// ±1e300, NaN, ±Inf and a million random angles in (−8, 8).
+func TestQuantizeAngleMatchesMod(t *testing.T) {
+	angles := []float64{0, math.Copysign(0, -1), math.Pi, -math.Pi,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1030,
+		1e300, -1e300, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, e := range []float64{2 * math.Pi, -2 * math.Pi} {
+		angles = append(angles, e, math.Nextafter(e, 0), math.Nextafter(e, 2*e))
+	}
+	r := rand.New(rand.NewSource(1))
+	for range 1_000_000 {
+		angles = append(angles, 16*r.Float64()-8)
+	}
+	for _, theta := range angles {
+		if got, want := QuantizeAngle(theta), frozenQuantizeAngle(theta); got != want {
+			t.Fatalf("QuantizeAngle(%v) = %d, the math.Mod form gives %d", theta, got, want)
+		}
 	}
 }

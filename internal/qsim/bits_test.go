@@ -25,13 +25,16 @@ const amplitudeBitsDigest uint64 = 0xe06c12cf05a90a33
 // qubits after a 400-gate random circuit. Each value is hashed as x+0,
 // which maps −0 to +0, because §11.2 lets the signs of zeros differ.
 //
-// The digest holds on amd64 only. The engines round every product
-// that feeds a sum explicitly, so their own arithmetic is the same on
-// every GOARCH; but their gate matrices come from math.Sincos, whose
-// pure-Go kernel arm64 compiles with fused multiply-adds, which round
-// once where amd64 rounds twice (DESIGN.md §11.2).
+// The digest was recorded on amd64 and holds on 386 too. The engines
+// round every product that feeds a sum explicitly, so their own
+// arithmetic is the same on every GOARCH; but their gate matrices come
+// from math.Sincos, whose pure-Go kernel arm64, ppc64le, s390x and
+// riscv64 compile with fused multiply-adds, which round once where
+// amd64 and 386 round twice (DESIGN.md §11.2). Those four, the targets
+// CI's fma leg lists, skip it.
 func TestAmplitudeBitsFrozen(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
+	switch runtime.GOARCH {
+	case "arm64", "ppc64le", "s390x", "riscv64":
 		t.Skipf("digest recorded on amd64; %s may fuse multiply-adds in math.Sincos", runtime.GOARCH)
 	}
 	h := fnv.New64a()

@@ -2,9 +2,11 @@ package qsim
 
 import (
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -92,36 +94,58 @@ func fuzzEntry(rng *rand.Rand) float64 {
 	return v
 }
 
-// TestAVXKernelVEXOnly reads kernels_amd64.s and fails on an
-// instruction that names an X or Y register without a VEX encoding (a
-// mnemonic not starting with V), and on a RET of a function that uses a
-// Y register when VZEROUPPER does not come right before it. One legacy
-// SSE instruction after a 256-bit one costs a state transition every
-// time it runs (DESIGN.md §11.5).
+// amd64AsmFiles is how many *_amd64.s files the module has under
+// internal/: qsim's real pair kernel, rng's block compare and cpuid's
+// probe.
+const amd64AsmFiles = 3
+
+// TestAVXKernelVEXOnly reads every *_amd64.s file under internal/ and
+// fails on an instruction that names an X or Y register without a VEX
+// encoding (a mnemonic not starting with V), and on a RET of a
+// function that uses a Y register when VZEROUPPER does not come right
+// before it. One legacy SSE instruction after a 256-bit one costs a
+// state transition every time it runs (DESIGN.md §11.5). It fails too
+// when it finds fewer files than amd64AsmFiles, so a renamed or moved
+// file cannot leave the check silently.
 func TestAVXKernelVEXOnly(t *testing.T) {
-	src, err := os.ReadFile("kernels_amd64.s")
+	var files []string
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, "_amd64.s") {
+			files = append(files, path)
+		}
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(files) < amd64AsmFiles {
+		t.Fatalf("found %d *_amd64.s files under internal/ (%v), want %d", len(files), files, amd64AsmFiles)
+	}
 	vecReg, yReg := regexp.MustCompile(`\b[XY]\d+\b`), regexp.MustCompile(`\bY\d+\b`)
-	var ymm bool
-	var prev string
-	for i, line := range strings.Split(string(src), "\n") {
-		line, _, _ = strings.Cut(line, "//")
-		f := strings.Fields(line)
-		if len(f) == 0 || strings.HasPrefix(f[0], "#") || strings.HasSuffix(f[0], ":") {
-			continue
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		switch op := f[0]; {
-		case op == "TEXT":
-			ymm = false
-		case op == "RET" && ymm && prev != "VZEROUPPER":
-			t.Errorf("line %d: RET without VZEROUPPER before it", i+1)
-		case vecReg.MatchString(line) && !strings.HasPrefix(op, "V"):
-			t.Errorf("line %d: %s is not VEX-encoded", i+1, strings.TrimSpace(line))
+		var ymm bool
+		var prev string
+		for i, line := range strings.Split(string(src), "\n") {
+			line, _, _ = strings.Cut(line, "//")
+			f := strings.Fields(line)
+			if len(f) == 0 || strings.HasPrefix(f[0], "#") || strings.HasSuffix(f[0], ":") {
+				continue
+			}
+			switch op := f[0]; {
+			case op == "TEXT":
+				ymm = false
+			case op == "RET" && ymm && prev != "VZEROUPPER":
+				t.Errorf("%s:%d: RET without VZEROUPPER before it", file, i+1)
+			case vecReg.MatchString(line) && !strings.HasPrefix(op, "V"):
+				t.Errorf("%s:%d: %s is not VEX-encoded", file, i+1, strings.TrimSpace(line))
+			}
+			ymm = ymm || yReg.MatchString(line)
+			prev = f[0]
 		}
-		ymm = ymm || yReg.MatchString(line)
-		prev = f[0]
 	}
 }
 

@@ -15,7 +15,10 @@
 // Owning it lets the hot paths call it as a concrete type, fill blocks
 // of draws at once (Read63), compare a block against thresholds as it
 // is drawn (Below) and reseed a stream in place, none of which
-// math/rand's interface-typed Rand allows.
+// math/rand's interface-typed Rand allows. On amd64 with AVX2, Below's
+// compare runs four draws per instruction (below_amd64.s), bit for bit
+// the Go loop that runs on every other CPU and GOARCH (DESIGN.md
+// §14.5).
 //
 // Source is the one-method view a sampler reads, Int63; *Stream and
 // *rand.Rand both satisfy it. New still returns math/rand's stream of
@@ -159,27 +162,24 @@ func (s *Stream) read63(dst []int64) {
 	}
 }
 
-// below is Below on a Stream: it adds the two lagged runs as read63
-// does and folds each sum into the word and the redraw check in the
-// same loop, writing no buffer. A feed word is next rewritten length
-// draws after it is written and next read as a tap lag draws after, so
-// a block of at most 64 draws leaves its own draws in its feed words:
-// the slow path re-reads them from there into xs.
-func (s *Stream) below(ks []int64, xs []int64) (v uint64, ok bool) {
+// below is Below on a Stream. It splits the block where the feed or
+// the tap index wraps into contiguous runs of feed and tap words, at
+// most two, since the wraps are 273 and 334 draws apart, and hands each
+// run to belowRun: the AVX2 kernel when vec holds and the CPU has AVX2
+// (below_amd64.s), else belowRunGo. Below passes true; the tests pass
+// false to run the Go loop on any CPU. A feed word is next rewritten
+// length draws after it is written and next read as a tap lag draws
+// after, so a block of at most 64 draws reads no word it wrote and
+// leaves its own draws in its feed words: the slow path re-reads them
+// from there into xs.
+func (s *Stream) below(ks, xs []int64, vec bool) (v uint64, ok bool) {
 	var over int64 // takes the sign bit of x+512, set when x ≥ Redraw
-	for k := ks; len(k) > 0; {
-		m := min(len(k), length-s.feed, length-s.tap)
-		f := s.vec[s.feed : s.feed+m]
-		t := s.vec[s.tap:][:len(f)]
-		kf := k[:len(f)]
-		for i := range f {
-			x := f[i] + t[i]
-			f[i] = x
-			x &= mask
-			v = v>>1 | uint64(x-kf[i])>>63<<63
-			over |= x + (1<<63 - Redraw)
-		}
-		k = k[m:]
+	for q := 0; q < len(ks); {
+		m := min(len(ks)-q, length-s.feed, length-s.tap)
+		bits, o := belowRun(s.vec[s.feed:s.feed+m], s.vec[s.tap:][:m], ks[q:][:m], vec)
+		v |= bits << (q & 63) // q < 64: the mask spares the shift a check
+		over |= o
+		q += m
 		if s.feed += m; s.feed == length {
 			s.feed = 0
 		}
@@ -200,6 +200,26 @@ func (s *Stream) below(ks []int64, xs []int64) (v uint64, ok bool) {
 		}
 	}
 	return v, over >= 0
+}
+
+// belowRunGo is one run of a Below block, for len(f) == len(t) ==
+// len(k) ≤ 64 over words that do not overlap: it adds each tap word
+// t[i] into its feed word f[i], folds the masked sum x into the word
+// as v = v>>1 | uint64(x−k[i])>>63<<63 and ORs x + 512 into over, and
+// returns the word shifted down so that bit i is draw i's, and over,
+// whose sign is set when some draw is at or above Redraw. It is the
+// path on every CPU without AVX2 and every other GOARCH, and the
+// oracle that FuzzBelowMatchesRead63 holds belowRunAVX2 to.
+func belowRunGo(f, t, k []int64) (bits uint64, over int64) {
+	t, k = t[:len(f)], k[:len(f)]
+	for i := range f {
+		x := f[i] + t[i]
+		f[i] = x
+		x &= mask
+		bits = bits>>1 | uint64(x-k[i])>>63<<63
+		over |= x + (1<<63 - Redraw)
+	}
+	return bits >> (64 - len(f)), over
 }
 
 // Redraw is the least Int63 that Float64 rounds to 1 and so draws
@@ -312,25 +332,24 @@ func Read63(src Source, dst []int64) {
 // draw q is below ks[q]. ok is false when some draw is at or above
 // Redraw, one that Float64 would discard; xs[:len(ks)] then holds the
 // block's draws, in order, for the caller to redo. From a *Stream the
-// compare and the check run inside the lagged-Fibonacci loop, and xs
-// is written only when ok is false; any other Source is read one Int63
-// at a time into xs. Each bit enters at the top of the word, which is
-// shifted into place once at the end.
+// compare and the check run inside the lagged-Fibonacci loop, four
+// draws per instruction on a CPU with AVX2, and xs is written only when
+// ok is false; any other Source is read one Int63 at a time into xs.
+// Each bit enters at the top of the word, which is shifted into place
+// once at the end.
 func Below(src Source, ks []int64, xs *[64]int64) (word uint64, ok bool) {
 	d := xs[:len(ks)]
 	if s, isStream := src.(*Stream); isStream {
-		word, ok = s.below(ks, d)
-	} else {
-		var over int64
-		for i, k := range ks {
-			x := src.Int63()
-			d[i] = x
-			word = word>>1 | uint64(x-k)>>63<<63
-			over |= x + (1<<63 - Redraw)
-		}
-		ok = over >= 0
+		return s.below(ks, d, true)
 	}
-	return word >> (64 - len(ks)), ok
+	var over int64
+	for i, k := range ks {
+		x := src.Int63()
+		d[i] = x
+		word = word>>1 | uint64(x-k)>>63<<63
+		over |= x + (1<<63 - Redraw)
+	}
+	return word >> (64 - len(ks)), over >= 0
 }
 
 // New returns rand.New(rand.NewSource(seed)), the math/rand stream

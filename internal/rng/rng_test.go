@@ -26,13 +26,21 @@ func seeds() []int64 {
 
 // intns covers n = 1, every power of two, the values around 2³¹−1 and
 // 2³¹ where Intn switches from Int31n to Int63n, values near 2⁶² and
-// MaxInt, and small values whose rejection is frequent.
+// MaxInt, and small values whose rejection is frequent. The cases are
+// int64 data: those above math.MaxInt, which a 32-bit int cannot hold,
+// are skipped there.
 func intns() []int {
-	n := []int{1, 3, 5, 6, 7, 10, 100, 1000, 1<<31 - 2, 1<<31 - 1, 1 << 31, 1<<31 + 1,
+	cases := []int64{1, 3, 5, 6, 7, 10, 100, 1000, 1<<31 - 2, 1<<31 - 1, 1 << 31, 1<<31 + 1,
 		1<<62 - 1, 1<<62 + 1, 1<<62 + 1<<61, 3 << 61, math.MaxInt64, math.MaxInt64 - 1,
 		1<<30 + 1, 1<<31/3 + 1, 3 << 29}
 	for k := range 63 {
-		n = append(n, 1<<k)
+		cases = append(cases, 1<<k)
+	}
+	var n []int
+	for _, c := range cases {
+		if c <= math.MaxInt {
+			n = append(n, int(c))
+		}
 	}
 	return n
 }
@@ -86,6 +94,15 @@ func TestStreamMatchesMathRand(t *testing.T) {
 		for _, n := range []int{0, 1, 5, 64, 272, 273, 274, 333, 334, 335, 606, 607, 608, 1214, 1500} {
 			p.sameRead(n)
 		}
+	}
+}
+
+// sameIntn draws Intn(n) on both streams, for n that an int holds: a
+// 32-bit int skips the rest.
+func (p *pair) sameIntn(n int64) {
+	p.t.Helper()
+	if n <= math.MaxInt {
+		p.same("Intn", p.s.Intn(int(n)), p.r.Intn(int(n)))
 	}
 }
 
@@ -255,7 +272,7 @@ func TestRejectionEdges(t *testing.T) {
 		}
 	}
 	for _, n := range []int{3, 5, 6, 1000, 1<<30 + 1, 1<<31 - 1} {
-		limit := int64(1<<31 - 1 - (1<<31)%n)
+		limit := 1<<31 - 1 - (1<<31)%int64(n)
 		for _, v := range []int64{limit - 1, limit, limit + 1, 1<<31 - 1} {
 			check(fmt.Sprintf("Intn(%d) at Int31 %d", n, v), []int64{v<<32 | 12345, v << 32, 77 << 32},
 				func(src drawer) []int {
@@ -263,12 +280,15 @@ func TestRejectionEdges(t *testing.T) {
 				})
 		}
 	}
-	for _, n := range []int{1<<31 + 1, 1<<62 + 1, 3 << 61, math.MaxInt64} {
+	for _, n := range []int64{1<<31 + 1, 1<<62 + 1, 3 << 61, math.MaxInt64} {
+		if n > math.MaxInt {
+			continue // a 32-bit int cannot pass n to Intn
+		}
 		limit := int64(1<<63 - 1 - (1<<63)%uint64(n))
 		for _, v := range []int64{limit - 1, limit, limit + 1, math.MaxInt64} {
 			check(fmt.Sprintf("Intn(%d) at %d", n, v), []int64{v, limit, 12345},
 				func(src drawer) []int {
-					return []int{src.Intn(n)}
+					return []int{src.Intn(int(n))}
 				})
 		}
 	}
@@ -335,11 +355,9 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 				n := arg + 1
 				p.same("Intn", p.s.Intn(n), p.r.Intn(n))
 			case 3:
-				n := 1<<31 - 128 + arg
-				p.same("Intn", p.s.Intn(n), p.r.Intn(n))
+				p.sameIntn(1<<31 - 128 + int64(arg))
 			case 4:
-				n := 1<<62 + arg<<54 + arg
-				p.same("Intn", p.s.Intn(n), p.r.Intn(n))
+				p.sameIntn(1<<62 + int64(arg)<<54 + int64(arg))
 			case 5:
 				p.sameShuffle(arg * 3)
 			default:
@@ -357,7 +375,9 @@ func (o int63Only) Int63() int64 { return o.s.Int63() }
 
 // FuzzBelowMatchesRead63 holds Below to Read63 plus a scalar compare:
 // the word, ok, the draws left in xs when ok is false, and the stream's
-// position afterwards, on a *Stream and through a plain Source. The
+// position afterwards, on a *Stream through Below's dispatch (the AVX2
+// kernel on a CPU that has it), on a *Stream through the Go loop
+// (below with vec false, on any CPU), and through a plain Source. The
 // stream is advanced 0–606 draws first, so blocks of 1–64 draws start
 // anywhere and straddle the feed or tap index wrap. Thresholds are 0,
 // Redraw, a draw itself and the value above it, and random. plant can
@@ -370,6 +390,20 @@ func FuzzBelowMatchesRead63(f *testing.F) {
 	f.Add(int64(lcgMod), uint16(570), uint8(63), int64(3), uint8(3<<6|50))
 	f.Add(int64(7), uint16(606), uint8(0), int64(4), uint8(2<<6))
 	f.Add(int64(8), uint16(543), uint8(31), int64(5), uint8(1<<6|20))
+	// Seeding leaves feed at lag and tap at 0, so a 64-draw block that
+	// starts r draws before the feed wrap (334 draws in) or the tap wrap
+	// (607 in) splits into runs of r and 64−r draws: for r = 1–4, runs of
+	// every length mod 4, with the kernel's scalar tail. The planted draw
+	// is the block's last, in a tail but for r = 4.
+	for r := 1; r <= 4; r++ {
+		for _, wrap := range []int{length - lag, length} {
+			f.Add(int64(8+r), uint16(wrap-r), uint8(63), int64(5+r), uint8((r%3+1)<<6|63))
+		}
+	}
+	// 7-draw blocks across each wrap: runs of 2 and 5, the draw planted
+	// in a tail.
+	f.Add(int64(13), uint16(length-lag-2), uint8(6), int64(10), uint8(2<<6|6))
+	f.Add(int64(14), uint16(length-2), uint8(6), int64(11), uint8(3<<6|1))
 	f.Fuzz(func(t *testing.T, seed int64, advance uint16, n uint8, kseed int64, plant uint8) {
 		s := NewStream(seed)
 		var d [64]int64
@@ -403,21 +437,32 @@ func FuzzBelowMatchesRead63(f *testing.F) {
 			}
 			ok = ok && d[q] < Redraw
 		}
-		slow := *s
-		for _, src := range []Source{s, int63Only{&slow}} {
+		loop, slow := *s, *s
+		paths := []struct {
+			name  string
+			s     *Stream
+			below func(xs *[64]int64) (uint64, bool)
+		}{
+			{"dispatch", s, func(xs *[64]int64) (uint64, bool) { return Below(s, ks, xs) }},
+			{"go", &loop, func(xs *[64]int64) (uint64, bool) { return loop.below(ks, xs[:m], false) }},
+			{"Source", &slow, func(xs *[64]int64) (uint64, bool) { return Below(int63Only{&slow}, ks, xs) }},
+		}
+		for _, p := range paths {
 			var xs [64]int64
-			got, gotOK := Below(src, ks, &xs)
+			got, gotOK := p.below(&xs)
 			if got != word || gotOK != ok {
-				t.Fatalf("%T, %d draws: Below = %#x, %v; want %#x, %v", src, m, got, gotOK, word, ok)
+				t.Fatalf("%s, %d draws: Below = %#x, %v; want %#x, %v", p.name, m, got, gotOK, word, ok)
 			}
 			if !ok && !slices.Equal(xs[:m], d[:m]) {
-				t.Fatalf("%T: xs = %v, want %v", src, xs[:m], d[:m])
+				t.Fatalf("%s: xs = %v, want %v", p.name, xs[:m], d[:m])
 			}
 		}
 		for i := range length + 1 {
-			x, y, w := s.Int63(), slow.Int63(), want.Int63()
-			if x != w || y != w {
-				t.Fatalf("draw %d after Below: %d on the Stream, %d through Source, want %d", i, x, y, w)
+			w := want.Int63()
+			for _, p := range paths {
+				if x := p.s.Int63(); x != w {
+					t.Fatalf("%s: draw %d after Below = %d, want %d", p.name, i, x, w)
+				}
 			}
 		}
 	})
@@ -440,15 +485,25 @@ func BenchmarkRead63(b *testing.B) {
 	}
 }
 
-// BenchmarkBelow compares one product-sampler shot, 64 draws, per op.
+// BenchmarkBelow compares one product-sampler shot, 64 draws, per op,
+// through the dispatch Below takes, which runs the AVX2 kernel on a CPU
+// that has AVX2, and through the Go loop. Equal times mean the CPU
+// lacks AVX2 or the GOARCH is not amd64.
 func BenchmarkBelow(b *testing.B) {
-	s := NewStream(1)
 	var ks [64]int64
 	for q := range ks {
 		ks[q] = int64(q) << 56
 	}
-	var xs [64]int64
-	for i := 0; i < b.N; i++ {
-		Below(s, ks[:], &xs)
+	for _, path := range []struct {
+		name string
+		vec  bool
+	}{{"dispatch", true}, {"go", false}} {
+		b.Run(path.name, func(b *testing.B) {
+			s := NewStream(1)
+			var xs [64]int64
+			for i := 0; i < b.N; i++ {
+				s.below(ks[:], xs[:], path.vec)
+			}
+		})
 	}
 }
